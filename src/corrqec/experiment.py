@@ -46,15 +46,15 @@ from .operators import pure_state_fidelity, pure_state_projector
 from .qecc import StabilizerCode, correction_channel, five_qubit_code
 from .trajectory import (
     BatchStepper,
-    _uniform_table,
     build_first_order_channel,
     ensemble_density,
+    jump_rate_operator,
     sample_ensemble,
+    total_jump_probability,
+    uniform_blocks,
 )
 
 logger = logging.getLogger(__name__)
-
-_BLOCK = 8192
 
 ENGINES = ("density", "trajectory")
 
@@ -271,11 +271,10 @@ def _trajectory_qec_run(
     stepper = BatchStepper(ch, delta_t / substeps)
     draws_per_cycle = substeps + (_SYNDROME_DRAWS if correction else 0)
     states = np.empty((num_trajectories, ch.dim), dtype=complex)
-    for start in range(0, num_trajectories, _BLOCK):
-        count = min(_BLOCK, num_trajectories - start)
-        uniforms = _uniform_table(
-            base_seed, start, count, n_cycles * draws_per_cycle
-        ).reshape(count, n_cycles, draws_per_cycle)
+    blocks = uniform_blocks(base_seed, num_trajectories, n_cycles * draws_per_cycle)
+    for start, uniforms in blocks:
+        count = uniforms.shape[0]
+        uniforms = uniforms.reshape(count, n_cycles, draws_per_cycle)
         psi = np.tile(psi0, (count, 1))
         for c in range(n_cycles):
             for k in range(substeps):
@@ -542,11 +541,7 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
         # cycles are split into trajectory_substeps, raw trajectory logs step
         # at delta_t_values[0] directly.
         dt_step = max(dt_max / cfg.trajectory_substeps, cfg.delta_t_values[0])
-        s_psi = ch.jump_ops @ psi
-        rates = np.where(ch.inert, 0.0, ch.eigenvalues)
-        total = float(
-            (rates * dt_step * np.einsum("ni,ni->n", s_psi.conj(), s_psi).real).sum()
-        )
+        total = float(total_jump_probability(psi, jump_rate_operator(ch, dt_step)))
         # The gate binds only the trajectory unraveling; the density engine
         # integrates the master equation and has no per-step jump budget.
         passed = total <= 0.1 or cfg.engine == "density"

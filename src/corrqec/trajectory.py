@@ -7,6 +7,11 @@ propagated by K = 1 - i delta_t H_eff (or its exact exponential) and
 renormalized.  Averaging |psi><psi| over many trajectories recovers the
 density-matrix evolution.
 
+Whether a jump fires at all is decided from the total <psi|Gamma|psi>, with
+Gamma = sum_n xi_n delta_t s_n^dag s_n built once per interval length; the
+per-channel probabilities and the jump images s_n psi are built only for the
+states that jump.
+
 The same interval, frozen against a reference state, defines the first-order
 error channel {Q_n, p_n}: Q_0 = exp(-i H_eff delta_t)/sqrt(p_0) is the
 effective-evolution error and Q_n = sqrt(xi_n delta_t / p_n) s_n the jump
@@ -15,8 +20,9 @@ errors, complete to O(delta_t) with probabilities summing to one.
 Randomness contract: trajectory b of a run seeded with base_seed draws from
 numpy's default generator seeded with SeedSequence((base_seed, b)), one
 uniform per interval; the jump decision and the channel choice share that
-uniform.  This makes every trajectory reproducible in isolation and makes
-the batched sampler bit-identical to the sequential one.
+uniform.  This makes every trajectory reproducible in isolation; the
+sequential sampler is the batched one run on a one-row block, so both take
+the same decisions.
 """
 
 from __future__ import annotations
@@ -93,6 +99,43 @@ def _active_rates(ch: JumpChannelSet) -> np.ndarray:
     return np.where(ch.inert, 0.0, ch.eigenvalues)
 
 
+def _check_gate(total: float, delta_t: float) -> None:
+    if total > SUM_P_GATE:
+        raise StepSizeError(
+            f"total jump probability {total:.4f} exceeds the first-order gate "
+            f"{SUM_P_GATE}; reduce delta_t below {delta_t:.3g}"
+        )
+
+
+def _jump_images(psi: np.ndarray, jump_ops: np.ndarray, weights: np.ndarray):
+    """Images s_n psi_b, shape (rows, channels, dim), and p_n = w_n ||s_n psi_b||^2."""
+    rows, dim = psi.shape
+    s_psi = (psi @ jump_ops.reshape(-1, dim).T).reshape(rows, -1, dim)
+    v = s_psi.view(float)  # Re/Im interleaved: sum of squares = ||s_n psi||^2
+    return s_psi, np.clip(weights * np.einsum("bnk,bnk->bn", v, v), 0.0, None)
+
+
+def jump_rate_operator(ch: JumpChannelSet, delta_t: float) -> np.ndarray:
+    """Gamma = sum_n xi_n delta_t s_n^dag s_n, inert channels weighted 0.
+
+    Gamma is positive semidefinite and <psi|Gamma|psi> is the total jump
+    probability of the interval (see total_jump_probability).
+    """
+    if delta_t < 0:
+        raise DomainError(f"delta_t must be nonnegative, got {delta_t}")
+    s = ch.jump_ops
+    weighted = (_active_rates(ch) * delta_t)[:, None, None] * s
+    gamma = weighted.reshape(-1, ch.dim).conj().T @ s.reshape(-1, ch.dim)
+    return 0.5 * (gamma + gamma.conj().T)
+
+
+def total_jump_probability(psi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """<psi|Gamma|psi> for a state (dim,) or for every row of a block (M, dim)."""
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    # Re<psi|v> as a real dot product over the interleaved Re/Im parts.
+    return np.einsum("...k,...k->...", psi.view(float), (psi @ gamma.T).view(float))
+
+
 def jump_probabilities(psi: np.ndarray, ch: JumpChannelSet, delta_t: float) -> np.ndarray:
     """p_n = xi_n delta_t ||s_n psi||^2 for every channel, in flat order.
 
@@ -103,16 +146,9 @@ def jump_probabilities(psi: np.ndarray, ch: JumpChannelSet, delta_t: float) -> n
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (ch.dim,):
         raise DomainError(f"state shape {psi.shape} does not match dimension {ch.dim}")
-    s_psi = ch.jump_ops @ psi
-    p = _active_rates(ch) * delta_t * np.einsum("ni,ni->n", s_psi.conj(), s_psi).real
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total > SUM_P_GATE:
-        raise StepSizeError(
-            f"total jump probability {total:.4f} exceeds the first-order gate "
-            f"{SUM_P_GATE}; reduce delta_t below {delta_t:.3g}"
-        )
-    return p
+    _, p = _jump_images(psi[None], ch.jump_ops, _active_rates(ch) * delta_t)
+    _check_gate(p.sum(), delta_t)
+    return p[0]
 
 
 def apply_jump(psi: np.ndarray, ch: JumpChannelSet, n: int) -> np.ndarray:
@@ -148,14 +184,6 @@ def no_jump_step(
     return phi / np.sqrt(p0), p0
 
 
-def _select_channel(p: np.ndarray, u: float) -> int:
-    # Inverse-CDF over channels with strictly positive probability; a u that
-    # lands exactly on a boundary goes to the lower index.
-    active = np.flatnonzero(p > 0.0)
-    cum = np.cumsum(p[active])
-    return int(active[int(np.count_nonzero(cum < u))])
-
-
 def sample_trajectory(
     psi0: np.ndarray,
     ch: JumpChannelSet,
@@ -167,38 +195,36 @@ def sample_trajectory(
 ) -> TrajectoryState:
     """Propagate one trajectory for t_total = m * delta_t intervals."""
     n_steps = _step_count(t_total, delta_t)
-    rng = trajectory_rng(base_seed, trajectory_index)
-    psi = check_state_vector(psi0).copy()
-    prop = _no_jump_propagator(ch, delta_t, mode)
-    log: list[tuple[float, int]] = []
-    for step in range(n_steps):
-        p = jump_probabilities(psi, ch, delta_t)
-        u = rng.random()
-        if u < p.sum():
-            n = _select_channel(p, u)
-            psi = apply_jump(psi, ch, n)
-            log.append((step * delta_t, n))
-        else:
-            phi = prop @ psi
-            psi = phi / np.linalg.norm(phi)
+    log: list[tuple[int, float, int]] = []
+    psi, _ = _propagate(
+        BatchStepper(ch, delta_t, mode),
+        check_state_vector(psi0),
+        _uniform_table(base_seed, trajectory_index, 1, n_steps),
+        delta_t,
+        trajectory_index,
+        log,
+    )
     return TrajectoryState(
-        psi=psi, t=n_steps * delta_t, seed_key=(base_seed, trajectory_index), jump_log=log
+        psi=psi[0],
+        t=n_steps * delta_t,
+        seed_key=(base_seed, trajectory_index),
+        jump_log=[(t, n) for _, t, n in log],
     )
 
 
 class BatchStepper:
     """Vectorized single-interval update for a block of trajectory states.
 
-    Precomputes the scaled jump operators and the no-jump propagator once;
-    `step` advances a (M, dim) block with one uniform per row, reproducing
-    the sequential sampler's decisions exactly.
+    Precomputes Gamma = sum_n xi_n delta_t s_n^dag s_n and the no-jump
+    propagator once.  `step` advances a (M, dim) block with one uniform per
+    row: one product with Gamma gives every row's total jump probability
+    <psi|Gamma|psi>, and only the rows that jump get per-channel
+    probabilities and jump images.
     """
 
     def __init__(self, ch: JumpChannelSet, delta_t: float, mode: str = "first_order"):
-        if delta_t < 0:
-            raise DomainError(f"delta_t must be nonnegative, got {delta_t}")
         self.delta_t = delta_t
-        # Same arithmetic as jump_probabilities/apply_jump, batched over rows.
+        self.gamma = jump_rate_operator(ch, delta_t)
         self.weights = _active_rates(ch) * delta_t
         self.jump_ops = ch.jump_ops
         self.prop = _no_jump_propagator(ch, delta_t, mode)
@@ -210,35 +236,56 @@ class BatchStepper:
         mask and channel holds the flat channel index for jumped rows
         (unspecified elsewhere).
         """
-        s_psi = np.einsum("nij,bj->bni", self.jump_ops, psi, optimize=True)
-        p = self.weights * np.einsum("bni,bni->bn", s_psi.conj(), s_psi).real
-        p = np.clip(p, 0.0, None)
-        total = p.sum(axis=1)
-        worst = total.max(initial=0.0)
-        if worst > SUM_P_GATE:
-            raise StepSizeError(
-                f"total jump probability {worst:.4f} exceeds the first-order gate "
-                f"{SUM_P_GATE}; reduce delta_t below {self.delta_t:.3g}"
-            )
+        total = total_jump_probability(psi, self.gamma)
+        _check_gate(total.max(initial=0.0), self.delta_t)
         jumped = u < total
-        cum = np.cumsum(p, axis=1)
-        channel = np.minimum((cum < u[:, None]).sum(axis=1), p.shape[1] - 1)
-        # u == 0.0 exactly can land on a zero-probability leading channel;
-        # reroute to the first active one.
-        if np.any(jumped):
-            sel = np.take_along_axis(p, channel[:, None], axis=1)[:, 0]
-            bad = jumped & (sel <= 0.0)
-            if np.any(bad):
-                channel[bad] = np.argmax(p[bad] > 0.0, axis=1)
-
+        channel = np.zeros(psi.shape[0], dtype=np.intp)
         phi = psi @ self.prop.T
-        if np.any(jumped):
-            rows = np.flatnonzero(jumped)
-            phi[rows] = s_psi[rows, channel[rows]]
+        rows = np.flatnonzero(jumped)
+        if rows.size:
+            # Inverse CDF over the jumped rows' channel probabilities.  A u in
+            # the roundoff gap between the Gamma total and the summed p_n is
+            # clamped to the last channel; a pick with zero probability (the
+            # clamped one, or a leading one under u == 0.0) goes to the first
+            # active channel.
+            s_psi, p = _jump_images(psi[rows], self.jump_ops, self.weights)
+            cum = np.cumsum(p, axis=1)
+            pick = np.minimum((cum < u[rows, None]).sum(axis=1), p.shape[1] - 1)
+            k = np.arange(rows.size)
+            bad = p[k, pick] <= 0.0
+            if np.any(bad):
+                pick[bad] = np.argmax(p[bad] > 0.0, axis=1)
+            channel[rows] = pick
+            phi[rows] = s_psi[k, pick]
         norms = np.linalg.norm(phi, axis=1)
         if norms.min(initial=1.0) <= 1e-12:
             raise SimulationError("trajectory state norm collapsed during a step")
-        return phi / norms[:, None], jumped, channel
+        phi /= norms[:, None]
+        return phi, jumped, channel
+
+
+def _propagate(
+    stepper: BatchStepper,
+    psi0: np.ndarray,
+    uniforms: np.ndarray,
+    delta_t: float,
+    index0: int,
+    logs: list | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step copies of psi0, one row per row of uniforms, one interval per column.
+
+    Returns (states, jump_counts); when logs is a list, appends a
+    (index0 + row, t, channel) triple per jump.
+    """
+    psi = np.tile(psi0, (uniforms.shape[0], 1))
+    counts = np.zeros(uniforms.shape[0], dtype=np.int64)
+    for step in range(uniforms.shape[1]):
+        psi, jumped, channel = stepper.step(psi, uniforms[:, step])
+        counts += jumped
+        if logs is not None:
+            for b in np.flatnonzero(jumped):
+                logs.append((index0 + int(b), step * delta_t, int(channel[b])))
+    return psi, counts
 
 
 def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.ndarray:
@@ -247,6 +294,17 @@ def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.nd
     for b in range(count):
         table[b] = trajectory_rng(base_seed, index0 + b).random(draws)
     return table
+
+
+def uniform_blocks(base_seed: int, num_trajectories: int, draws: int):
+    """Yield (start, uniforms) over blocks of at most _BLOCK trajectories.
+
+    Row b of uniforms holds the first `draws` uniforms of trajectory
+    start + b's stream.
+    """
+    for start in range(0, num_trajectories, _BLOCK):
+        count = min(_BLOCK, num_trajectories - start)
+        yield start, _uniform_table(base_seed, start, count, draws)
 
 
 def sample_ensemble(
@@ -276,19 +334,13 @@ def sample_ensemble(
 
     states = np.empty((num_trajectories, ch.dim), dtype=complex)
     jump_counts = np.zeros(num_trajectories, dtype=np.int64)
-    logs: list[tuple[int, float, int]] = []
+    logs = [] if collect_logs else None
 
-    for start in range(0, num_trajectories, _BLOCK):
-        count = min(_BLOCK, num_trajectories - start)
-        uniforms = _uniform_table(base_seed, start, count, n_steps)
-        psi = np.tile(psi0, (count, 1))
-        for step in range(n_steps):
-            psi, jumped, channel = stepper.step(psi, uniforms[:, step])
-            jump_counts[start : start + count] += jumped
-            if collect_logs and np.any(jumped):
-                for b in np.flatnonzero(jumped):
-                    logs.append((start + int(b), step * delta_t, int(channel[b])))
-        states[start : start + count] = psi
+    for start, uniforms in uniform_blocks(base_seed, num_trajectories, n_steps):
+        rows = slice(start, start + uniforms.shape[0])
+        states[rows], jump_counts[rows] = _propagate(
+            stepper, psi0, uniforms, delta_t, start, logs
+        )
 
     if collect_logs:
         logs.sort(key=lambda row: (row[0], row[1]))

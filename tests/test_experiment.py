@@ -325,6 +325,26 @@ def test_validation_suite_flags_bad_noise():
     assert run_validation_suite(bad).checks[0].passed
 
 
+def test_validation_probability_gate_binds_trajectory_engine_only():
+    # unit-rate dephasing at a 0.5 interval: total jump probability 0.5, over
+    # the gate; reported as a failure for the trajectory engine, as passing
+    # (not binding) for the density engine, and never raised
+    hot = dict(
+        noise=noise_spec_direct(np.diag([0.0, 0.0, 1.0])),
+        normalize_rates=False,
+        t_total=0.5,
+        n_values=(1,),
+        delta_t_values=(0.5,),
+    )
+    for engine, passed in (("trajectory", False), ("density", True)):
+        report = run_validation_suite(ExperimentConfig(engine=engine, **hot))
+        gate = report.checks[1]
+        assert gate.name == "jump_probability_gate"
+        assert gate.measured == "0.5000"
+        assert gate.passed is passed
+        assert ("not binding" in gate.detail) is passed
+
+
 # ---------------------------------------------------------------------------
 # CSV rendering
 

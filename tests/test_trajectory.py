@@ -1,8 +1,14 @@
 """Stochastic unraveling tests: jump statistics, determinism, batch equivalence."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corrqec import trajectory
 from corrqec.errors import DomainError, SimulationError, StepSizeError
 from corrqec.lindblad import EvolutionConfig, default_dt_integrator, evolve_exact
 from corrqec.noise import (
@@ -19,14 +25,17 @@ from corrqec.noise import (
 from corrqec.operators import trace_distance
 from corrqec.trajectory import (
     SUM_P_GATE,
+    BatchStepper,
     FirstOrderChannel,
     apply_jump,
     build_first_order_channel,
     ensemble_density,
     jump_probabilities,
+    jump_rate_operator,
     no_jump_step,
     sample_ensemble,
     sample_trajectory,
+    total_jump_probability,
     trajectory_rng,
 )
 
@@ -209,6 +218,126 @@ def test_batch_matches_sequential():
         np.testing.assert_allclose(states[b], single.psi, atol=1e-12)
         assert counts[b] == len(single.jump_log)
         assert [(b, t, n) for t, n in single.jump_log] == [row for row in logs if row[0] == b]
+
+
+# Unnormalized kernels of the unraveling grid; dt = 0.005 keeps every one of
+# them under the first-order gate up to L = 3.
+_KERNELS = {
+    "independent": independent_kernel,
+    "collective_z": lambda n: collective_axis_kernel(n, axis=3, amplitude=0.2),
+    "exponential": lambda n: exponential_kernel(n, correlation_length=1.0),
+    "lowering": lowering_kernel,
+}
+
+
+@functools.cache
+def _grid_channels(kind, num_qubits):
+    return build_channels(integrate_kernel(_KERNELS[kind](num_qubits)))
+
+
+def _sequential_reference(psi0, ch, n_steps, delta_t, base_seed, index):
+    # Loop sampler kept as the reference: per-channel probabilities every
+    # interval, inverse CDF over the active channels, apply_jump.
+    rng = trajectory_rng(base_seed, index)
+    prop = np.eye(ch.dim) - 1j * delta_t * ch.H_eff
+    psi, log = psi0.copy(), []
+    for step in range(n_steps):
+        p = jump_probabilities(psi, ch, delta_t)
+        u = rng.random()
+        if u < p.sum():
+            active = np.flatnonzero(p > 0.0)
+            n = int(active[np.count_nonzero(np.cumsum(p[active]) < u)])
+            psi = apply_jump(psi, ch, n)
+            log.append((step * delta_t, n))
+        else:
+            phi = prop @ psi
+            psi = phi / np.linalg.norm(phi)
+    return psi, log
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(_KERNELS)),
+    num_qubits=st.integers(1, 3),
+    num_trajectories=st.integers(1, 6),
+    block=st.integers(1, 4),
+)
+def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectories, block):
+    # Same jump log and state for every trajectory whether it is stepped in a
+    # block (split into blocks of `block` rows), alone, or by the loop sampler.
+    ch = _grid_channels(kind, num_qubits)
+    psi0 = _random_state(np.random.default_rng(seed), ch.dim)
+    dt, n_steps = 0.005, 60
+    with mock.patch.object(trajectory, "_BLOCK", block):
+        states, counts, logs = sample_ensemble(
+            psi0, ch, n_steps * dt, dt, seed, num_trajectories, collect_logs=True
+        )
+    for b in range(num_trajectories):
+        ref_psi, ref_log = _sequential_reference(psi0, ch, n_steps, dt, seed, b)
+        single = sample_trajectory(psi0, ch, n_steps * dt, dt, seed, trajectory_index=b)
+        assert single.jump_log == ref_log
+        assert [(b, t, n) for t, n in ref_log] == [row for row in logs if row[0] == b]
+        assert counts[b] == len(ref_log)
+        np.testing.assert_allclose(single.psi, ref_psi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(states[b], ref_psi, rtol=0, atol=1e-12)
+
+
+def test_gamma_total_matches_channel_sum():
+    # <psi|Gamma|psi> equals the summed per-channel probabilities on random
+    # PSD rate matrices (with a nonzero shift B), for states and for blocks.
+    # One eigenvalue sits below the inert threshold (1e-12 of the largest):
+    # that channel must carry no weight in Gamma either.
+    rng = np.random.default_rng(2024)
+    for num_qubits in (1, 2, 3):
+        n = 3 * num_qubits
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(g)
+        xi = rng.uniform(0.1, 1.0, n)
+        xi[0] = 1e-13
+        a = (q * xi) @ q.conj().T
+        ch = build_channels(noise_spec_direct(a, h + h.conj().T))
+        assert np.count_nonzero(ch.inert) == 1
+        dt = 0.002
+        gamma = jump_rate_operator(ch, dt)
+        block = np.stack([_random_state(rng, ch.dim) for _ in range(16)])
+        totals = total_jump_probability(block, gamma)
+        for psi, total in zip(block, totals):
+            expected = jump_probabilities(psi, ch, dt).sum()
+            assert expected > 0.0
+            assert abs(total - expected) <= 1e-14 * expected
+            assert abs(total_jump_probability(psi, gamma) - expected) <= 1e-14 * expected
+
+
+def test_batch_step_zero_uniform_skips_zero_probability_channels():
+    # Channels in ascending rate order: z (inert), lowering (rate 0.5), raising
+    # (rate 1).  On |0> the two leading channels have zero probability, so a
+    # uniform of exactly 0.0 must jump into the raising channel, not annihilate.
+    lower = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2)
+    raise_ = lower.conj()
+    a = 0.5 * np.outer(lower.conj(), lower) + 1.0 * np.outer(raise_.conj(), raise_)
+    ch = build_channels(noise_spec_direct(a))
+    ground = np.array([1.0, 0.0], dtype=complex)
+    p = jump_probabilities(ground, ch, 0.01)
+    assert p[0] == 0.0 and p[1] == 0.0 and p[2] > 0.0
+    assert not ch.inert[1]
+    psi, jumped, channel = BatchStepper(ch, 0.01).step(
+        np.stack([ground, ground]), np.array([0.0, 0.5])
+    )
+    assert jumped.tolist() == [True, False]
+    assert channel[0] == 2
+    np.testing.assert_allclose(psi[0], apply_jump(ground, ch, 2), atol=1e-15)
+    np.testing.assert_allclose(np.abs(psi[0]), [0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-15)
+
+
+def test_batch_step_gate():
+    ch = _dephasing()
+    block = np.stack([PLUS, PLUS])
+    with pytest.raises(StepSizeError):
+        BatchStepper(ch, 2 * SUM_P_GATE).step(block, np.array([0.5, 0.5]))
+    BatchStepper(ch, 0.99 * SUM_P_GATE).step(block, np.array([0.5, 0.5]))
 
 
 def test_sample_ensemble_gate_and_argument_errors():
