@@ -42,9 +42,17 @@ from .noise import (
     max_rate,
     rescale_to_unit_max_rate,
 )
-from .operators import pure_state_fidelity, pure_state_projector
-from .qecc import StabilizerCode, correction_channel, five_qubit_code
+from .operators import pure_state_fidelity, pure_state_projector, trace_distance
+from .qecc import (
+    _batch_syndrome_recover,
+    _gram_deviation,
+    correction_channel,
+    five_qubit_code,
+    measure_syndrome,
+    recover,
+)
 from .trajectory import (
+    SUM_P_GATE,
     BatchStepper,
     build_first_order_channel,
     ensemble_density,
@@ -57,11 +65,6 @@ from .trajectory import (
 logger = logging.getLogger(__name__)
 
 ENGINES = ("density", "trajectory")
-
-# Uniform-consumption layout per correction cycle and trajectory: one draw per
-# unraveling substep for the jump decision, then one per stabilizer generator
-# when correcting.
-_SYNDROME_DRAWS = 4
 
 
 @dataclass(frozen=True)
@@ -224,34 +227,6 @@ def _density_qec_run(
     return rho
 
 
-def _batch_syndrome_recover(
-    psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode
-) -> np.ndarray:
-    """Vectorized measure-and-recover for a block of pure states.
-
-    uniforms has one column per generator, consumed in generator order with
-    the same u < p_plus convention as qecc.measure_syndrome.
-    """
-    syndrome = np.zeros(psi.shape[0], dtype=np.int64)
-    for i, p_plus in enumerate(code.plus_projectors):
-        v_plus = psi @ p_plus.T
-        q = np.einsum("bi,bi->b", v_plus.conj(), v_plus).real
-        take_plus = uniforms[:, i] < q
-        v_minus = psi - v_plus
-        psi = np.where(take_plus[:, None], v_plus, v_minus)
-        norms = np.linalg.norm(psi, axis=1)
-        psi = psi / norms[:, None]
-        syndrome += (~take_plus).astype(np.int64) << i
-
-    out = np.empty_like(psi)
-    for s in np.unique(syndrome):
-        rows = syndrome == s
-        r = code.error_basis[code.syndrome_table[int(s)]]
-        out[rows] = psi[rows] @ r.T
-    norms = np.linalg.norm(out, axis=1)
-    return out / norms[:, None]
-
-
 def _trajectory_qec_run(
     psi0: np.ndarray,
     ch: JumpChannelSet,
@@ -266,10 +241,12 @@ def _trajectory_qec_run(
     """Sample num_trajectories corrected evolutions; returns final (M, dim) states.
 
     Each correction cycle of length delta_t is unraveled with `substeps`
-    jump intervals so that multi-jump cycles are resolved.
+    jump intervals so that multi-jump cycles are resolved.  Uniforms per
+    cycle and trajectory: one per substep for the jump decision, then one
+    per stabilizer generator when correcting.
     """
     stepper = BatchStepper(ch, delta_t / substeps)
-    draws_per_cycle = substeps + (_SYNDROME_DRAWS if correction else 0)
+    draws_per_cycle = substeps + (len(code.generators) if correction else 0)
     states = np.empty((num_trajectories, ch.dim), dtype=complex)
     blocks = uniform_blocks(base_seed, num_trajectories, n_cycles * draws_per_cycle)
     for start, uniforms in blocks:
@@ -290,52 +267,10 @@ def _ensemble_fidelity(psi0: np.ndarray, states: np.ndarray) -> float:
     return float(np.mean(np.abs(overlaps) ** 2))
 
 
-def run_cycle_fidelity(cfg: ExperimentConfig, correction: bool = True) -> FidelityResult:
-    """Fidelity after a single evolve-and-correct interval, swept over delta_t."""
-    t0 = time.perf_counter()
-    spec = resolve_spec(cfg)
-    ch = build_channels(spec)
-    code, psi0 = _code_and_state(cfg, spec)
-    dt_int = default_dt_integrator(ch)
-    rho0 = pure_state_projector(psi0)
-
-    fidelities = []
-    for dt in cfg.delta_t_values:
-        try:
-            if cfg.engine == "density":
-                rho = _density_qec_run(rho0, ch, code, dt, 1, dt_int, correction)
-                f = pure_state_fidelity(psi0, rho)
-            else:
-                states = _trajectory_qec_run(
-                    psi0, ch, code, dt, 1, cfg.trajectories, cfg.base_seed,
-                    correction, cfg.trajectory_substeps,
-                )
-                f = _ensemble_fidelity(psi0, states)
-        except StepSizeError as err:
-            raise StepSizeError(f"delta_t={dt!r}: {err}") from err
-        fidelities.append(f)
-
-    infidelities = [1.0 - f for f in fidelities]
-    fit = fit_loglog(cfg.delta_t_values, infidelities)
-    return FidelityResult(
-        sweep="delta_t",
-        sweep_values=tuple(cfg.delta_t_values),
-        delta_ts=tuple(cfg.delta_t_values),
-        fidelities=tuple(fidelities),
-        infidelities=tuple(infidelities),
-        fit=fit,
-        engine=cfg.engine,
-        trajectories=cfg.trajectories if cfg.engine == "trajectory" else 0,
-        base_seed=cfg.base_seed,
-        corrected=correction,
-        wall_time_s=time.perf_counter() - t0,
-    )
-
-
-def run_repetition_scaling(
-    cfg: ExperimentConfig, correction: bool = True
+def _run_sweep(
+    cfg: ExperimentConfig, correction: bool, sweep: str, sweep_values, delta_ts, n_cycles
 ) -> FidelityResult:
-    """Final fidelity after splitting t_total into N correction cycles, over N."""
+    """Fidelity after n_cycles evolve-and-correct intervals of delta_t, per point."""
     t0 = time.perf_counter()
     spec = resolve_spec(cfg)
     ch = build_channels(spec)
@@ -343,11 +278,8 @@ def run_repetition_scaling(
     dt_int = default_dt_integrator(ch)
     rho0 = pure_state_projector(psi0)
 
-    delta_ts = []
     fidelities = []
-    for n in cfg.n_values:
-        dt = cfg.t_total / n
-        delta_ts.append(dt)
+    for dt, n in zip(delta_ts, n_cycles):
         try:
             if cfg.engine == "density":
                 rho = _density_qec_run(rho0, ch, code, dt, n, dt_int, correction)
@@ -359,24 +291,38 @@ def run_repetition_scaling(
                 )
                 f = _ensemble_fidelity(psi0, states)
         except StepSizeError as err:
-            raise StepSizeError(f"N={n} (delta_t={dt!r}): {err}") from err
+            where = f"delta_t={dt!r}" if sweep == "delta_t" else f"N={n} (delta_t={dt!r})"
+            raise StepSizeError(f"{where}: {err}") from err
         fidelities.append(f)
 
     infidelities = [1.0 - f for f in fidelities]
-    fit = fit_loglog(cfg.n_values, infidelities)
     return FidelityResult(
-        sweep="N",
-        sweep_values=tuple(cfg.n_values),
+        sweep=sweep,
+        sweep_values=tuple(sweep_values),
         delta_ts=tuple(delta_ts),
         fidelities=tuple(fidelities),
         infidelities=tuple(infidelities),
-        fit=fit,
+        fit=fit_loglog(sweep_values, infidelities),
         engine=cfg.engine,
         trajectories=cfg.trajectories if cfg.engine == "trajectory" else 0,
         base_seed=cfg.base_seed,
         corrected=correction,
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def run_cycle_fidelity(cfg: ExperimentConfig, correction: bool = True) -> FidelityResult:
+    """Fidelity after a single evolve-and-correct interval, swept over delta_t."""
+    dts = cfg.delta_t_values
+    return _run_sweep(cfg, correction, "delta_t", dts, dts, (1,) * len(dts))
+
+
+def run_repetition_scaling(
+    cfg: ExperimentConfig, correction: bool = True
+) -> FidelityResult:
+    """Final fidelity after splitting t_total into N correction cycles, over N."""
+    dts = [cfg.t_total / n for n in cfg.n_values]
+    return _run_sweep(cfg, correction, "N", cfg.n_values, dts, cfg.n_values)
 
 
 def run_trajectory_logs(cfg: ExperimentConfig):
@@ -422,37 +368,36 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def _fit_trailer(fit) -> list:
+def _render_sweep_csv(header: str, columns, result: FidelityResult) -> str:
+    lines = [header]
+    for row in zip(*columns):
+        cells = (*row, result.engine, result.trajectories, result.base_seed)
+        lines.append(",".join(_fmt(x) for x in cells))
+    fit = result.fit
     if fit is None:
-        return ["# fit: insufficient positive points"]
-    return [
-        f"# fit: slope={_fmt(fit.slope)} stderr={_fmt(fit.stderr)} "
-        f"points={fit.points}"
-    ]
+        lines.append("# fit: insufficient positive points")
+    else:
+        lines.append(
+            f"# fit: slope={_fmt(fit.slope)} stderr={_fmt(fit.stderr)} "
+            f"points={fit.points}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def render_cycle_csv(result: FidelityResult) -> str:
-    lines = ["delta_t,fidelity,infidelity,engine,M,seed"]
-    for dt, f, inf in zip(result.delta_ts, result.fidelities, result.infidelities):
-        lines.append(
-            f"{_fmt(dt)},{_fmt(f)},{_fmt(inf)},{result.engine},"
-            f"{result.trajectories},{result.base_seed}"
-        )
-    lines += _fit_trailer(result.fit)
-    return "\n".join(lines) + "\n"
+    return _render_sweep_csv(
+        "delta_t,fidelity,infidelity,engine,M,seed",
+        (result.delta_ts, result.fidelities, result.infidelities),
+        result,
+    )
 
 
 def render_scaling_csv(result: FidelityResult) -> str:
-    lines = ["N,delta_t,final_fidelity,final_infidelity,engine,M,seed"]
-    for n, dt, f, inf in zip(
-        result.sweep_values, result.delta_ts, result.fidelities, result.infidelities
-    ):
-        lines.append(
-            f"{n},{_fmt(dt)},{_fmt(f)},{_fmt(inf)},{result.engine},"
-            f"{result.trajectories},{result.base_seed}"
-        )
-    lines += _fit_trailer(result.fit)
-    return "\n".join(lines) + "\n"
+    return _render_sweep_csv(
+        "N,delta_t,final_fidelity,final_infidelity,engine,M,seed",
+        (result.sweep_values, result.delta_ts, result.fidelities, result.infidelities),
+        result,
+    )
 
 
 def render_jump_log_csv(logs) -> str:
@@ -518,6 +463,14 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     """
     checks = []
 
+    def initial_state(spec):
+        # The codeword when the register fits the code, else the product state.
+        code = five_qubit_code()
+        alpha, beta = cfg.logical_state
+        if spec.num_qubits == code.n_physical:
+            return alpha * code.logical_zero + beta * code.logical_one
+        return _product_state(alpha, beta, spec.num_qubits)
+
     def psd_gate():
         spec = resolve_spec(cfg)
         w_min = float(np.linalg.eigvalsh(spec.A).min())
@@ -528,12 +481,7 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     def probability_gate():
         spec = resolve_spec(cfg)
         ch = build_channels(spec)
-        code = five_qubit_code()
-        alpha, beta = cfg.logical_state
-        if spec.num_qubits == code.n_physical:
-            psi = alpha * code.logical_zero + beta * code.logical_one
-        else:
-            psi = _product_state(alpha, beta, spec.num_qubits)
+        psi = initial_state(spec)
         dt_max = max(cfg.delta_t_values)
         if cfg.n_values:
             dt_max = max(dt_max, cfg.t_total / min(cfg.n_values))
@@ -544,13 +492,13 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
         total = float(total_jump_probability(psi, jump_rate_operator(ch, dt_step)))
         # The gate binds only the trajectory unraveling; the density engine
         # integrates the master equation and has no per-step jump budget.
-        passed = total <= 0.1 or cfg.engine == "density"
+        passed = total <= SUM_P_GATE or cfg.engine == "density"
         detail = f"delta_t={dt_step!r}"
-        if total > 0.1 and cfg.engine == "density":
+        if total > SUM_P_GATE and cfg.engine == "density":
             detail += "; density engine, gate not binding"
         return f"{total:.4f}", passed, detail
 
-    checks.append(_check("jump_probability_gate", "<=0.1", probability_gate))
+    checks.append(_check("jump_probability_gate", f"<={SUM_P_GATE}", probability_gate))
 
     def gram():
         code = five_qubit_code()
@@ -564,18 +512,12 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
             v = rng.normal(size=4).view(complex)
             v /= np.linalg.norm(v)
             states.append(v[0] * code.logical_zero + v[1] * code.logical_one)
-        worst = 0.0
-        eye = np.eye(len(code.error_basis))
-        for psi in states:
-            images = code.error_basis @ psi
-            worst = max(worst, float(np.max(np.abs(images.conj() @ images.T - eye))))
+        worst = max(_gram_deviation(code, psi) for psi in states)
         return f"{worst:.3e}", worst <= 1e-10, "3 fixed + 10 random states"
 
     checks.append(_check("gram_orthogonality", "<=1e-10", gram))
 
     def recovery():
-        from .qecc import measure_syndrome, recover
-
         code = five_qubit_code()
         rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, 0x6E3B)))
         worst = 0.0
@@ -605,8 +547,7 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
             ch,
             EvolutionConfig(default_dt_integrator(ch), t),
         )
-        delta = 0.5 * (rho_mc - rho_exact)
-        td = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (delta + delta.conj().T)))))
+        td = trace_distance(rho_mc, rho_exact)
         return f"{td:.4f}", td <= 0.03, f"L=2 exponential, M={m_traj}"
 
     checks.append(_check("unraveling_consistency", "<=0.03", unraveling))
@@ -614,12 +555,7 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     def channel_order():
         spec = resolve_spec(cfg)
         ch = build_channels(spec)
-        code = five_qubit_code()
-        alpha, beta = cfg.logical_state
-        if spec.num_qubits == code.n_physical:
-            psi = alpha * code.logical_zero + beta * code.logical_one
-        else:
-            psi = _product_state(alpha, beta, spec.num_qubits)
+        psi = initial_state(spec)
         rho0 = pure_state_projector(psi)
         xi_max = max(max_rate(spec), 1e-12)
         dt = 0.02 / xi_max

@@ -131,10 +131,15 @@ def _self_check(code: StabilizerCode) -> None:
         raise SimulationError("syndrome map is not a bijection")
     plus = (code.logical_zero + code.logical_one) / np.sqrt(2.0)
     for psi in (code.logical_zero, code.logical_one, plus):
-        images = code.error_basis @ psi
-        gram = images.conj() @ images.T
-        if np.max(np.abs(gram - np.eye(len(images)))) > 1e-10:
+        if _gram_deviation(code, psi) > 1e-10:
             raise SimulationError("error basis is not orthogonal on the code space")
+
+
+def _gram_deviation(code: StabilizerCode, psi: np.ndarray) -> float:
+    """max |<R_m psi|R_n psi> - delta_mn| over the error basis."""
+    images = code.error_basis @ psi
+    gram = images.conj() @ images.T
+    return float(np.max(np.abs(gram - np.eye(len(images)))))
 
 
 @lru_cache(maxsize=1)
@@ -202,46 +207,77 @@ def encode(alpha: complex, beta: complex, code: StabilizerCode) -> np.ndarray:
     return alpha * code.logical_zero + beta * code.logical_one
 
 
+def _batch_measure(psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode):
+    """Projectively measure all generators in order on a block of pure states.
+
+    uniforms has one column per generator; u < p_plus selects the +1 branch
+    (bit 0).  Returns the collapsed (M, dim) states, the packed syndrome of
+    each row and its Born probability (the product over the chosen branches).
+    """
+    syndrome = np.zeros(psi.shape[0], dtype=np.int64)
+    born = np.ones(psi.shape[0])
+    for i, p_plus in enumerate(code.plus_projectors):
+        v_plus = psi @ p_plus.T
+        q = np.einsum("bi,bi->b", v_plus.conj(), v_plus).real
+        lo, hi = float(q.min()), float(q.max())
+        if not -1e-10 <= lo <= hi <= 1.0 + 1e-10:
+            raise SimulationError(f"branch probabilities [{lo!r}, {hi!r}] outside [0, 1]")
+        take_plus = uniforms[:, i] < q
+        born *= np.where(take_plus, q, 1.0 - q)
+        v_minus = psi - v_plus
+        psi = np.where(take_plus[:, None], v_plus, v_minus)
+        norms = np.linalg.norm(psi, axis=1)
+        psi = psi / norms[:, None]
+        syndrome += (~take_plus).astype(np.int64) << i
+    return psi, syndrome, born
+
+
+def _batch_recover(
+    psi: np.ndarray, syndrome: np.ndarray, code: StabilizerCode
+) -> np.ndarray:
+    """Undo the error each row's syndrome names (Pauli recoveries are involutive)."""
+    out = np.empty_like(psi)
+    for s in np.unique(syndrome):
+        rows = syndrome == s
+        r = code.error_basis[code.syndrome_table[int(s)]]
+        out[rows] = psi[rows] @ r.T
+    norms = np.linalg.norm(out, axis=1)
+    return out / norms[:, None]
+
+
+def _batch_syndrome_recover(
+    psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode
+) -> np.ndarray:
+    """Measure-and-recover for a block of pure states; returns the (M, dim) result."""
+    collapsed, syndrome, _ = _batch_measure(psi, uniforms, code)
+    return _batch_recover(collapsed, syndrome, code)
+
+
 def measure_syndrome(
     psi: np.ndarray, code: StabilizerCode, rng: np.random.Generator
 ) -> SyndromeOutcome:
     """Projectively measure all generators in order, collapsing the state.
 
-    Each generator consumes one uniform u; u < p_plus selects the +1 branch
-    (bit 0).  born_probability is the product over the chosen branches.
+    The one-row case of the batched measurement: one uniform per generator,
+    drawn in generator order.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (code.dim,):
         raise DomainError(f"state shape {psi.shape} does not match code dimension")
-    bits = []
-    prob = 1.0
-    for p_plus in code.plus_projectors:
-        v_plus = p_plus @ psi
-        q = float(np.real(v_plus.conj() @ v_plus))
-        if not -1e-10 <= q <= 1.0 + 1e-10:
-            raise SimulationError(f"branch probability {q!r} outside [0, 1]")
-        if rng.random() < q:
-            bits.append(0)
-            prob *= q
-            psi = v_plus / np.sqrt(q)
-        else:
-            bits.append(1)
-            prob *= 1.0 - q
-            v_minus = psi - v_plus
-            psi = v_minus / np.linalg.norm(v_minus)
+    uniforms = rng.random(len(code.generators))
+    collapsed, syndrome, born = _batch_measure(psi[None, :], uniforms[None, :], code)
+    index = int(syndrome[0])
     return SyndromeOutcome(
-        bits=tuple(bits),
-        index=syndrome_index(bits),
-        collapsed=psi,
-        born_probability=prob,
+        bits=tuple((index >> i) & 1 for i in range(len(code.generators))),
+        index=index,
+        collapsed=collapsed[0],
+        born_probability=float(born[0]),
     )
 
 
 def recover(outcome: SyndromeOutcome, code: StabilizerCode) -> np.ndarray:
-    """Undo the error named by the syndrome (Pauli recoveries are involutive)."""
-    m = code.syndrome_table[outcome.index]
-    psi = code.error_basis[m] @ outcome.collapsed
-    return psi / np.linalg.norm(psi)
+    """Undo the error named by the syndrome of one measurement outcome."""
+    return _batch_recover(outcome.collapsed[None, :], np.array([outcome.index]), code)[0]
 
 
 def correction_channel(rho: np.ndarray, code: StabilizerCode) -> np.ndarray:

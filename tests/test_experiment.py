@@ -217,12 +217,19 @@ def test_noiseless_runs_have_zero_infidelity():
         assert result.fit is None
 
 
-def test_single_cycle_equals_scaling_at_n1():
+@pytest.mark.parametrize("engine", ["density", "trajectory"])
+@pytest.mark.parametrize("correction", [True, False])
+def test_single_cycle_equals_scaling_at_n1(engine, correction):
     cfg = ExperimentConfig(
-        noise=ZKERNEL, t_total=0.02, n_values=(1,), delta_t_values=(0.02,), engine="density"
+        noise=ZKERNEL,
+        t_total=0.02,
+        n_values=(1,),
+        delta_t_values=(0.02,),
+        engine=engine,
+        trajectories=200,
     )
-    scaling = run_repetition_scaling(cfg)
-    cycle = run_cycle_fidelity(cfg)
+    scaling = run_repetition_scaling(cfg, correction=correction)
+    cycle = run_cycle_fidelity(cfg, correction=correction)
     assert scaling.fidelities[0] == cycle.fidelities[0]
     assert scaling.delta_ts[0] == pytest.approx(0.02)
 

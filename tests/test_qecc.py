@@ -4,11 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrqec.errors import DomainError
+from corrqec.errors import DomainError, SimulationError
 from corrqec.operators import basis_state, trace_distance
 from corrqec.qecc import (
     FIVE_QUBIT_GENERATORS,
+    _batch_measure,
+    _batch_syndrome_recover,
     correction_channel,
     encode,
     five_qubit_code,
@@ -186,6 +190,52 @@ def test_measure_syndrome_shape_gate():
     code = five_qubit_code()
     with pytest.raises(DomainError):
         measure_syndrome(basis_state(0, 4), code, np.random.default_rng(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), images=st.lists(st.booleans(), min_size=1, max_size=8))
+def test_batch_syndrome_recover_matches_row_by_row(seed, images):
+    # A block of rows, each either a single-error image of a random codeword
+    # (True) or an arbitrary random state (False), goes through the batched
+    # step; every row must match measure_syndrome + recover fed the same
+    # uniforms from its own stream.
+    code = five_qubit_code()
+    rng = np.random.default_rng(seed)
+    rows, errors = [], []
+    for image in images:
+        if image:
+            m = int(rng.integers(len(code.error_basis)))
+            rows.append(code.error_basis[m] @ _random_encoded(rng, code))
+        else:
+            m = None
+            v = rng.standard_normal(code.dim) + 1j * rng.standard_normal(code.dim)
+            rows.append(v / np.linalg.norm(v))
+        errors.append(m)
+    psi = np.array(rows)
+    streams = [int(s) for s in rng.integers(2**63, size=len(rows))]
+    n_gen = len(code.generators)
+    uniforms = np.array([np.random.default_rng(s).random(n_gen) for s in streams])
+    batched = _batch_syndrome_recover(psi, uniforms, code)
+    _, syndromes, _ = _batch_measure(psi, uniforms, code)
+    assert batched.shape == psi.shape
+    for row, m, stream, s, out in zip(psi, errors, streams, syndromes, batched):
+        outcome = measure_syndrome(row, code, np.random.default_rng(stream))
+        assert outcome.index == s
+        if m is not None:
+            assert outcome.index == code.syndrome_of_error[m]
+        np.testing.assert_allclose(out, recover(outcome, code), rtol=0, atol=1e-12)
+
+
+def test_branch_probability_gate():
+    # an unnormalized row, or a NaN one, fails the whole block loudly
+    code = five_qubit_code()
+    good = code.logical_zero
+    uniforms = np.full((2, len(code.generators)), 0.5)
+    for bad in (2.0 * good, np.full(code.dim, np.nan, dtype=complex)):
+        with pytest.raises(SimulationError):
+            _batch_syndrome_recover(np.array([good, bad]), uniforms, code)
+        with pytest.raises(SimulationError):
+            measure_syndrome(bad, code, np.random.default_rng(0))
 
 
 def test_recover_round_trip_z2():
