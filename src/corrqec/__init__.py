@@ -36,7 +36,6 @@ from .noise import (
 )
 from .lindblad import (
     EvolutionConfig,
-    apply_first_order_channel,
     default_dt_integrator,
     evolve_exact,
     lindblad_rhs,
@@ -44,6 +43,7 @@ from .lindblad import (
 from .trajectory import (
     FirstOrderChannel,
     TrajectoryState,
+    apply_first_order_channel,
     build_first_order_channel,
     ensemble_density,
     jump_probabilities,

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import ConfigError, SimulationError, StepSizeError
 from .lindblad import (
     EvolutionConfig,
-    apply_first_order_channel,
     default_dt_integrator,
     evolve_exact,
 )
@@ -47,6 +46,7 @@ from .qecc import (
     _batch_syndrome_recover,
     _gram_deviation,
     correction_channel,
+    encode,
     five_qubit_code,
     measure_syndrome,
     recover,
@@ -54,6 +54,7 @@ from .qecc import (
 from .trajectory import (
     SUM_P_GATE,
     BatchStepper,
+    apply_first_order_channel,
     build_first_order_channel,
     ensemble_density,
     jump_rate_operator,
@@ -204,9 +205,7 @@ def _code_and_state(cfg: ExperimentConfig, spec: NoiseSpec):
         raise ConfigError(
             f"{cfg.code} needs {code.n_physical} qubits, noise has {spec.num_qubits}"
         )
-    alpha, beta = cfg.logical_state
-    psi0 = alpha * code.logical_zero + beta * code.logical_one
-    return code, psi0
+    return code, encode(*cfg.logical_state, code)
 
 
 def _density_qec_run(
@@ -468,7 +467,7 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
         code = five_qubit_code()
         alpha, beta = cfg.logical_state
         if spec.num_qubits == code.n_physical:
-            return alpha * code.logical_zero + beta * code.logical_one
+            return encode(alpha, beta, code)
         return _product_state(alpha, beta, spec.num_qubits)
 
     def psd_gate():
@@ -511,7 +510,7 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
         for _ in range(10):
             v = rng.normal(size=4).view(complex)
             v /= np.linalg.norm(v)
-            states.append(v[0] * code.logical_zero + v[1] * code.logical_one)
+            states.append(encode(v[0], v[1], code))
         worst = max(_gram_deviation(code, psi) for psi in states)
         return f"{worst:.3e}", worst <= 1e-10, "3 fixed + 10 random states"
 
@@ -524,7 +523,7 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
         for _ in range(10):
             v = rng.normal(size=4).view(complex)
             v /= np.linalg.norm(v)
-            psi = v[0] * code.logical_zero + v[1] * code.logical_one
+            psi = encode(v[0], v[1], code)
             for r in code.error_basis[1:]:
                 outcome = measure_syndrome(r @ psi, code, rng)
                 recovered = recover(outcome, code)

@@ -7,6 +7,10 @@ This is the ground-truth engine: classical RK4 applied directly to the
 
 with no stochastic element.  Trajectory sampling and the first-order error
 channel are validated against it.
+
+The dissipator is two matrix products over the stacked jump operators: the
+(n*d, d) stack of sqrt(xi_n) s_n times rho, laid side by side as a (d, n*d)
+block row, times the (n*d, d) stack of sqrt(xi_n) s_n^dag.
 """
 
 from __future__ import annotations
@@ -58,9 +62,14 @@ def default_dt_integrator(ch: JumpChannelSet) -> float:
     return _DEFAULT_RATE_STEP / xi_max if xi_max > 0 else _DEFAULT_RATE_STEP
 
 
-def _scaled_jump_ops(ch: JumpChannelSet) -> np.ndarray:
-    # sqrt(xi_n) s_n stacked; inert channels enter with weight ~0 harmlessly.
-    return np.sqrt(ch.eigenvalues)[:, None, None] * ch.jump_ops
+def _jump_stacks(ch: JumpChannelSet) -> tuple[np.ndarray, np.ndarray]:
+    """The (n*d, d) stacks of sqrt(xi_n) s_n and of sqrt(xi_n) s_n^dag.
+
+    Inert channels enter with weight ~0 harmlessly.
+    """
+    scaled = np.sqrt(ch.eigenvalues)[:, None, None] * ch.jump_ops
+    right = np.conjugate(scaled.transpose(0, 2, 1), order="C")
+    return scaled.reshape(-1, ch.dim), right.reshape(-1, ch.dim)
 
 
 def lindblad_rhs(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
@@ -71,13 +80,17 @@ def lindblad_rhs(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
             f"density matrix shape {rho.shape} does not match channel dimension "
             f"{ch.H_eff.shape}"
         )
-    return _rhs_precomposed(rho, ch.H_eff, _scaled_jump_ops(ch))
+    return _rhs_precomposed(rho, ch.H_eff, *_jump_stacks(ch))
 
 
-def _rhs_precomposed(rho: np.ndarray, h_eff: np.ndarray, s_scaled: np.ndarray) -> np.ndarray:
+def _rhs_precomposed(
+    rho: np.ndarray, h_eff: np.ndarray, s_left: np.ndarray, s_right: np.ndarray
+) -> np.ndarray:
     out = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
-    s_rho = s_scaled @ rho
-    out += np.einsum("nij,nkj->ik", s_rho, s_scaled.conj())
+    # sum_n s_n rho s_n^dag = [s_1 rho | ... | s_n rho] @ [s_1^dag; ...; s_n^dag]
+    d = rho.shape[0]
+    s_rho = (s_left @ rho).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+    out += s_rho @ s_right
     return out
 
 
@@ -101,7 +114,7 @@ def evolve_exact(
             f"{ch.H_eff.shape}"
         )
     h_eff = ch.H_eff
-    s_scaled = _scaled_jump_ops(ch)
+    s_left, s_right = _jump_stacks(ch)
 
     n_full, remainder = divmod(cfg.t_final, cfg.dt_integrator)
     n_full = int(n_full)
@@ -117,10 +130,10 @@ def evolve_exact(
     total_steps = n_full + (1 if remainder else 0)
     for step in range(total_steps):
         dt = cfg.dt_integrator if step < n_full else remainder
-        k1 = _rhs_precomposed(rho, h_eff, s_scaled)
-        k2 = _rhs_precomposed(rho + 0.5 * dt * k1, h_eff, s_scaled)
-        k3 = _rhs_precomposed(rho + 0.5 * dt * k2, h_eff, s_scaled)
-        k4 = _rhs_precomposed(rho + dt * k3, h_eff, s_scaled)
+        k1 = _rhs_precomposed(rho, h_eff, s_left, s_right)
+        k2 = _rhs_precomposed(rho + 0.5 * dt * k1, h_eff, s_left, s_right)
+        k3 = _rhs_precomposed(rho + 0.5 * dt * k2, h_eff, s_left, s_right)
+        k4 = _rhs_precomposed(rho + dt * k3, h_eff, s_left, s_right)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
         t = (step + 1) * cfg.dt_integrator if step < n_full else cfg.t_final
@@ -159,20 +172,3 @@ def evolve_exact(
         )
     return rho
 
-
-def apply_first_order_channel(rho0: np.ndarray, channel) -> np.ndarray:
-    """Apply sum_n p_n Q_n rho Q_n^dag and renormalize to unit trace.
-
-    `channel` is a trajectory-engine FirstOrderChannel; the output matches
-    evolve_exact over the same interval up to O(delta_t^2).
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    out = np.zeros_like(rho0)
-    for p, q in zip(channel.probabilities, channel.operators):
-        if p <= 0.0:
-            continue
-        out += p * (q @ rho0 @ q.conj().T)
-    tr = float(out.trace().real)
-    if tr <= 0.0:
-        raise DomainError("first-order channel output has nonpositive trace")
-    return out / tr

@@ -64,6 +64,24 @@ class FirstOrderChannel:
         object.__setattr__(self, "operators", np.asarray(self.operators, dtype=complex))
 
 
+def apply_first_order_channel(rho0: np.ndarray, channel: FirstOrderChannel) -> np.ndarray:
+    """Apply sum_n p_n Q_n rho Q_n^dag and renormalize to unit trace.
+
+    The output matches lindblad.evolve_exact over the same interval up to
+    O(delta_t^2).
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    out = np.zeros_like(rho0)
+    for p, q in zip(channel.probabilities, channel.operators):
+        if p <= 0.0:
+            continue
+        out += p * (q @ rho0 @ q.conj().T)
+    tr = float(out.trace().real)
+    if tr <= 0.0:
+        raise DomainError("first-order channel output has nonpositive trace")
+    return out / tr
+
+
 @dataclass
 class TrajectoryState:
     """One realization: final state, elapsed time, seed key, jump history.

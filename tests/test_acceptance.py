@@ -14,12 +14,7 @@ import numpy as np
 
 from corrqec.cli import main
 from corrqec.experiment import ExperimentConfig, run_cycle_fidelity, run_repetition_scaling
-from corrqec.lindblad import (
-    EvolutionConfig,
-    apply_first_order_channel,
-    default_dt_integrator,
-    evolve_exact,
-)
+from corrqec.lindblad import EvolutionConfig, default_dt_integrator, evolve_exact
 from corrqec.noise import (
     build_channels,
     collective_axis_kernel,
@@ -32,7 +27,12 @@ from corrqec.noise import (
 )
 from corrqec.operators import trace_distance
 from corrqec.qecc import encode, five_qubit_code, measure_syndrome, recover
-from corrqec.trajectory import build_first_order_channel, ensemble_density, sample_ensemble
+from corrqec.trajectory import (
+    apply_first_order_channel,
+    build_first_order_channel,
+    ensemble_density,
+    sample_ensemble,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

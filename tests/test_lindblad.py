@@ -1,12 +1,15 @@
 """Density-matrix engine tests: RHS algebra, closed-form decays, RK4 behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrqec.errors import DomainError, IntegrationError
 from corrqec.lindblad import (
     EvolutionConfig,
-    apply_first_order_channel,
     default_dt_integrator,
     evolve_exact,
     lindblad_rhs,
@@ -22,7 +25,8 @@ from corrqec.noise import (
     rescale_to_unit_max_rate,
 )
 from corrqec.operators import matrix_exponential, trace_distance
-from corrqec.trajectory import build_first_order_channel
+from corrqec.qecc import correction_channel, five_qubit_code
+from corrqec.trajectory import apply_first_order_channel, build_first_order_channel
 
 
 def _dephasing_channels(rate=1.0):
@@ -41,16 +45,77 @@ def _plus_state(num_qubits):
     return np.outer(psi, psi.conj())
 
 
-def test_rhs_matches_definition():
+def _rhs_reference(rho, ch):
     # independent re-implementation of -i H rho + i rho H^dag + sum xi s rho s^dag
+    out = -1j * (ch.H_eff @ rho - rho @ ch.H_eff.conj().T)
+    for xi, s in zip(ch.eigenvalues, ch.jump_ops):
+        out += xi * (s @ rho @ s.conj().T)
+    return out
+
+
+def test_rhs_matches_definition():
     ch = build_channels(integrate_kernel(exponential_kernel(2, correlation_length=1.5)))
     rng = np.random.default_rng(11)
     for _ in range(5):
         rho = _random_density(rng, 4)
-        expected = -1j * (ch.H_eff @ rho - rho @ ch.H_eff.conj().T)
-        for xi, s in zip(ch.eigenvalues, ch.jump_ops):
-            expected += xi * (s @ rho @ s.conj().T)
-        np.testing.assert_allclose(lindblad_rhs(rho, ch), expected, atol=1e-12)
+        np.testing.assert_allclose(lindblad_rhs(rho, ch), _rhs_reference(rho, ch), atol=1e-12)
+
+
+def _random_mixed_density(rng, dim):
+    # Random rank, so pure and rank-deficient states are drawn too.
+    rank = int(rng.integers(1, dim + 1))
+    m = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = m @ m.conj().T
+    return rho / rho.trace()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 5))
+def test_rhs_property_random_noise(seed, num_qubits):
+    # Random PSD A (random rank, largest rate 1) and Hermitian B: the RHS
+    # equals the per-channel definition, is traceless and Hermitian.
+    rng = np.random.default_rng(seed)
+    n = 3 * num_qubits
+    rank = int(rng.integers(1, n + 1))
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    a = g @ g.conj().T
+    a /= np.linalg.eigvalsh(a).max()
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    ch = build_channels(noise_spec_direct(a, 0.5 * (h + h.conj().T) / np.sqrt(n)))
+    rho = _random_mixed_density(rng, ch.dim)
+    out = lindblad_rhs(rho, ch)
+    np.testing.assert_allclose(out, _rhs_reference(rho, ch), rtol=0, atol=1e-12)
+    assert abs(out.trace()) < 1e-12
+    np.testing.assert_allclose(out, out.conj().T, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_correction_channel_preserves_trace_property(seed):
+    code = five_qubit_code()
+    rho = _random_mixed_density(np.random.default_rng(seed), code.dim)
+    out = correction_channel(rho, code)
+    assert abs(out.trace() - 1.0) < 1e-12
+    np.testing.assert_allclose(out, out.conj().T, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 5))
+def test_rhs_independent_of_degenerate_basis(seed, num_qubits):
+    # Independent noise has A = I: all 3L rates are equal, so any unitary
+    # mix of the jump operators describes the same dissipator.
+    ch = build_channels(integrate_kernel(independent_kernel(num_qubits)))
+    np.testing.assert_allclose(ch.eigenvalues, 1.0, rtol=0, atol=1e-12)
+    rng = np.random.default_rng(seed)
+    n = 3 * num_qubits
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rotated = dataclasses.replace(
+        ch, U=v @ ch.U, jump_ops=np.einsum("nm,mij->nij", v, ch.jump_ops)
+    )
+    rho = _random_mixed_density(rng, ch.dim)
+    np.testing.assert_allclose(
+        lindblad_rhs(rho, rotated), lindblad_rhs(rho, ch), rtol=0, atol=1e-12
+    )
 
 
 def test_rhs_traceless_and_hermiticity_preserving():
