@@ -22,7 +22,6 @@ from .noise import (
     DirectNoise,
     JumpChannelSet,
     NoiseSpec,
-    assemble_channel_set,
     build_channels,
     collective_axis_kernel,
     cross_axis_kernel,
@@ -30,44 +29,16 @@ from .noise import (
     independent_kernel,
     integrate_kernel,
     lowering_kernel,
-    max_rate,
     noise_spec_direct,
     rescale_to_unit_max_rate,
 )
-from .lindblad import (
-    EvolutionConfig,
-    default_dt_integrator,
-    evolve_exact,
-    lindblad_rhs,
-)
-from .trajectory import (
-    FirstOrderChannel,
-    TrajectoryState,
-    apply_first_order_channel,
-    build_first_order_channel,
-    ensemble_density,
-    jump_probabilities,
-    apply_jump,
-    no_jump_step,
-    sample_ensemble,
-    sample_trajectory,
-    trajectory_rng,
-)
-from .qecc import (
-    StabilizerCode,
-    SyndromeOutcome,
-    correction_channel,
-    encode,
-    five_qubit_code,
-    measure_syndrome,
-    recover,
-)
+from .lindblad import EvolutionConfig, default_dt_integrator, evolve_exact
+from .trajectory import ensemble_density, sample_ensemble
+from .qecc import correction_channel, encode, five_qubit_code
 from .experiment import (
     ExperimentConfig,
     FidelityResult,
-    FitResult,
     ValidationReport,
-    fit_loglog,
     run_cycle_fidelity,
     run_repetition_scaling,
     run_trajectory_logs,

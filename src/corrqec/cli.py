@@ -20,6 +20,7 @@ from dataclasses import replace
 from .config import load_config
 from .errors import ConfigError, DomainError, IntegrationError, StepSizeError
 from .experiment import (
+    ENGINES,
     render_cycle_csv,
     render_jump_log_csv,
     render_scaling_csv,
@@ -59,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
         p.add_argument(
             "--engine",
-            choices=("density", "trajectory"),
+            choices=ENGINES,
             default=None,
             help="override the configured engine",
         )

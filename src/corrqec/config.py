@@ -32,12 +32,12 @@ import yaml
 from .errors import ConfigError, DomainError
 from .experiment import ExperimentConfig
 from .noise import (
-    LOWERING_BLOCK,
     DirectNoise,
     collective_axis_kernel,
     cross_axis_kernel,
     exponential_kernel,
     independent_kernel,
+    lowering_kernel,
 )
 
 _TOP_KEYS = {
@@ -193,7 +193,7 @@ def _parse_noise(section) -> tuple:
             )
             kernel = cross_axis_kernel(num_qubits, block, tau_c=tau_c, g1=g1)
         else:  # lowering
-            kernel = cross_axis_kernel(num_qubits, LOWERING_BLOCK, tau_c=tau_c, g1=g1)
+            kernel = lowering_kernel(num_qubits, tau_c=tau_c, g1=g1)
     except DomainError as err:
         raise ConfigError(f"invalid noise parameters: {err}") from err
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError, StepSizeError
+from .errors import ConfigError, DomainError, SimulationError, StepSizeError
 from .lindblad import (
     EvolutionConfig,
     default_dt_integrator,
@@ -59,6 +59,7 @@ from .trajectory import (
     ensemble_density,
     jump_rate_operator,
     sample_ensemble,
+    step_count,
     total_jump_probability,
     uniform_blocks,
 )
@@ -333,12 +334,13 @@ def run_trajectory_logs(cfg: ExperimentConfig):
     spec = resolve_spec(cfg)
     ch = build_channels(spec)
     delta_t = cfg.delta_t_values[0]
-    m = round(cfg.t_total / delta_t)
-    if m < 1 or abs(m * delta_t - cfg.t_total) > 1e-9 * cfg.t_total:
+    try:
+        step_count(cfg.t_total, delta_t)
+    except DomainError as err:
         raise ConfigError(
             f"t_total={cfg.t_total!r} must be a multiple of delta_t_values[0]="
             f"{delta_t!r} for trajectory logs"
-        )
+        ) from err
     alpha, beta = cfg.logical_state
     psi0 = _product_state(alpha, beta, spec.num_qubits)
     _, counts, logs = sample_ensemble(

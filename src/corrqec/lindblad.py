@@ -36,24 +36,19 @@ _DEFAULT_RATE_STEP = 1e-3
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Integrator settings: internal step, total time, snapshot cadence.
+    """Integrator settings: internal step and total time.
 
-    `dt_integrator` is the RK4 step, unrelated to the correction interval;
-    `record_every = k` keeps every k-th step (plus the final state) when a
-    snapshot list is requested, 0 disables recording.
+    `dt_integrator` is the RK4 step, unrelated to the correction interval.
     """
 
     dt_integrator: float
     t_final: float
-    record_every: int = 0
 
     def __post_init__(self):
         if not self.dt_integrator > 0:
             raise DomainError(f"dt_integrator must be positive, got {self.dt_integrator}")
         if self.t_final < 0:
             raise DomainError(f"t_final must be nonnegative, got {self.t_final}")
-        if self.record_every < 0:
-            raise DomainError(f"record_every must be nonnegative, got {self.record_every}")
 
 
 def default_dt_integrator(ch: JumpChannelSet) -> float:
@@ -94,17 +89,10 @@ def _rhs_precomposed(
     return out
 
 
-def evolve_exact(
-    rho0: np.ndarray,
-    ch: JumpChannelSet,
-    cfg: EvolutionConfig,
-    snapshots: list | None = None,
-):
+def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> np.ndarray:
     """Integrate the master equation from rho0 for cfg.t_final.
 
-    If `snapshots` is a list and cfg.record_every > 0, tuples (t, rho_copy)
-    are appended every record_every steps and at the final time.  Returns the
-    final density matrix; trace drift beyond 1e-9 is repaired by
+    Returns the final density matrix; trace drift beyond 1e-9 is repaired by
     renormalization (and logged), beyond 1e-7 it raises IntegrationError.
     """
     rho = np.array(rho0, dtype=complex)
@@ -122,13 +110,8 @@ def evolve_exact(
     if remainder < 1e-12 * max(cfg.t_final, cfg.dt_integrator):
         remainder = 0.0
 
-    if snapshots is not None and cfg.record_every > 0:
-        snapshots.append((0.0, rho.copy()))
-
     renorm_count = 0
-    t = 0.0
-    total_steps = n_full + (1 if remainder else 0)
-    for step in range(total_steps):
+    for step in range(n_full + (1 if remainder else 0)):
         dt = cfg.dt_integrator if step < n_full else remainder
         k1 = _rhs_precomposed(rho, h_eff, s_left, s_right)
         k2 = _rhs_precomposed(rho + 0.5 * dt * k1, h_eff, s_left, s_right)
@@ -148,13 +131,6 @@ def evolve_exact(
         if drift > _DRIFT_FIX:
             rho = rho / tr
             renorm_count += 1
-
-        if (
-            snapshots is not None
-            and cfg.record_every > 0
-            and ((step + 1) % cfg.record_every == 0 or step == total_steps - 1)
-        ):
-            snapshots.append((t, rho.copy()))
 
     if renorm_count:
         logger.info(

@@ -91,15 +91,6 @@ def kron_chain(factors) -> np.ndarray:
     return result
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def hermitian_eigensystem(
     m: np.ndarray, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,31 +160,6 @@ def check_state_vector(psi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if abs(norm - 1.0) > tol:
         raise DomainError(f"state vector norm {norm!r} deviates from 1 beyond {tol:.1e}")
     return psi
-
-
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-9,
-    eig_floor: float = -1e-9,
-) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD up to `eig_floor`."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DomainError(f"density matrix must be square, got shape {rho.shape}")
-    num_qubits_for_dim(rho.shape[0])
-    if not np.all(np.isfinite(rho.view(float))):
-        raise DomainError("density matrix contains non-finite entries")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
-        raise DomainError(f"density matrix Hermiticity violation {herm:.3e}")
-    tr = rho.trace()
-    if abs(tr - 1.0) > trace_tol:
-        raise DomainError(f"density matrix trace {tr!r} deviates from 1")
-    lowest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if lowest < eig_floor:
-        raise DomainError(f"density matrix eigenvalue {lowest:.3e} below {eig_floor:.1e}")
-    return rho
 
 
 def pure_state_projector(psi: np.ndarray) -> np.ndarray:

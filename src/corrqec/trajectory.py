@@ -3,9 +3,8 @@
 A trajectory alternates non-Hermitian no-jump evolution with random quantum
 jumps: over an interval delta_t the jump into channel n fires with
 probability p_n = xi_n delta_t <psi|s_n^dag s_n|psi>, otherwise the state is
-propagated by K = 1 - i delta_t H_eff (or its exact exponential) and
-renormalized.  Averaging |psi><psi| over many trajectories recovers the
-density-matrix evolution.
+propagated by K = 1 - i delta_t H_eff and renormalized.  Averaging
+|psi><psi| over many trajectories recovers the density-matrix evolution.
 
 Whether a jump fires at all is decided from the total <psi|Gamma|psi>, with
 Gamma = sum_n xi_n delta_t s_n^dag s_n built once per interval length; the
@@ -17,17 +16,16 @@ error channel {Q_n, p_n}: Q_0 = exp(-i H_eff delta_t)/sqrt(p_0) is the
 effective-evolution error and Q_n = sqrt(xi_n delta_t / p_n) s_n the jump
 errors, complete to O(delta_t) with probabilities summing to one.
 
-Randomness contract: trajectory b of a run seeded with base_seed draws from
+Randomness contract: row b of sample_ensemble(..., base_seed, M) draws from
 numpy's default generator seeded with SeedSequence((base_seed, b)), one
-uniform per interval; the jump decision and the channel choice share that
-uniform.  This makes every trajectory reproducible in isolation; the
-sequential sampler is the batched one run on a one-row block, so both take
-the same decisions.
+uniform per interval, whatever the block size; the jump decision and the
+channel choice share that uniform.  Trajectory b therefore takes the same
+jump decisions in every ensemble of more than b trajectories.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,26 +80,13 @@ def apply_first_order_channel(rho0: np.ndarray, channel: FirstOrderChannel) -> n
     return out / tr
 
 
-@dataclass
-class TrajectoryState:
-    """One realization: final state, elapsed time, seed key, jump history.
-
-    jump_log holds (t, n) pairs, t being the start of the interval in which
-    channel n fired.
-    """
-
-    psi: np.ndarray
-    t: float
-    seed_key: tuple[int, int]
-    jump_log: list = field(default_factory=list)
-
-
 def trajectory_rng(base_seed: int, trajectory_index: int) -> np.random.Generator:
     """The package-wide RNG stream for one trajectory."""
     return np.random.default_rng(np.random.SeedSequence((base_seed, trajectory_index)))
 
 
-def _step_count(t_total: float, delta_t: float) -> int:
+def step_count(t_total: float, delta_t: float) -> int:
+    """Number of intervals m with m * delta_t == t_total; DomainError otherwise."""
     if not delta_t > 0:
         raise DomainError(f"delta_t must be positive, got {delta_t}")
     m = round(t_total / delta_t)
@@ -181,55 +166,6 @@ def apply_jump(psi: np.ndarray, ch: JumpChannelSet, n: int) -> np.ndarray:
     return v / norm
 
 
-def _no_jump_propagator(ch: JumpChannelSet, delta_t: float, mode: str) -> np.ndarray:
-    if mode == "first_order":
-        return np.eye(ch.dim, dtype=complex) - 1j * delta_t * ch.H_eff
-    if mode == "exact":
-        return matrix_exponential(ch.H_eff, -1j * delta_t)
-    raise DomainError(f"mode must be 'first_order' or 'exact', got {mode!r}")
-
-
-def no_jump_step(
-    psi: np.ndarray, ch: JumpChannelSet, delta_t: float, mode: str = "first_order"
-) -> tuple[np.ndarray, float]:
-    """Propagate without a jump; returns (normalized state, squared norm before)."""
-    phi = _no_jump_propagator(ch, delta_t, mode) @ np.asarray(psi, dtype=complex)
-    p0 = float(np.real(phi.conj() @ phi))
-    if p0 <= 1e-12:
-        raise StepSizeError(
-            f"no-jump norm collapsed (p0={p0:.3e}); delta_t={delta_t:.3g} is too large"
-        )
-    return phi / np.sqrt(p0), p0
-
-
-def sample_trajectory(
-    psi0: np.ndarray,
-    ch: JumpChannelSet,
-    t_total: float,
-    delta_t: float,
-    base_seed: int,
-    trajectory_index: int = 0,
-    mode: str = "first_order",
-) -> TrajectoryState:
-    """Propagate one trajectory for t_total = m * delta_t intervals."""
-    n_steps = _step_count(t_total, delta_t)
-    log: list[tuple[int, float, int]] = []
-    psi, _ = _propagate(
-        BatchStepper(ch, delta_t, mode),
-        check_state_vector(psi0),
-        _uniform_table(base_seed, trajectory_index, 1, n_steps),
-        delta_t,
-        trajectory_index,
-        log,
-    )
-    return TrajectoryState(
-        psi=psi[0],
-        t=n_steps * delta_t,
-        seed_key=(base_seed, trajectory_index),
-        jump_log=[(t, n) for _, t, n in log],
-    )
-
-
 class BatchStepper:
     """Vectorized single-interval update for a block of trajectory states.
 
@@ -240,12 +176,12 @@ class BatchStepper:
     probabilities and jump images.
     """
 
-    def __init__(self, ch: JumpChannelSet, delta_t: float, mode: str = "first_order"):
+    def __init__(self, ch: JumpChannelSet, delta_t: float):
         self.delta_t = delta_t
         self.gamma = jump_rate_operator(ch, delta_t)
         self.weights = _active_rates(ch) * delta_t
         self.jump_ops = ch.jump_ops
-        self.prop = _no_jump_propagator(ch, delta_t, mode)
+        self.prop = np.eye(ch.dim, dtype=complex) - 1j * delta_t * ch.H_eff
 
     def step(self, psi: np.ndarray, u: np.ndarray):
         """Advance the block one interval.
@@ -282,30 +218,6 @@ class BatchStepper:
         return phi, jumped, channel
 
 
-def _propagate(
-    stepper: BatchStepper,
-    psi0: np.ndarray,
-    uniforms: np.ndarray,
-    delta_t: float,
-    index0: int,
-    logs: list | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step copies of psi0, one row per row of uniforms, one interval per column.
-
-    Returns (states, jump_counts); when logs is a list, appends a
-    (index0 + row, t, channel) triple per jump.
-    """
-    psi = np.tile(psi0, (uniforms.shape[0], 1))
-    counts = np.zeros(uniforms.shape[0], dtype=np.int64)
-    for step in range(uniforms.shape[1]):
-        psi, jumped, channel = stepper.step(psi, uniforms[:, step])
-        counts += jumped
-        if logs is not None:
-            for b in np.flatnonzero(jumped):
-                logs.append((index0 + int(b), step * delta_t, int(channel[b])))
-    return psi, counts
-
-
 def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.ndarray:
     """Per-trajectory uniforms, row b = stream of trajectory index0 + b."""
     table = np.empty((count, draws))
@@ -332,33 +244,35 @@ def sample_ensemble(
     delta_t: float,
     base_seed: int,
     num_trajectories: int,
-    mode: str = "first_order",
     collect_logs: bool = False,
 ):
     """Propagate num_trajectories trajectories; vectorized over blocks.
 
     Returns (states, jump_counts) with states of shape (M, 2^L), or
     (states, jump_counts, logs) when collect_logs is set, logs being
-    (trajectory_index, t, channel) triples sorted by trajectory then time.
-    Jump decisions (times, channels, counts) are identical to running
-    sample_trajectory per index; states agree to float roundoff, the batched
-    matmul summing in a different order.
+    (trajectory_index, t, channel) triples sorted by trajectory then time,
+    t the start of the interval in which the jump fired.
     """
     if num_trajectories < 1:
         raise DomainError(f"need at least one trajectory, got {num_trajectories}")
-    n_steps = _step_count(t_total, delta_t)
+    n_steps = step_count(t_total, delta_t)
     psi0 = check_state_vector(psi0)
-    stepper = BatchStepper(ch, delta_t, mode)
+    stepper = BatchStepper(ch, delta_t)
 
     states = np.empty((num_trajectories, ch.dim), dtype=complex)
     jump_counts = np.zeros(num_trajectories, dtype=np.int64)
-    logs = [] if collect_logs else None
+    logs = []
 
     for start, uniforms in uniform_blocks(base_seed, num_trajectories, n_steps):
         rows = slice(start, start + uniforms.shape[0])
-        states[rows], jump_counts[rows] = _propagate(
-            stepper, psi0, uniforms, delta_t, start, logs
-        )
+        psi = np.tile(psi0, (uniforms.shape[0], 1))
+        for step in range(n_steps):
+            psi, jumped, channel = stepper.step(psi, uniforms[:, step])
+            jump_counts[rows] += jumped
+            if collect_logs:
+                for b in np.flatnonzero(jumped):
+                    logs.append((start + int(b), step * delta_t, int(channel[b])))
+        states[rows] = psi
 
     if collect_logs:
         logs.sort(key=lambda row: (row[0], row[1]))

@@ -5,7 +5,7 @@ import pytest
 
 from corrqec.cli import main
 from corrqec.config import load_config, parse_config
-from corrqec.errors import ConfigError, SimulationError
+from corrqec.errors import ConfigError, DomainError, SimulationError
 from corrqec.experiment import (
     ExperimentConfig,
     FidelityResult,
@@ -277,6 +277,25 @@ def test_run_trajectory_logs_requires_commensurate_times():
     )
     with pytest.raises(ConfigError):
         run_trajectory_logs(cfg)
+
+
+def test_trajectory_logs_interval_check_is_the_samplers(tmp_path):
+    # 1.0 / 0.3 is not an integer: the sampler's own interval count rejects it,
+    # the library reports a ConfigError and the CLI exits 1.
+    cfg = ExperimentConfig(
+        noise=ZKERNEL, t_total=1.0, delta_t_values=(0.3,), engine="trajectory", trajectories=10
+    )
+    with pytest.raises(ConfigError, match="must be a multiple of") as info:
+        run_trajectory_logs(cfg)
+    assert isinstance(info.value.__cause__, DomainError)
+    bad = _write(
+        tmp_path,
+        "t1.yaml",
+        CHEAP_TRAJECTORY_YAML.replace("t_total: 0.1", "t_total: 1.0").replace(
+            "delta_t_values: [0.05]", "delta_t_values: [0.3]"
+        ),
+    )
+    assert main(["trajectories", "--config", bad]) == 1
 
 
 def test_run_trajectory_logs_structure():

@@ -20,9 +20,7 @@ from corrqec.operators import (
     basis_state,
     channel_index,
     channel_qubit_axis,
-    check_density_matrix,
     check_state_vector,
-    dagger,
     hermitian_eigensystem,
     kron,
     kron_chain,
@@ -212,22 +210,6 @@ def test_state_helpers():
         normalized(np.zeros(2, dtype=complex))
     with pytest.raises(DomainError):
         check_state_vector(np.array([1.0, 1.0], dtype=complex))
-
-
-def test_dagger():
-    m = np.array([[1.0 + 1j, 2.0], [0.0, -1j]])
-    np.testing.assert_array_equal(dagger(m), m.conj().T)
-
-
-def test_density_matrix_gates():
-    rho = pure_state_projector(normalized(np.array([1.0, 1.0], dtype=complex)))
-    check_density_matrix(rho)
-    with pytest.raises(DomainError):
-        check_density_matrix(2.0 * rho)  # trace 2
-    with pytest.raises(DomainError):
-        check_density_matrix(np.diag([1.5, -0.5]).astype(complex))  # not PSD
-    with pytest.raises(DomainError):
-        check_density_matrix(np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex))
 
 
 def test_fidelity_and_trace_distance():

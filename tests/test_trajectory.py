@@ -32,9 +32,7 @@ from corrqec.trajectory import (
     ensemble_density,
     jump_probabilities,
     jump_rate_operator,
-    no_jump_step,
     sample_ensemble,
-    sample_trajectory,
     total_jump_probability,
     trajectory_rng,
 )
@@ -123,54 +121,52 @@ def test_apply_jump_annihilated_state_raises():
 
 def test_no_jump_step_noiseless_is_identity():
     ch = build_channels(noise_spec_direct(np.zeros((3, 3))))
-    for mode in ("first_order", "exact"):
-        out, p0 = no_jump_step(PLUS, ch, 0.05, mode=mode)
-        np.testing.assert_allclose(out, PLUS, atol=1e-14)
-        assert p0 == pytest.approx(1.0, abs=1e-14)
+    stepper = BatchStepper(ch, 0.05)
+    psi, jumped, _ = stepper.step(PLUS[None], np.ones(1))
+    assert not jumped[0]
+    np.testing.assert_allclose(psi[0], PLUS, atol=1e-14)
+    assert np.linalg.norm(stepper.prop @ PLUS) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_no_jump_step_dephasing_survival():
     # K = (1 - xi dt / 2) I to first order: p0 = 1 - xi dt + O(dt^2)
     ch = _dephasing()
     dt = 0.01
-    out, p0 = no_jump_step(PLUS, ch, dt, mode="first_order")
+    stepper = BatchStepper(ch, dt)
+    p0 = np.linalg.norm(stepper.prop @ PLUS) ** 2
     assert p0 == pytest.approx((1 - dt / 2) ** 2, abs=1e-14)
-    np.testing.assert_allclose(out, PLUS, atol=1e-14)
-    _, p0e = no_jump_step(PLUS, ch, dt, mode="exact")
-    assert p0e == pytest.approx(np.exp(-dt), abs=1e-12)
-
-
-def test_no_jump_modes_agree_to_second_order():
-    spec = rescale_to_unit_max_rate(integrate_kernel(exponential_kernel(2, correlation_length=1.0)))
-    ch = build_channels(spec)
-    psi = _random_state(np.random.default_rng(8), 4)
-    diffs = []
-    for dt in (0.02, 0.01):
-        pe, _ = no_jump_step(psi, ch, dt, mode="exact")
-        pf, _ = no_jump_step(psi, ch, dt, mode="first_order")
-        diffs.append(np.linalg.norm(pe - pf))
-    # halving dt shrinks the gap ~4x; measured 4.13
-    assert 3.5 < diffs[0] / diffs[1] < 4.6
-    with pytest.raises(DomainError):
-        no_jump_step(psi, ch, 0.01, mode="second_order")
+    psi, jumped, _ = stepper.step(PLUS[None], np.ones(1))
+    assert not jumped[0]
+    np.testing.assert_allclose(psi[0], PLUS, atol=1e-14)
 
 
 def test_sample_trajectory_requires_integer_intervals():
     ch = _dephasing()
     with pytest.raises(DomainError):
-        sample_trajectory(PLUS, ch, 1.0, 0.3, 7)
+        sample_ensemble(PLUS, ch, 1.0, 0.3, 7, 1, collect_logs=True)
     with pytest.raises(DomainError):
-        sample_trajectory(PLUS, ch, 1.0, -0.1, 7)
+        sample_ensemble(PLUS, ch, 1.0, -0.1, 7, 1, collect_logs=True)
+
+
+def _rows_of(logs, b):
+    return [row for row in logs if row[0] == b]
 
 
 def test_sample_trajectory_deterministic_and_indexed():
+    # identical runs agree exactly, and trajectory b takes the same jumps in
+    # runs of 5 and of 8 trajectories: its stream depends on (base_seed, b) only
     ch = _dephasing()
-    a = sample_trajectory(PLUS, ch, 1.0, 0.005, 31, trajectory_index=4)
-    b = sample_trajectory(PLUS, ch, 1.0, 0.005, 31, trajectory_index=4)
-    np.testing.assert_array_equal(a.psi, b.psi)
-    assert a.jump_log == b.jump_log
-    assert a.seed_key == (31, 4)
-    assert a.t == pytest.approx(1.0)
+    a = sample_ensemble(PLUS, ch, 1.0, 0.005, 31, 5, collect_logs=True)
+    b = sample_ensemble(PLUS, ch, 1.0, 0.005, 31, 5, collect_logs=True)
+    c = sample_ensemble(PLUS, ch, 1.0, 0.005, 31, 8, collect_logs=True)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    assert a[2] == b[2]
+    assert a[2]
+    for idx in range(5):
+        assert _rows_of(a[2], idx) == _rows_of(c[2], idx)
+    np.testing.assert_array_equal(a[1], c[1][:5])
+    np.testing.assert_allclose(a[0], c[0][:5], rtol=0, atol=1e-15)
     # distinct indices consume distinct streams
     assert not np.array_equal(trajectory_rng(31, 4).random(8), trajectory_rng(31, 5).random(8))
 
@@ -178,13 +174,10 @@ def test_sample_trajectory_deterministic_and_indexed():
 def test_jump_log_times_are_interval_starts():
     ch = _dephasing()
     dt = 0.005
-    # scan a few indices until a trajectory with jumps shows up
-    for idx in range(20):
-        traj = sample_trajectory(PLUS, ch, 1.0, dt, 1234, trajectory_index=idx)
-        if traj.jump_log:
-            break
-    assert traj.jump_log
-    for t, n in traj.jump_log:
+    _, counts, logs = sample_ensemble(PLUS, ch, 1.0, dt, 1234, 20, collect_logs=True)
+    assert logs
+    assert len(logs) == counts.sum()
+    for _, t, n in logs:
         k = t / dt
         assert k == pytest.approx(round(k), abs=1e-9)
         assert 0 <= t < 1.0
@@ -214,10 +207,10 @@ def test_batch_matches_sequential():
     psi0 = _random_state(np.random.default_rng(8), 4)
     states, counts, logs = sample_ensemble(psi0, ch, 0.5, 0.01, 42, 64, collect_logs=True)
     for b in range(64):
-        single = sample_trajectory(psi0, ch, 0.5, 0.01, 42, trajectory_index=b)
-        np.testing.assert_allclose(states[b], single.psi, atol=1e-12)
-        assert counts[b] == len(single.jump_log)
-        assert [(b, t, n) for t, n in single.jump_log] == [row for row in logs if row[0] == b]
+        ref_psi, ref_log = _sequential_reference(psi0, ch, 50, 0.01, 42, b)
+        np.testing.assert_allclose(states[b], ref_psi, atol=1e-12)
+        assert counts[b] == len(ref_log)
+        assert [(b, t, n) for t, n in ref_log] == _rows_of(logs, b)
 
 
 # Unnormalized kernels of the unraveling grid; dt = 0.005 keeps every one of
@@ -265,7 +258,7 @@ def _sequential_reference(psi0, ch, n_steps, delta_t, base_seed, index):
 )
 def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectories, block):
     # Same jump log and state for every trajectory whether it is stepped in a
-    # block (split into blocks of `block` rows), alone, or by the loop sampler.
+    # block (split into blocks of `block` rows) or by the loop sampler.
     ch = _grid_channels(kind, num_qubits)
     psi0 = _random_state(np.random.default_rng(seed), ch.dim)
     dt, n_steps = 0.005, 60
@@ -275,11 +268,8 @@ def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectori
         )
     for b in range(num_trajectories):
         ref_psi, ref_log = _sequential_reference(psi0, ch, n_steps, dt, seed, b)
-        single = sample_trajectory(psi0, ch, n_steps * dt, dt, seed, trajectory_index=b)
-        assert single.jump_log == ref_log
-        assert [(b, t, n) for t, n in ref_log] == [row for row in logs if row[0] == b]
+        assert [(b, t, n) for t, n in ref_log] == _rows_of(logs, b)
         assert counts[b] == len(ref_log)
-        np.testing.assert_allclose(single.psi, ref_psi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(states[b], ref_psi, rtol=0, atol=1e-12)
 
 
