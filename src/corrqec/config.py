@@ -254,10 +254,7 @@ def parse_config(data) -> ExperimentConfig:
             raise ConfigError("trajectory_substeps must be an integer")
         kwargs["trajectory_substeps"] = k
     if "base_seed" in data:
-        s = data["base_seed"]
-        if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-            raise ConfigError("base_seed must be a nonnegative integer")
-        kwargs["base_seed"] = s
+        kwargs["base_seed"] = data["base_seed"]
     if "engine" in data:
         if not isinstance(data["engine"], str):
             raise ConfigError("engine must be a string")

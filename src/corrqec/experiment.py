@@ -116,6 +116,10 @@ class ExperimentConfig:
             raise ConfigError("delta_t_values must be positive")
         if self.trajectories < 1:
             raise ConfigError("trajectories must be at least 1")
+        if isinstance(self.base_seed, bool) or (
+            not isinstance(self.base_seed, int) or self.base_seed < 0
+        ):
+            raise ConfigError("base_seed must be a nonnegative integer")
         if isinstance(self.trajectory_substeps, bool) or (
             not isinstance(self.trajectory_substeps, int)
             or self.trajectory_substeps < 1

@@ -21,10 +21,15 @@ numpy's default generator seeded with SeedSequence((base_seed, b)), one
 uniform per interval, whatever the block size; the jump decision and the
 channel choice share that uniform.  Trajectory b therefore takes the same
 jump decisions in every ensemble of more than b trajectories.
+
+The uniform table is built without a generator per row: the SeedSequence
+hash of every row's entropy runs at once in vectorized uint32 arithmetic,
+then one reused PCG64, set to each row's state, draws that row.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,17 @@ from .operators import check_state_vector, matrix_exponential
 SUM_P_GATE = 0.1
 
 _BLOCK = 8192  # trajectories per vectorized block; bounds memory, not results
+
+# numpy's SeedSequence (NumPy NEP 19): pool size and hash constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -78,11 +94,6 @@ def apply_first_order_channel(rho0: np.ndarray, channel: FirstOrderChannel) -> n
     if tr <= 0.0:
         raise DomainError("first-order channel output has nonpositive trace")
     return out / tr
-
-
-def trajectory_rng(base_seed: int, trajectory_index: int) -> np.random.Generator:
-    """The package-wide RNG stream for one trajectory."""
-    return np.random.default_rng(np.random.SeedSequence((base_seed, trajectory_index)))
 
 
 def step_count(t_total: float, delta_t: float) -> int:
@@ -154,18 +165,6 @@ def jump_probabilities(psi: np.ndarray, ch: JumpChannelSet, delta_t: float) -> n
     return p[0]
 
 
-def apply_jump(psi: np.ndarray, ch: JumpChannelSet, n: int) -> np.ndarray:
-    """Collapse psi -> s_n psi / ||s_n psi|| after a jump in channel n."""
-    v = ch.jump_ops[n] @ np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm <= 1e-12:
-        raise SimulationError(
-            f"jump channel {n} annihilated the state; a zero-probability channel "
-            f"must never be sampled"
-        )
-    return v / norm
-
-
 class BatchStepper:
     """Vectorized single-interval update for a block of trajectory states.
 
@@ -218,11 +217,82 @@ class BatchStepper:
         return phi, jumped, channel
 
 
+def _seed_words(base_seed: int) -> list:
+    """Little-endian uint32 words of a nonnegative seed, 0 -> [0], as SeedSequence splits it."""
+    seed = operator.index(base_seed)
+    if seed < 0:
+        raise DomainError(f"base_seed must be nonnegative, got {seed}")
+    words = [seed & _MASK32]
+    seed >>= 32
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    return words
+
+
+def _pcg64_seeds(base_seed: int, index0: int, count: int) -> list:
+    """SeedSequence((base_seed, index0 + b)).generate_state(4, uint64) for b < count.
+
+    Returns the four words as (count,) uint64 arrays, computed for all rows
+    at once: the entropy mixing into the pool, then the state generation.
+    """
+    if index0 < 0 or index0 + count > 2**32:
+        raise DomainError(f"trajectory indices {index0}..{index0 + count - 1} exceed 2^32 - 1")
+    entropy = [np.full(count, w, dtype=np.uint32) for w in _seed_words(base_seed)]
+    entropy.append(np.arange(index0, index0 + count, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    return [state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)]
+
+
 def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.ndarray:
-    """Per-trajectory uniforms, row b = stream of trajectory index0 + b."""
+    """Per-trajectory uniforms, row b = stream of trajectory index0 + b.
+
+    Row b equals default_rng(SeedSequence((base_seed, index0 + b))).random(draws)
+    bit for bit.  PCG64 seeds itself from the four SeedSequence words
+    w0..w3 as inc = (w2 * 2^64 + w3) * 2 + 1 and
+    state = (w0 * 2^64 + w1 + inc) * _PCG_MULT + inc, both modulo 2^128.
+    """
+    words = _pcg64_seeds(base_seed, index0, count)
     table = np.empty((count, draws))
-    for b in range(count):
-        table[b] = trajectory_rng(base_seed, index0 + b).random(draws)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    pcg = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, w0, w1, w2, w3 in zip(table, *(w.tolist() for w in words)):
+        inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = full_state
+        gen.random(out=row)
     return table
 
 

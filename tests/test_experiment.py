@@ -107,6 +107,9 @@ def test_experiment_config_validation():
         ExperimentConfig(noise=ZKERNEL, trajectories=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(noise=ZKERNEL, trajectory_substeps=0)
+    for seed in (-1, True, 1.5):
+        with pytest.raises(ConfigError, match="base_seed"):
+            ExperimentConfig(noise=ZKERNEL, base_seed=seed)
 
 
 def test_fidelity_result_rejects_out_of_range():
@@ -507,6 +510,13 @@ def test_cli_trajectory_determinism_and_seed_override(tmp_path):
     assert out1.read_bytes() != out3.read_bytes()
     assert ",trajectory,100,41" in out1.read_text()
     assert ",trajectory,100,42" in out3.read_text()
+
+
+def test_cli_negative_seed_is_a_config_error(tmp_path, caplog):
+    cfg = _write(tmp_path, "traj.yaml", CHEAP_TRAJECTORY_YAML)
+    assert main(["cycle", "--config", cfg, "--seed", "-1"]) == 1
+    assert "configuration error" in caplog.text
+    assert "base_seed must be a nonnegative integer" in caplog.text
 
 
 def test_cli_engine_override(tmp_path):

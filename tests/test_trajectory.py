@@ -27,14 +27,13 @@ from corrqec.trajectory import (
     SUM_P_GATE,
     BatchStepper,
     FirstOrderChannel,
-    apply_jump,
     build_first_order_channel,
     ensemble_density,
     jump_probabilities,
     jump_rate_operator,
     sample_ensemble,
     total_jump_probability,
-    trajectory_rng,
+    uniform_blocks,
 )
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -228,6 +227,20 @@ def _grid_channels(kind, num_qubits):
     return build_channels(integrate_kernel(_KERNELS[kind](num_qubits)))
 
 
+def trajectory_rng(base_seed, trajectory_index):
+    # The randomness contract's stream for one trajectory, built by numpy.
+    return np.random.default_rng(np.random.SeedSequence((base_seed, trajectory_index)))
+
+
+def apply_jump(psi, ch, n):
+    # Collapse psi -> s_n psi / ||s_n psi|| after a jump in channel n.
+    v = ch.jump_ops[n] @ np.asarray(psi, dtype=complex)
+    norm = np.linalg.norm(v)
+    if norm <= 1e-12:
+        raise SimulationError(f"jump channel {n} annihilated the state")
+    return v / norm
+
+
 def _sequential_reference(psi0, ch, n_steps, delta_t, base_seed, index):
     # Loop sampler kept as the reference: per-channel probabilities every
     # interval, inverse CDF over the active channels, apply_jump.
@@ -271,6 +284,52 @@ def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectori
         assert [(b, t, n) for t, n in ref_log] == _rows_of(logs, b)
         assert counts[b] == len(ref_log)
         np.testing.assert_allclose(states[b], ref_psi, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63)),
+    index0=st.one_of(
+        st.integers(0, 64),
+        st.integers(trajectory._BLOCK - 64, trajectory._BLOCK),
+        st.integers(2**32 - 128, 2**32 - 64),
+    ),
+    count=st.integers(1, 64),
+    draws=st.integers(0, 300),
+)
+def test_uniform_table_matches_numpy_streams(seed, index0, count, draws):
+    # Row b is trajectory index0 + b's numpy stream, bit for bit.  Seeds of
+    # 2^32 and above enter SeedSequence as several words.
+    table = trajectory._uniform_table(seed, index0, count, draws)
+    assert table.shape == (count, draws) and table.dtype == np.float64
+    expected = np.array([trajectory_rng(seed, index0 + b).random(draws) for b in range(count)])
+    assert np.array_equal(table, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    block=st.integers(1, 4),
+    num_trajectories=st.integers(1, 12),
+    draws=st.integers(0, 20),
+)
+def test_uniform_blocks_rows_independent_of_block_size(seed, block, num_trajectories, draws):
+    whole = trajectory._uniform_table(seed, 0, num_trajectories, draws)
+    with mock.patch.object(trajectory, "_BLOCK", block):
+        blocks = list(uniform_blocks(seed, num_trajectories, draws))
+    assert [start for start, _ in blocks] == list(range(0, num_trajectories, block))
+    assert np.array_equal(np.concatenate([u for _, u in blocks]), whole)
+
+
+def test_uniform_table_domain():
+    with pytest.raises(DomainError):
+        trajectory._uniform_table(-1, 0, 2, 3)
+    with pytest.raises(DomainError):
+        trajectory._uniform_table(7, 2**32, 1, 3)
+    with pytest.raises(DomainError):
+        trajectory._uniform_table(7, 2**32 - 1, 2, 3)
+    last = trajectory._uniform_table(7, 2**32 - 1, 1, 3)
+    assert np.array_equal(last[0], trajectory_rng(7, 2**32 - 1).random(3))
 
 
 def test_gamma_total_matches_channel_sum():

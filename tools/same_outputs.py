@@ -1,0 +1,101 @@
+"""Check that seeded CLI output is byte-identical to another revision.
+
+Usage: python3 tools/same_outputs.py [REV]     (REV defaults to HEAD)
+
+Checks out REV into a temporary git worktree, then runs `cycle`, `scaling`,
+`trajectories` and `validate` on every config under `configs/` in both that
+worktree and this working tree (uncommitted changes included), each with
+PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1.  Stdout bytes and exit
+codes are compared; each mismatch prints its first differing line.  Exits 1
+on any mismatch, 0 when every output is identical.  The worktree is removed
+afterwards.
+
+The bytes depend on the BLAS kernel, so the comparison only means something
+between two trees on the same machine.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+COMMANDS = ("cycle", "scaling", "trajectories", "validate")
+
+
+def _run(tree: Path, command: str, config: str):
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrqec.cli", command, "--config", f"configs/{config}"],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode, proc.stdout
+
+
+def _first_difference(rev: str, old: bytes, new: bytes) -> str:
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    for i in range(max(len(old_lines), len(new_lines))):
+        a = old_lines[i] if i < len(old_lines) else b"<end of output>"
+        b = new_lines[i] if i < len(new_lines) else b"<end of output>"
+        if a != b:
+            return (f"line {i + 1}:\n  {rev}: {a.decode(errors='replace')}\n"
+                    f"  here: {b.decode(errors='replace')}")
+    return "trailing bytes differ"
+
+
+def main(argv) -> int:
+    rev = argv[1] if len(argv) > 1 else "HEAD"
+    here = Path(
+        subprocess.run(
+            ["git", "rev-parse", "--show-toplevel"],
+            cwd=Path(__file__).resolve().parent,
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout.strip()
+    )
+    configs = sorted(p.name for p in (here / "configs").glob("*.yaml"))
+    jobs = [(command, config) for config in configs for command in COMMANDS]
+
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        there = Path(tmp) / "rev"
+        subprocess.run(
+            ["git", "worktree", "add", "--detach", "--quiet", str(there), rev],
+            cwd=here,
+            check=True,
+        )
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [
+                    (job, pool.submit(_run, there, *job), pool.submit(_run, here, *job))
+                    for job in jobs
+                ]
+                mismatches = 0
+                for (command, config), old, new in futures:
+                    (old_code, old_out), (new_code, new_out) = old.result(), new.result()
+                    name = f"{command} {config}"
+                    if old_code != new_code:
+                        mismatches += 1
+                        print(f"DIFF {name}: exit {old_code} at {rev}, {new_code} here")
+                    elif old_out != new_out:
+                        mismatches += 1
+                        print(f"DIFF {name} (exit {new_code}), first difference at "
+                              f"{_first_difference(rev, old_out, new_out)}")
+                    else:
+                        print(f"same {name} (exit {new_code}, {len(new_out)} bytes)")
+        finally:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(there)], cwd=here, check=False
+            )
+    print(f"{len(jobs) - mismatches}/{len(jobs)} outputs identical to {rev}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
