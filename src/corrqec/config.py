@@ -243,18 +243,10 @@ def parse_config(data) -> ExperimentConfig:
             _number(x, f"delta_t_values[{i}]")
             for i, x in enumerate(data["delta_t_values"])
         )
-    if "trajectories" in data:
-        m = data["trajectories"]
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ConfigError("trajectories must be an integer")
-        kwargs["trajectories"] = m
-    if "trajectory_substeps" in data:
-        k = data["trajectory_substeps"]
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ConfigError("trajectory_substeps must be an integer")
-        kwargs["trajectory_substeps"] = k
-    if "base_seed" in data:
-        kwargs["base_seed"] = data["base_seed"]
+    # ExperimentConfig checks these integers itself.
+    for key in ("trajectories", "trajectory_substeps", "base_seed"):
+        if key in data:
+            kwargs[key] = data[key]
     if "engine" in data:
         if not isinstance(data["engine"], str):
             raise ConfigError("engine must be a string")

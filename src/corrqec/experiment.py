@@ -114,17 +114,11 @@ class ExperimentConfig:
             raise ConfigError("n_values must be positive integers")
         if not self.delta_t_values or any(dt <= 0 for dt in self.delta_t_values):
             raise ConfigError("delta_t_values must be positive")
-        if self.trajectories < 1:
-            raise ConfigError("trajectories must be at least 1")
-        if isinstance(self.base_seed, bool) or (
-            not isinstance(self.base_seed, int) or self.base_seed < 0
-        ):
-            raise ConfigError("base_seed must be a nonnegative integer")
-        if isinstance(self.trajectory_substeps, bool) or (
-            not isinstance(self.trajectory_substeps, int)
-            or self.trajectory_substeps < 1
-        ):
-            raise ConfigError("trajectory_substeps must be a positive integer")
+        for name, least in (("trajectories", 1), ("trajectory_substeps", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                sign = "positive" if least else "nonnegative"
+                raise ConfigError(f"{name} must be a {sign} integer, got {value!r}")
         object.__setattr__(self, "logical_state", (complex(alpha), complex(beta)))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "delta_t_values", tuple(float(x) for x in self.delta_t_values))

@@ -10,7 +10,8 @@ channel are validated against it.
 
 The dissipator is two matrix products over the stacked jump operators: the
 (n*d, d) stack of sqrt(xi_n) s_n times rho, laid side by side as a (d, n*d)
-block row, times the (n*d, d) stack of sqrt(xi_n) s_n^dag.
+block row, times the (n*d, d) stack of sqrt(xi_n) s_n^dag.  The stacks are
+built once per JumpChannelSet (its `jump_stacks`).
 """
 
 from __future__ import annotations
@@ -57,16 +58,6 @@ def default_dt_integrator(ch: JumpChannelSet) -> float:
     return _DEFAULT_RATE_STEP / xi_max if xi_max > 0 else _DEFAULT_RATE_STEP
 
 
-def _jump_stacks(ch: JumpChannelSet) -> tuple[np.ndarray, np.ndarray]:
-    """The (n*d, d) stacks of sqrt(xi_n) s_n and of sqrt(xi_n) s_n^dag.
-
-    Inert channels enter with weight ~0 harmlessly.
-    """
-    scaled = np.sqrt(ch.eigenvalues)[:, None, None] * ch.jump_ops
-    right = np.conjugate(scaled.transpose(0, 2, 1), order="C")
-    return scaled.reshape(-1, ch.dim), right.reshape(-1, ch.dim)
-
-
 def lindblad_rhs(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
     """Right-hand side -i H_eff rho + i rho H_eff^dag + sum_n xi_n s_n rho s_n^dag."""
     rho = np.asarray(rho, dtype=complex)
@@ -75,7 +66,7 @@ def lindblad_rhs(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
             f"density matrix shape {rho.shape} does not match channel dimension "
             f"{ch.H_eff.shape}"
         )
-    return _rhs_precomposed(rho, ch.H_eff, *_jump_stacks(ch))
+    return _rhs_precomposed(rho, ch.H_eff, *ch.jump_stacks)
 
 
 def _rhs_precomposed(
@@ -102,7 +93,7 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
             f"{ch.H_eff.shape}"
         )
     h_eff = ch.H_eff
-    s_left, s_right = _jump_stacks(ch)
+    s_left, s_right = ch.jump_stacks
 
     n_full, remainder = divmod(cfg.t_final, cfg.dt_integrator)
     n_full = int(n_full)

@@ -22,6 +22,7 @@ exponentially decaying intermediate case are provided as kernel factories.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -316,6 +317,21 @@ class JumpChannelSet:
     @property
     def num_channels(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @cached_property
+    def jump_stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (n*d, d) stacks of sqrt(xi_n) s_n and of sqrt(xi_n) s_n^dag, read-only.
+
+        The density engine's dissipator is two matrix products over them,
+        so they are built once per channel set.  Inert channels enter with
+        weight ~0 harmlessly.
+        """
+        scaled = np.sqrt(self.eigenvalues)[:, None, None] * self.jump_ops
+        right = np.conjugate(scaled.transpose(0, 2, 1), order="C")
+        stacks = scaled.reshape(-1, self.dim), right.reshape(-1, self.dim)
+        for stack in stacks:
+            stack.setflags(write=False)
+        return stacks
 
 
 def pauli_stack(num_qubits: int) -> np.ndarray:

@@ -140,6 +140,28 @@ def normalized(psi: np.ndarray) -> np.ndarray:
     return psi / norm
 
 
+def row_norms(psi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(psi, axis=1) of a complex (M, d) block, bit for bit.
+
+    Runs numpy's own sequence (conjugate, multiply, real-part row sums, sqrt)
+    with `scratch`, an array of psi's shape and dtype, in place of its two
+    temporaries; scratch is overwritten.
+    """
+    np.conjugate(psi, out=scratch)
+    np.multiply(scratch, psi, out=scratch)
+    return np.sqrt(np.add.reduce(scratch.real, axis=1))
+
+
+def divide_rows(psi: np.ndarray, norms: np.ndarray) -> None:
+    """psi /= norms[:, None] in place, for a complex (M, d) block and real norms.
+
+    numpy divides a complex a + ib by a real n as (a + b*0) * (1/n) and
+    (b - a*0) * (1/n), so multiplying the interleaved Re/Im parts by 1/n
+    gives the same values; only an exact zero part may differ, in its sign.
+    """
+    np.multiply(psi.view(float), (1.0 / norms)[:, None], out=psi.view(float))
+
+
 def basis_state(index: int, num_qubits: int) -> np.ndarray:
     """Computational basis vector |index> on L qubits."""
     _check_qubit_count(num_qubits)

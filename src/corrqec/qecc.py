@@ -27,8 +27,10 @@ from .operators import (
     PAULIS,
     basis_state,
     channel_qubit_axis,
+    divide_rows,
     kron_chain,
     normalized,
+    row_norms,
 )
 
 _CHAR_MATRIX = {
@@ -213,42 +215,51 @@ def _batch_measure(psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode):
     uniforms has one column per generator; u < p_plus selects the +1 branch
     (bit 0).  Returns the collapsed (M, dim) states, the packed syndrome of
     each row and its Born probability (the product over the chosen branches).
+    psi is overwritten and may come back as the collapsed block.
     """
+    psi = np.require(psi, complex, "CW")
+    v, scratch = np.empty_like(psi), np.empty_like(psi)
     syndrome = np.zeros(psi.shape[0], dtype=np.int64)
     born = np.ones(psi.shape[0])
     for i, p_plus in enumerate(code.plus_projectors):
-        v_plus = psi @ p_plus.T
-        q = np.einsum("bi,bi->b", v_plus.conj(), v_plus).real
+        np.matmul(psi, p_plus.T, out=v)
+        q = np.einsum("bi,bi->b", np.conjugate(v, out=scratch), v).real
         lo, hi = float(q.min()), float(q.max())
         if not -1e-10 <= lo <= hi <= 1.0 + 1e-10:
             raise SimulationError(f"branch probabilities [{lo!r}, {hi!r}] outside [0, 1]")
         take_plus = uniforms[:, i] < q
         born *= np.where(take_plus, q, 1.0 - q)
-        v_minus = psi - v_plus
-        psi = np.where(take_plus[:, None], v_plus, v_minus)
-        norms = np.linalg.norm(psi, axis=1)
-        psi = psi / norms[:, None]
+        # v becomes the collapsed block: psi - v_plus on the -1 rows only.
+        np.subtract(psi, v, out=v, where=~take_plus[:, None])
+        divide_rows(v, row_norms(v, scratch))
         syndrome += (~take_plus).astype(np.int64) << i
+        psi, v = v, psi
     return psi, syndrome, born
 
 
 def _batch_recover(
     psi: np.ndarray, syndrome: np.ndarray, code: StabilizerCode
 ) -> np.ndarray:
-    """Undo the error each row's syndrome names (Pauli recoveries are involutive)."""
-    out = np.empty_like(psi)
+    """Undo the error each row's syndrome names (Pauli recoveries are involutive).
+
+    Recovers and normalizes psi in place and returns it.
+    """
     for s in np.unique(syndrome):
         rows = syndrome == s
         r = code.error_basis[code.syndrome_table[int(s)]]
-        out[rows] = psi[rows] @ r.T
-    norms = np.linalg.norm(out, axis=1)
-    return out / norms[:, None]
+        psi[rows] = psi[rows] @ r.T
+    divide_rows(psi, row_norms(psi, np.empty_like(psi)))
+    return psi
 
 
 def _batch_syndrome_recover(
     psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode
 ) -> np.ndarray:
-    """Measure-and-recover for a block of pure states; returns the (M, dim) result."""
+    """Measure-and-recover for a block of pure states; returns the (M, dim) result.
+
+    Takes ownership of psi: the block is overwritten, and the result may be
+    written into it, so a caller that still needs psi passes a copy.
+    """
     collapsed, syndrome, _ = _batch_measure(psi, uniforms, code)
     return _batch_recover(collapsed, syndrome, code)
 
@@ -261,7 +272,7 @@ def measure_syndrome(
     The one-row case of the batched measurement: one uniform per generator,
     drawn in generator order.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.array(psi, dtype=complex)
     if psi.shape != (code.dim,):
         raise DomainError(f"state shape {psi.shape} does not match code dimension")
     uniforms = rng.random(len(code.generators))
@@ -277,7 +288,8 @@ def measure_syndrome(
 
 def recover(outcome: SyndromeOutcome, code: StabilizerCode) -> np.ndarray:
     """Undo the error named by the syndrome of one measurement outcome."""
-    return _batch_recover(outcome.collapsed[None, :], np.array([outcome.index]), code)[0]
+    psi = np.array(outcome.collapsed[None, :])
+    return _batch_recover(psi, np.array([outcome.index]), code)[0]
 
 
 def correction_channel(rho: np.ndarray, code: StabilizerCode) -> np.ndarray:

@@ -25,6 +25,10 @@ jump decisions in every ensemble of more than b trajectories.
 The uniform table is built without a generator per row: the SeedSequence
 hash of every row's entropy runs at once in vectorized uint32 arithmetic,
 then one reused PCG64, set to each row's state, draws that row.
+
+Buffers: BatchStepper.step takes ownership of the block it advances, uses it
+as scratch and writes the following step's result into it, so no (M, dim)
+array is allocated per step and a block lives in two arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, SimulationError, StepSizeError
 from .noise import JumpChannelSet
-from .operators import check_state_vector, matrix_exponential
+from .operators import check_state_vector, divide_rows, matrix_exponential, row_norms
 
 # First-order validity gate on the total jump probability per interval.
 SUM_P_GATE = 0.1
@@ -143,11 +147,18 @@ def jump_rate_operator(ch: JumpChannelSet, delta_t: float) -> np.ndarray:
     return 0.5 * (gamma + gamma.conj().T)
 
 
-def total_jump_probability(psi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """<psi|Gamma|psi> for a state (dim,) or for every row of a block (M, dim)."""
+def total_jump_probability(
+    psi: np.ndarray, gamma: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """<psi|Gamma|psi> for a state (dim,) or for every row of a block (M, dim).
+
+    Gamma psi goes into `scratch` (an array of psi's shape, overwritten)
+    when one is given.
+    """
     psi = np.ascontiguousarray(psi, dtype=complex)
+    v = np.matmul(psi, gamma.T, out=scratch)
     # Re<psi|v> as a real dot product over the interleaved Re/Im parts.
-    return np.einsum("...k,...k->...", psi.view(float), (psi @ gamma.T).view(float))
+    return np.einsum("...k,...k->...", psi.view(float), v.view(float))
 
 
 def jump_probabilities(psi: np.ndarray, ch: JumpChannelSet, delta_t: float) -> np.ndarray:
@@ -172,7 +183,8 @@ class BatchStepper:
     propagator once.  `step` advances a (M, dim) block with one uniform per
     row: one product with Gamma gives every row's total jump probability
     <psi|Gamma|psi>, and only the rows that jump get per-channel
-    probabilities and jump images.
+    probabilities and jump images.  A step takes ownership of the block it
+    is given, and the stepper writes its next step's result into it.
     """
 
     def __init__(self, ch: JumpChannelSet, delta_t: float):
@@ -181,19 +193,27 @@ class BatchStepper:
         self.weights = _active_rates(ch) * delta_t
         self.jump_ops = ch.jump_ops
         self.prop = np.eye(ch.dim, dtype=complex) - 1j * delta_t * ch.H_eff
+        self._spare = None  # the block consumed by the last step
 
     def step(self, psi: np.ndarray, u: np.ndarray):
         """Advance the block one interval.
 
         Returns (psi_next, jumped, channel) where jumped is a boolean row
         mask and channel holds the flat channel index for jumped rows
-        (unspecified elsewhere).
+        (unspecified elsewhere).  psi is overwritten, and psi_next is
+        written into the block the previous step consumed, so a (M, dim)
+        trajectory block lives in two arrays; a caller that still needs psi
+        passes a copy.
         """
-        total = total_jump_probability(psi, self.gamma)
+        psi = np.require(psi, complex, "CW")
+        phi = self._spare
+        if phi is None or phi.shape != psi.shape or np.may_share_memory(phi, psi):
+            phi = np.empty_like(psi)
+        total = total_jump_probability(psi, self.gamma, scratch=phi)
         _check_gate(total.max(initial=0.0), self.delta_t)
         jumped = u < total
         channel = np.zeros(psi.shape[0], dtype=np.intp)
-        phi = psi @ self.prop.T
+        np.matmul(psi, self.prop.T, out=phi)
         rows = np.flatnonzero(jumped)
         if rows.size:
             # Inverse CDF over the jumped rows' channel probabilities.  A u in
@@ -210,10 +230,11 @@ class BatchStepper:
                 pick[bad] = np.argmax(p[bad] > 0.0, axis=1)
             channel[rows] = pick
             phi[rows] = s_psi[k, pick]
-        norms = np.linalg.norm(phi, axis=1)
+        norms = row_norms(phi, scratch=psi)
         if norms.min(initial=1.0) <= 1e-12:
             raise SimulationError("trajectory state norm collapsed during a step")
-        phi /= norms[:, None]
+        divide_rows(phi, norms)
+        self._spare = psi
         return phi, jumped, channel
 
 

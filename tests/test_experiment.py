@@ -103,8 +103,9 @@ def test_experiment_config_validation():
         ExperimentConfig(noise=ZKERNEL, n_values=(0,))
     with pytest.raises(ConfigError):
         ExperimentConfig(noise=ZKERNEL, delta_t_values=())
-    with pytest.raises(ConfigError):
-        ExperimentConfig(noise=ZKERNEL, trajectories=0)
+    for trajectories in (0, 2.5, True, "10"):
+        with pytest.raises(ConfigError, match="trajectories"):
+            ExperimentConfig(noise=ZKERNEL, trajectories=trajectories)
     with pytest.raises(ConfigError):
         ExperimentConfig(noise=ZKERNEL, trajectory_substeps=0)
     for seed in (-1, True, 1.5):

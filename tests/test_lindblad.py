@@ -61,6 +61,22 @@ def test_rhs_matches_definition():
         np.testing.assert_allclose(lindblad_rhs(rho, ch), _rhs_reference(rho, ch), atol=1e-12)
 
 
+def test_jump_stacks_built_once_with_unchanged_values():
+    # The cached stacks are the expressions the right-hand side used to
+    # rebuild on every call, bit for bit, and cannot be written to.
+    ch = build_channels(integrate_kernel(exponential_kernel(3, correlation_length=1.5)))
+    s_left, s_right = ch.jump_stacks
+    assert ch.jump_stacks[0] is s_left and ch.jump_stacks[1] is s_right
+    scaled = np.sqrt(ch.eigenvalues)[:, None, None] * ch.jump_ops
+    assert np.array_equal(s_left, scaled.reshape(-1, ch.dim))
+    right = np.conjugate(scaled.transpose(0, 2, 1), order="C").reshape(-1, ch.dim)
+    assert np.array_equal(s_right, right)
+    with pytest.raises(ValueError):
+        s_left[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        s_right[0, 0] = 1.0
+
+
 def _random_mixed_density(rng, dim):
     # Random rank, so pure and rank-deficient states are drawn too.
     rank = int(rng.integers(1, dim + 1))

@@ -215,8 +215,8 @@ def test_batch_syndrome_recover_matches_row_by_row(seed, images):
     streams = [int(s) for s in rng.integers(2**63, size=len(rows))]
     n_gen = len(code.generators)
     uniforms = np.array([np.random.default_rng(s).random(n_gen) for s in streams])
-    batched = _batch_syndrome_recover(psi, uniforms, code)
-    _, syndromes, _ = _batch_measure(psi, uniforms, code)
+    batched = _batch_syndrome_recover(psi.copy(), uniforms, code)
+    _, syndromes, _ = _batch_measure(psi.copy(), uniforms, code)
     assert batched.shape == psi.shape
     for row, m, stream, s, out in zip(psi, errors, streams, syndromes, batched):
         outcome = measure_syndrome(row, code, np.random.default_rng(stream))
@@ -224,6 +224,87 @@ def test_batch_syndrome_recover_matches_row_by_row(seed, images):
         if m is not None:
             assert outcome.index == code.syndrome_of_error[m]
         np.testing.assert_allclose(out, recover(outcome, code), rtol=0, atol=1e-12)
+
+
+def _reference_syndrome_recover(psi, uniforms, code):
+    # The batched measure-and-recover written with fresh temporaries, as it
+    # was before it reused its buffers.  Returns the recovered block, the
+    # collapsed block, the packed syndromes and the Born probabilities;
+    # psi is left as it was.
+    syndrome = np.zeros(psi.shape[0], dtype=np.int64)
+    born = np.ones(psi.shape[0])
+    for i, p_plus in enumerate(code.plus_projectors):
+        v_plus = psi @ p_plus.T
+        q = np.einsum("bi,bi->b", v_plus.conj(), v_plus).real
+        lo, hi = float(q.min()), float(q.max())
+        if not -1e-10 <= lo <= hi <= 1.0 + 1e-10:
+            raise SimulationError(f"branch probabilities [{lo!r}, {hi!r}] outside [0, 1]")
+        take_plus = uniforms[:, i] < q
+        born *= np.where(take_plus, q, 1.0 - q)
+        v_minus = psi - v_plus
+        psi = np.where(take_plus[:, None], v_plus, v_minus)
+        norms = np.linalg.norm(psi, axis=1)
+        psi = psi / norms[:, None]
+        syndrome += (~take_plus).astype(np.int64) << i
+    out = np.empty_like(psi)
+    for s in np.unique(syndrome):
+        rows = syndrome == s
+        r = code.error_basis[code.syndrome_table[int(s)]]
+        out[rows] = psi[rows] @ r.T
+    norms = np.linalg.norm(out, axis=1)
+    return out / norms[:, None], psi, syndrome, born
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["codeword", "image", "pair", "random"]), min_size=1, max_size=64),
+)
+def test_batch_syndrome_recover_matches_reference_bit_for_bit(seed, kinds):
+    # The buffered measure-and-recover against the fresh-temporary one:
+    # equal recovered and collapsed states, syndromes and Born
+    # probabilities.  Rows are codewords, single-error images of codewords
+    # (deterministic syndromes), superpositions of two images (a random
+    # branch) or arbitrary states; a quarter of the uniforms are exactly 0.0.
+    code = five_qubit_code()
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds:
+        psi = _random_encoded(rng, code)
+        m, n = rng.integers(len(code.error_basis), size=2)
+        if kind == "image":
+            psi = code.error_basis[m] @ psi
+        elif kind == "pair":
+            theta = rng.uniform(0.0, np.pi / 2)
+            psi = np.cos(theta) * code.error_basis[m] @ psi + np.sin(theta) * code.error_basis[n] @ psi
+            psi = psi / np.linalg.norm(psi)
+        elif kind == "random":
+            psi = rng.standard_normal(code.dim) + 1j * rng.standard_normal(code.dim)
+            psi = psi / np.linalg.norm(psi)
+        rows.append(psi)
+    psi = np.array(rows)
+    uniforms = rng.random((len(rows), len(code.generators)))
+    uniforms[rng.random(uniforms.shape) < 0.25] = 0.0
+    recovered, collapsed, syndromes, born = _reference_syndrome_recover(psi, uniforms, code)
+    got = _batch_measure(psi.copy(), uniforms, code)
+    assert np.array_equal(got[0], collapsed)
+    assert np.array_equal(got[1], syndromes)
+    assert np.array_equal(got[2], born)
+    assert np.array_equal(_batch_syndrome_recover(psi.copy(), uniforms, code), recovered)
+
+
+def test_measure_and_recover_leave_caller_arrays_untouched():
+    # An arbitrary state, so that the measurement changes every amplitude.
+    code = five_qubit_code()
+    rng = np.random.default_rng(8)
+    psi = rng.standard_normal(code.dim) + 1j * rng.standard_normal(code.dim)
+    psi = psi / np.linalg.norm(psi)
+    before = psi.copy()
+    outcome = measure_syndrome(psi, code, np.random.default_rng(1))
+    collapsed = outcome.collapsed.copy()
+    recover(outcome, code)
+    assert np.array_equal(psi, before)
+    assert np.array_equal(outcome.collapsed, collapsed)
 
 
 def test_branch_probability_gate():

@@ -1,6 +1,7 @@
 """Stochastic unraveling tests: jump statistics, determinism, batch equivalence."""
 
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -121,7 +122,7 @@ def test_apply_jump_annihilated_state_raises():
 def test_no_jump_step_noiseless_is_identity():
     ch = build_channels(noise_spec_direct(np.zeros((3, 3))))
     stepper = BatchStepper(ch, 0.05)
-    psi, jumped, _ = stepper.step(PLUS[None], np.ones(1))
+    psi, jumped, _ = stepper.step(PLUS[None].copy(), np.ones(1))
     assert not jumped[0]
     np.testing.assert_allclose(psi[0], PLUS, atol=1e-14)
     assert np.linalg.norm(stepper.prop @ PLUS) ** 2 == pytest.approx(1.0, abs=1e-14)
@@ -134,7 +135,7 @@ def test_no_jump_step_dephasing_survival():
     stepper = BatchStepper(ch, dt)
     p0 = np.linalg.norm(stepper.prop @ PLUS) ** 2
     assert p0 == pytest.approx((1 - dt / 2) ** 2, abs=1e-14)
-    psi, jumped, _ = stepper.step(PLUS[None], np.ones(1))
+    psi, jumped, _ = stepper.step(PLUS[None].copy(), np.ones(1))
     assert not jumped[0]
     np.testing.assert_allclose(psi[0], PLUS, atol=1e-14)
 
@@ -259,6 +260,111 @@ def _sequential_reference(psi0, ch, n_steps, delta_t, base_seed, index):
             phi = prop @ psi
             psi = phi / np.linalg.norm(phi)
     return psi, log
+
+
+def _reference_step(stepper, psi, u):
+    # BatchStepper.step written with fresh temporaries, as it was before the
+    # step reused its buffers; psi is left as it was.
+    total = np.einsum("...k,...k->...", psi.view(float), (psi @ stepper.gamma.T).view(float))
+    trajectory._check_gate(total.max(initial=0.0), stepper.delta_t)
+    jumped = u < total
+    channel = np.zeros(psi.shape[0], dtype=np.intp)
+    phi = psi @ stepper.prop.T
+    rows = np.flatnonzero(jumped)
+    if rows.size:
+        s_psi, p = trajectory._jump_images(psi[rows], stepper.jump_ops, stepper.weights)
+        cum = np.cumsum(p, axis=1)
+        pick = np.minimum((cum < u[rows, None]).sum(axis=1), p.shape[1] - 1)
+        k = np.arange(rows.size)
+        bad = p[k, pick] <= 0.0
+        if np.any(bad):
+            pick[bad] = np.argmax(p[bad] > 0.0, axis=1)
+        channel[rows] = pick
+        phi[rows] = s_psi[k, pick]
+    norms = np.linalg.norm(phi, axis=1)
+    if norms.min(initial=1.0) <= 1e-12:
+        raise SimulationError("trajectory state norm collapsed during a step")
+    phi /= norms[:, None]
+    return phi, jumped, channel
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(_KERNELS)),
+    num_qubits=st.integers(1, 5),
+    num_rows=st.integers(1, 64),
+    gate_fraction=st.floats(0.05, 0.95),
+    steps=st.integers(1, 4),
+)
+def test_step_matches_reference_bit_for_bit(seed, kind, num_qubits, num_rows, gate_fraction, steps):
+    # Chained steps of one stepper, so that its reused buffer is in play,
+    # against the fresh-temporary step: equal states, jump masks and
+    # channels.  Rows mix random and basis states; each row's uniform is a
+    # random draw, exactly 0.0, or a value under its total jump probability
+    # (a forced jump).  delta_t puts the largest total at gate_fraction of
+    # the first-order gate.
+    ch = _grid_channels(kind, num_qubits)
+    rng = np.random.default_rng(seed)
+    rate = np.linalg.eigvalsh(jump_rate_operator(ch, 1.0))[-1]
+    stepper = BatchStepper(ch, gate_fraction * SUM_P_GATE / rate)
+    psi = np.stack([_random_state(rng, ch.dim) for _ in range(num_rows)])
+    basis = rng.random(num_rows) < 0.25
+    psi[basis] = np.eye(ch.dim)[rng.integers(ch.dim, size=np.count_nonzero(basis))]
+    for _ in range(steps):
+        total = total_jump_probability(psi, stepper.gamma)
+        draw = rng.integers(3, size=num_rows)
+        u = np.select([draw == 0, draw == 1], [rng.random(num_rows), 0.0], rng.random(num_rows) * total)
+        try:
+            expected = _reference_step(stepper, psi, u)
+        except SimulationError:
+            # A forced jump out of a state whose total is roundoff annihilates
+            # it; both steps must say so.
+            with pytest.raises(SimulationError):
+                stepper.step(psi, u)
+            return
+        psi, jumped, channel = stepper.step(psi, u)
+        assert np.array_equal(psi, expected[0])
+        assert np.array_equal(jumped, expected[1])
+        assert np.array_equal(channel, expected[2])
+
+
+def test_step_allocates_no_block():
+    # Once warm, a step at L=5 writes into the block it consumed the step
+    # before: ten steps of the trajectory_cycle config's noise peak at 0.36
+    # of one (M, dim) block above their baseline (jump images of the rows
+    # that jump, per-row vectors), where fresh temporaries took 3.3 blocks.
+    kernel = exponential_kernel(5, correlation_length=2.0, axis=3)
+    ch = build_channels(rescale_to_unit_max_rate(integrate_kernel(kernel)))
+    rng = np.random.default_rng(5)
+    m = 4096
+    psi = np.stack([_random_state(rng, ch.dim) for _ in range(m)])
+    uniforms = rng.random((13, m))
+    stepper = BatchStepper(ch, 0.1 / 16)
+    for u in uniforms[:3]:
+        psi, _, _ = stepper.step(psi, u)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        for u in uniforms[3:]:
+            psi, _, _ = stepper.step(psi, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - baseline < 0.5 * psi.nbytes
+
+
+def test_samplers_leave_caller_arrays_untouched():
+    ch = _grid_channels("exponential", 2)
+    psi0 = _random_state(np.random.default_rng(12), ch.dim)
+    before = psi0.copy()
+    sample_ensemble(psi0, ch, 0.1, 0.005, 3, 5)
+    jump_probabilities(psi0, ch, 0.005)
+    assert np.array_equal(psi0, before)
 
 
 @settings(max_examples=30, deadline=None)
