@@ -13,7 +13,9 @@ The density engine (exact integration + deterministic correction channel) is
 the default and produces noise-free slopes; the trajectory engine samples the
 same experiment stochastically and is validated against it.  All runs are
 reproducible from (config, base_seed): identical inputs give bit-identical
-CSV output.
+CSV output.  A trajectory sweep draws each block's uniforms once, and each
+point reads a prefix of every row's stream, so the randomness contract is
+unchanged.
 """
 
 from __future__ import annotations
@@ -225,73 +227,96 @@ def _density_qec_run(
     return rho
 
 
-def _trajectory_qec_run(
-    psi0: np.ndarray,
-    ch: JumpChannelSet,
-    code,
-    delta_t: float,
-    n_cycles: int,
-    num_trajectories: int,
-    base_seed: int,
-    correction: bool,
-    substeps: int,
-) -> np.ndarray:
-    """Sample num_trajectories corrected evolutions; returns final (M, dim) states.
+def _qec_block(psi0, ch, code, uniforms, delta_t, n_cycles, substeps, correction):
+    """Final states of a block of trajectories after n_cycles correction cycles.
 
-    Each correction cycle of length delta_t is unraveled with `substeps`
-    jump intervals so that multi-jump cycles are resolved.  Uniforms per
-    cycle and trajectory: one per substep for the jump decision, then one
-    per stabilizer generator when correcting.
+    Row b of uniforms is trajectory b's stream, of which only the first
+    n_cycles cycles are read.  Each cycle of length delta_t is unraveled
+    with `substeps` jump intervals, one uniform each, followed by one
+    uniform per stabilizer generator when correcting.
     """
     stepper = BatchStepper(ch, delta_t / substeps)
-    draws_per_cycle = substeps + (len(code.generators) if correction else 0)
-    states = np.empty((num_trajectories, ch.dim), dtype=complex)
-    blocks = uniform_blocks(base_seed, num_trajectories, n_cycles * draws_per_cycle)
-    for start, uniforms in blocks:
-        count = uniforms.shape[0]
-        uniforms = uniforms.reshape(count, n_cycles, draws_per_cycle)
-        psi = np.tile(psi0, (count, 1))
-        for c in range(n_cycles):
-            for k in range(substeps):
-                psi, _, _ = stepper.step(psi, uniforms[:, c, k])
-            if correction:
-                psi = _batch_syndrome_recover(psi, uniforms[:, c, substeps:], code)
-        states[start : start + count] = psi
-    return states
+    per_cycle = substeps + (len(code.generators) if correction else 0)
+    rows = uniforms.shape[0]
+    cycles = uniforms[:, : n_cycles * per_cycle].reshape(rows, n_cycles, per_cycle)
+    psi = np.tile(psi0, (rows, 1))
+    for c in range(n_cycles):
+        for k in range(substeps):
+            psi, _, _ = stepper.step(psi, cycles[:, c, k])
+        if correction:
+            psi = _batch_syndrome_recover(psi, cycles[:, c, substeps:], code)
+    return psi
 
 
-def _ensemble_fidelity(psi0: np.ndarray, states: np.ndarray) -> float:
-    overlaps = states @ psi0.conj()
-    return float(np.mean(np.abs(overlaps) ** 2))
+def _trajectory_overlaps(cfg, ch, code, psi0, correction, delta_ts, n_cycles):
+    """Overlaps <psi0|psi_b> of every sweep point's final states, and the earliest failure.
+
+    Blocks of trajectories run outside and sweep points inside: a block's
+    uniforms are drawn once, as many cycles as the longest point runs, and
+    point i steps the view of each row's first n_i cycles.  A row's first k
+    draws do not depend on how many are drawn, so each point reads exactly
+    the uniforms it would draw alone.
+
+    Returns (overlaps, failure): overlaps has shape (points, M), and failure
+    is None or (i, StepSizeError) for the lowest-index point that fails in
+    any block, in which case overlaps is incomplete.  A failed point and the
+    points after it are skipped in later blocks, as they cannot change which
+    failure is reported; once the first point fails no further block is drawn.
+    """
+    substeps = cfg.trajectory_substeps
+    per_cycle = substeps + (len(code.generators) if correction else 0)
+    overlaps = np.empty((len(delta_ts), cfg.trajectories), dtype=complex)
+    live, failure = len(delta_ts), None
+    blocks = uniform_blocks(cfg.base_seed, cfg.trajectories, max(n_cycles) * per_cycle)
+    for start, table in blocks:
+        rows = slice(start, start + table.shape[0])
+        for i in range(live):
+            dt, n = delta_ts[i], n_cycles[i]
+            try:
+                psi = _qec_block(psi0, ch, code, table, dt, n, substeps, correction)
+            except StepSizeError as err:
+                live, failure = i, (i, err)
+                break
+            overlaps[i, rows] = psi @ psi0.conj()
+            del psi  # not held while the next point steps its own block
+        del table  # free this block's draws before the next block's are made
+        if not live:
+            break
+    return overlaps, failure
 
 
 def _run_sweep(
     cfg: ExperimentConfig, correction: bool, sweep: str, sweep_values, delta_ts, n_cycles
 ) -> FidelityResult:
-    """Fidelity after n_cycles evolve-and-correct intervals of delta_t, per point."""
+    """Fidelity after n_cycles evolve-and-correct intervals of delta_t, per point.
+
+    A trajectory sweep draws each block's uniforms once for all points, and
+    each point reads a prefix of every row's stream, so the randomness
+    contract is unchanged.  A StepSizeError names the earliest failing
+    point in sweep order.
+    """
     t0 = time.perf_counter()
     spec = resolve_spec(cfg)
     ch = build_channels(spec)
     code, psi0 = _code_and_state(cfg, spec)
-    dt_int = default_dt_integrator(ch)
-    rho0 = pure_state_projector(psi0)
 
-    fidelities = []
-    for dt, n in zip(delta_ts, n_cycles):
-        try:
-            if cfg.engine == "density":
-                rho = _density_qec_run(rho0, ch, code, dt, n, dt_int, correction)
-                f = pure_state_fidelity(psi0, rho)
-            else:
-                states = _trajectory_qec_run(
-                    psi0, ch, code, dt, n, cfg.trajectories, cfg.base_seed,
-                    correction, cfg.trajectory_substeps,
-                )
-                f = _ensemble_fidelity(psi0, states)
-        except StepSizeError as err:
-            where = f"delta_t={dt!r}" if sweep == "delta_t" else f"N={n} (delta_t={dt!r})"
+    if cfg.engine == "density":
+        dt_int = default_dt_integrator(ch)
+        rho0 = pure_state_projector(psi0)
+        fidelities = [
+            pure_state_fidelity(psi0, _density_qec_run(rho0, ch, code, dt, n, dt_int, correction))
+            for dt, n in zip(delta_ts, n_cycles)
+        ]
+    else:
+        overlaps, failure = _trajectory_overlaps(
+            cfg, ch, code, psi0, correction, delta_ts, n_cycles
+        )
+        if failure is not None:
+            i, err = failure
+            dt = delta_ts[i]
+            where = f"delta_t={dt!r}" if sweep == "delta_t" else f"N={n_cycles[i]} (delta_t={dt!r})"
             raise StepSizeError(f"{where}: {err}") from err
-        fidelities.append(f)
+        fidelities = [float(np.mean(np.abs(o) ** 2)) for o in overlaps]
 
     infidelities = [1.0 - f for f in fidelities]
     return FidelityResult(

@@ -1,15 +1,20 @@
 """Experiment driver, config parsing, CSV output, CLI exit codes."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from corrqec import trajectory
 from corrqec.cli import main
 from corrqec.config import load_config, parse_config
-from corrqec.errors import ConfigError, DomainError, SimulationError
+from corrqec.errors import ConfigError, DomainError, SimulationError, StepSizeError
 from corrqec.experiment import (
     ExperimentConfig,
     FidelityResult,
     FitResult,
+    _code_and_state,
     fit_loglog,
     render_cycle_csv,
     render_jump_log_csv,
@@ -22,10 +27,12 @@ from corrqec.experiment import (
 )
 from corrqec.noise import (
     CorrelationKernel,
+    build_channels,
     exponential_kernel,
     max_rate,
     noise_spec_direct,
 )
+from corrqec.qecc import _batch_syndrome_recover
 
 ZKERNEL = exponential_kernel(5, amplitude=1.0, correlation_length=2.0, tau_c=0.05, axis=3)
 
@@ -273,6 +280,134 @@ def test_engines_agree_on_corrected_fidelity():
     )
     f = dens.fidelities[0]
     assert abs(traj.fidelities[0] - f) <= 3 * np.sqrt(f * (1 - f) / m)
+
+
+# ---------------------------------------------------------------------------
+# trajectory sweeps: blocks outside, sweep points inside.  The reference runs
+# the sweep point by point, each point drawing its own uniform tables.
+
+
+def _trajectory_qec_run(psi0, ch, code, delta_t, n_cycles, num_trajectories, base_seed,
+                        correction, substeps):
+    stepper = trajectory.BatchStepper(ch, delta_t / substeps)
+    draws_per_cycle = substeps + (len(code.generators) if correction else 0)
+    states = np.empty((num_trajectories, ch.dim), dtype=complex)
+    blocks = trajectory.uniform_blocks(base_seed, num_trajectories, n_cycles * draws_per_cycle)
+    for start, uniforms in blocks:
+        count = uniforms.shape[0]
+        uniforms = uniforms.reshape(count, n_cycles, draws_per_cycle)
+        psi = np.tile(psi0, (count, 1))
+        for c in range(n_cycles):
+            for k in range(substeps):
+                psi, _, _ = stepper.step(psi, uniforms[:, c, k])
+            if correction:
+                psi = _batch_syndrome_recover(psi, uniforms[:, c, substeps:], code)
+        states[start : start + count] = psi
+    return states
+
+
+def _ensemble_fidelity(psi0, states):
+    overlaps = states @ psi0.conj()
+    return float(np.mean(np.abs(overlaps) ** 2))
+
+
+def _reference_point(cfg, correction, delta_t, n_cycles, trajectories=None):
+    spec = resolve_spec(cfg)
+    ch = build_channels(spec)
+    code, psi0 = _code_and_state(cfg, spec)
+    states = _trajectory_qec_run(
+        psi0, ch, code, delta_t, n_cycles, trajectories or cfg.trajectories, cfg.base_seed,
+        correction, cfg.trajectory_substeps,
+    )
+    return _ensemble_fidelity(psi0, states)
+
+
+@pytest.mark.parametrize("correction", [True, False])
+def test_trajectory_sweeps_match_point_by_point_reference(correction):
+    # 37 trajectories in blocks of 8: four full blocks and a short one.
+    cfg = ExperimentConfig(
+        noise=ZKERNEL,
+        t_total=0.2,
+        n_values=(2, 5, 4, 8),
+        delta_t_values=(0.05, 0.12, 0.1, 0.08),
+        engine="trajectory",
+        trajectories=37,
+        trajectory_substeps=4,
+        base_seed=1234,
+    )
+    with mock.patch.object(trajectory, "_BLOCK", 8):
+        cycle = run_cycle_fidelity(cfg, correction)
+        scaling = run_repetition_scaling(cfg, correction)
+        expected_cycle = [_reference_point(cfg, correction, dt, 1) for dt in cfg.delta_t_values]
+        expected_scaling = [
+            _reference_point(cfg, correction, dt, n)
+            for dt, n in zip(scaling.delta_ts, cfg.n_values)
+        ]
+    assert list(cycle.fidelities) == expected_cycle
+    assert list(scaling.fidelities) == expected_scaling
+
+
+def test_trajectory_sweep_names_the_earliest_failing_point():
+    # Steps of 0.04 pass the gate at the codeword (total 0.075) but not after
+    # the dominant jump (0.125): with seed 1 the first such failure is in the
+    # third block of 4.  Steps of 0.08 or more fail at once, in block 0, so
+    # with blocks outside the later point fails first; the earlier one is named.
+    cfg = ExperimentConfig(
+        noise=ZKERNEL,
+        t_total=0.16,
+        n_values=(2, 1),
+        delta_t_values=(0.08, 0.4),
+        engine="trajectory",
+        trajectories=24,
+        trajectory_substeps=2,
+        base_seed=1,
+    )
+    with mock.patch.object(trajectory, "_BLOCK", 4):
+        for n in (1, 2):
+            assert 0.0 < _reference_point(cfg, True, 0.08, n, trajectories=8) <= 1.0
+            with pytest.raises(StepSizeError) as late:
+                _reference_point(cfg, True, 0.08, n)
+            assert str(late.value).startswith("total jump probability 0.1248 exceeds")
+        with pytest.raises(StepSizeError) as cycle:
+            run_cycle_fidelity(cfg)
+        with pytest.raises(StepSizeError) as scaling:
+            run_repetition_scaling(cfg)
+        with pytest.raises(StepSizeError) as second:
+            run_cycle_fidelity(ExperimentConfig(**{**vars(cfg), "delta_t_values": (0.01, 0.4)}))
+        # Once the first point has failed, no further block is drawn.
+        spy = mock.patch.object(trajectory, "_uniform_table", wraps=trajectory._uniform_table)
+        with spy as table, pytest.raises(StepSizeError) as first:
+            run_cycle_fidelity(ExperimentConfig(**{**vars(cfg), "delta_t_values": (0.4, 0.01)}))
+        assert table.call_count == 1
+    assert str(cycle.value) == f"delta_t=0.08: {late.value}"
+    assert str(scaling.value) == f"N=2 (delta_t=0.08): {late.value}"
+    for only in (second, first):
+        assert str(only.value) == (
+            "delta_t=0.4: total jump probability 0.3736 exceeds the first-order gate 0.1; "
+            "reduce delta_t below 0.2"
+        )
+
+
+@pytest.mark.parametrize("correction", [True, False])
+def test_trajectory_sweep_draws_each_block_once(correction):
+    cfg = ExperimentConfig(
+        noise=ZKERNEL,
+        t_total=0.06,
+        n_values=(1, 3, 2),
+        delta_t_values=(0.02, 0.01, 0.03),
+        engine="trajectory",
+        trajectories=10,
+        trajectory_substeps=2,
+    )
+    per_cycle = 2 + (4 if correction else 0)
+    spy = mock.patch.object(trajectory, "_uniform_table", wraps=trajectory._uniform_table)
+    for run, longest in ((run_cycle_fidelity, 1), (run_repetition_scaling, 3)):
+        with mock.patch.object(trajectory, "_BLOCK", 4), spy as table:
+            run(cfg, correction)
+        assert table.call_count == math.ceil(10 / 4)
+        assert [c.args[1:] for c in table.call_args_list] == [
+            (start, min(4, 10 - start), longest * per_cycle) for start in (0, 4, 8)
+        ]
 
 
 def test_run_trajectory_logs_requires_commensurate_times():

@@ -402,14 +402,19 @@ def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectori
     ),
     count=st.integers(1, 64),
     draws=st.integers(0, 300),
+    data=st.data(),
 )
-def test_uniform_table_matches_numpy_streams(seed, index0, count, draws):
+def test_uniform_table_matches_numpy_streams(seed, index0, count, draws, data):
     # Row b is trajectory index0 + b's numpy stream, bit for bit.  Seeds of
     # 2^32 and above enter SeedSequence as several words.
     table = trajectory._uniform_table(seed, index0, count, draws)
     assert table.shape == (count, draws) and table.dtype == np.float64
     expected = np.array([trajectory_rng(seed, index0 + b).random(draws) for b in range(count)])
     assert np.array_equal(table, expected)
+    # A row's first k draws do not depend on how many are drawn: a sweep's
+    # points read prefixes of one table.
+    k = data.draw(st.integers(0, draws), label="k")
+    assert np.array_equal(table[:, :k], trajectory._uniform_table(seed, index0, count, k))
 
 
 @settings(max_examples=30, deadline=None)
