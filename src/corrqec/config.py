@@ -230,12 +230,7 @@ def parse_config(data) -> ExperimentConfig:
     if "n_values" in data:
         if not isinstance(data["n_values"], list):
             raise ConfigError("n_values must be a list of integers")
-        values = []
-        for i, n in enumerate(data["n_values"]):
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise ConfigError(f"n_values[{i}] must be an integer, got {n!r}")
-            values.append(n)
-        kwargs["n_values"] = tuple(values)
+        kwargs["n_values"] = tuple(data["n_values"])
     if "delta_t_values" in data:
         if not isinstance(data["delta_t_values"], list):
             raise ConfigError("delta_t_values must be a list of numbers")

@@ -50,8 +50,6 @@ from .qecc import (
     correction_channel,
     encode,
     five_qubit_code,
-    measure_syndrome,
-    recover,
 )
 from .trajectory import (
     SUM_P_GATE,
@@ -108,21 +106,24 @@ class ExperimentConfig:
         alpha, beta = self.logical_state
         if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
             raise ConfigError("logical_state amplitudes must have unit norm")
-        if not self.t_total > 0:
-            raise ConfigError(f"t_total must be positive, got {self.t_total}")
+        # The chained comparisons are false for NaN.
+        if not 0 < self.t_total < np.inf:
+            raise ConfigError(f"t_total must be positive and finite, got {self.t_total}")
         if not self.n_values or any(
-            (not float(n).is_integer()) or n < 1 for n in self.n_values
+            isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in self.n_values
         ):
-            raise ConfigError("n_values must be positive integers")
-        if not self.delta_t_values or any(dt <= 0 for dt in self.delta_t_values):
-            raise ConfigError("delta_t_values must be positive")
+            raise ConfigError(f"n_values must be positive integers, got {self.n_values!r}")
+        if not self.delta_t_values or any(
+            not 0 < dt < np.inf for dt in self.delta_t_values
+        ):
+            raise ConfigError("delta_t_values must be positive and finite")
         for name, least in (("trajectories", 1), ("trajectory_substeps", 1), ("base_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 sign = "positive" if least else "nonnegative"
                 raise ConfigError(f"{name} must be a {sign} integer, got {value!r}")
         object.__setattr__(self, "logical_state", (complex(alpha), complex(beta)))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(self.n_values))
         object.__setattr__(self, "delta_t_values", tuple(float(x) for x in self.delta_t_values))
 
 
@@ -544,15 +545,18 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     def recovery():
         code = five_qubit_code()
         rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, 0x6E3B)))
-        worst = 0.0
+        errors = code.error_basis[1:]
+        states, uniforms = [], []
         for _ in range(10):
             v = rng.normal(size=4).view(complex)
             v /= np.linalg.norm(v)
-            psi = encode(v[0], v[1], code)
-            for r in code.error_basis[1:]:
-                outcome = measure_syndrome(r @ psi, code, rng)
-                recovered = recover(outcome, code)
-                worst = max(worst, 1.0 - abs(psi.conj() @ recovered) ** 2)
+            states.append(encode(v[0], v[1], code))
+            uniforms.append(rng.random((len(errors), len(code.generators))))
+        images = np.concatenate([errors @ psi for psi in states])
+        recovered = _batch_syndrome_recover(images, np.concatenate(uniforms), code)
+        psi = np.repeat(states, len(errors), axis=0)
+        overlaps = np.einsum("bi,bi->b", psi.conj(), recovered)
+        worst = max(0.0, float(np.max(1.0 - np.abs(overlaps) ** 2)))
         return f"{worst:.3e}", worst <= 1e-9, "15 errors x 10 states"
 
     checks.append(_check("recovery_exhaustive", "<=1e-9", recovery))

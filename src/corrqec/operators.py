@@ -66,10 +66,10 @@ def pauli_operator(qubit: int, axis: int, num_qubits: int) -> np.ndarray:
         raise DomainError(f"qubit {qubit} out of range 1..{num_qubits}")
     if axis not in (AXIS_X, AXIS_Y, AXIS_Z):
         raise DomainError(f"axis must be 1 (x), 2 (y) or 3 (z), got {axis}")
-    op = np.ones((1, 1), dtype=complex)
-    for slot in range(1, num_qubits + 1):
-        op = np.kron(op, PAULIS[axis - 1] if slot == qubit else IDENTITY_2)
-    return op
+    return kron_chain(
+        PAULIS[axis - 1] if slot == qubit else IDENTITY_2
+        for slot in range(1, num_qubits + 1)
+    )
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

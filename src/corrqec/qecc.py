@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SimulationError
-from .noise import _frozen_array
+from .noise import _frozen_array, pauli_stack
 from .operators import (
     AXIS_LABELS,
     IDENTITY_2,
@@ -90,16 +90,6 @@ class StabilizerCode:
         return self.logical_zero.shape[0]
 
 
-@dataclass(frozen=True)
-class SyndromeOutcome:
-    """Result of one projective syndrome extraction."""
-
-    bits: tuple
-    index: int
-    collapsed: np.ndarray
-    born_probability: float
-
-
 def syndrome_index(bits) -> int:
     return sum(int(b) << i for i, b in enumerate(bits))
 
@@ -160,16 +150,11 @@ def five_qubit_code() -> StabilizerCode:
     logical_zero = normalized(proj @ basis_state(0, n))
     logical_one = pauli_string_matrix("XXXXX") @ logical_zero
 
-    labels = ["I"]
-    ops = [eye]
-    for m in range(3 * n):
-        qubit, axis = channel_qubit_axis(m)
-        s = "".join(
-            AXIS_LABELS[axis].upper() if l == qubit else "I" for l in range(1, n + 1)
-        )
-        labels.append(f"{AXIS_LABELS[axis].upper()}{qubit}")
-        ops.append(pauli_string_matrix(s))
-    error_basis = np.stack(ops)
+    error_basis = np.concatenate([eye[None], pauli_stack(n)])
+    labels = ["I"] + [
+        f"{AXIS_LABELS[axis].upper()}{qubit}"
+        for qubit, axis in map(channel_qubit_axis, range(3 * n))
+    ]
 
     syndrome_of_error = tuple(
         syndrome_index([_commutation_bit(g, r) for g in gens]) for r in error_basis
@@ -237,59 +222,23 @@ def _batch_measure(psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode):
     return psi, syndrome, born
 
 
-def _batch_recover(
-    psi: np.ndarray, syndrome: np.ndarray, code: StabilizerCode
+def _batch_syndrome_recover(
+    psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode
 ) -> np.ndarray:
-    """Undo the error each row's syndrome names (Pauli recoveries are involutive).
+    """Measure-and-recover for a block of pure states; returns the (M, dim) result.
 
-    Recovers and normalizes psi in place and returns it.
+    Each row's syndrome names the error to undo (Pauli recoveries are
+    involutive).  Takes ownership of psi: the block is overwritten, and the
+    result may be written into it, so a caller that still needs psi passes
+    a copy.
     """
+    psi, syndrome, _ = _batch_measure(psi, uniforms, code)
     for s in np.unique(syndrome):
         rows = syndrome == s
         r = code.error_basis[code.syndrome_table[int(s)]]
         psi[rows] = psi[rows] @ r.T
     divide_rows(psi, row_norms(psi, np.empty_like(psi)))
     return psi
-
-
-def _batch_syndrome_recover(
-    psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode
-) -> np.ndarray:
-    """Measure-and-recover for a block of pure states; returns the (M, dim) result.
-
-    Takes ownership of psi: the block is overwritten, and the result may be
-    written into it, so a caller that still needs psi passes a copy.
-    """
-    collapsed, syndrome, _ = _batch_measure(psi, uniforms, code)
-    return _batch_recover(collapsed, syndrome, code)
-
-
-def measure_syndrome(
-    psi: np.ndarray, code: StabilizerCode, rng: np.random.Generator
-) -> SyndromeOutcome:
-    """Projectively measure all generators in order, collapsing the state.
-
-    The one-row case of the batched measurement: one uniform per generator,
-    drawn in generator order.
-    """
-    psi = np.array(psi, dtype=complex)
-    if psi.shape != (code.dim,):
-        raise DomainError(f"state shape {psi.shape} does not match code dimension")
-    uniforms = rng.random(len(code.generators))
-    collapsed, syndrome, born = _batch_measure(psi[None, :], uniforms[None, :], code)
-    index = int(syndrome[0])
-    return SyndromeOutcome(
-        bits=tuple((index >> i) & 1 for i in range(len(code.generators))),
-        index=index,
-        collapsed=collapsed[0],
-        born_probability=float(born[0]),
-    )
-
-
-def recover(outcome: SyndromeOutcome, code: StabilizerCode) -> np.ndarray:
-    """Undo the error named by the syndrome of one measurement outcome."""
-    psi = np.array(outcome.collapsed[None, :])
-    return _batch_recover(psi, np.array([outcome.index]), code)[0]
 
 
 def correction_channel(rho: np.ndarray, code: StabilizerCode) -> np.ndarray:

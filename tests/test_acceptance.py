@@ -26,7 +26,7 @@ from corrqec.noise import (
     rescale_to_unit_max_rate,
 )
 from corrqec.operators import trace_distance
-from corrqec.qecc import encode, five_qubit_code, measure_syndrome, recover
+from corrqec.qecc import _batch_measure, _batch_syndrome_recover, encode, five_qubit_code
 from corrqec.trajectory import (
     apply_first_order_channel,
     build_first_order_channel,
@@ -86,11 +86,13 @@ def test_acceptance_2_exhaustive_recovery():
     meas_rng = np.random.default_rng(502)
     worst = 0.0
     for psi in states:
-        for m, op in enumerate(code.error_basis):
-            out = measure_syndrome(op @ psi, code, meas_rng)
-            assert out.index == code.syndrome_of_error[m]
-            fixed = recover(out, code)
-            worst = max(worst, 1.0 - abs(np.vdot(psi, fixed)) ** 2)
+        # one block of the sixteen error images, one row of uniforms each
+        images = code.error_basis @ psi
+        uniforms = meas_rng.random((len(images), len(code.generators)))
+        _, syndromes, _ = _batch_measure(images.copy(), uniforms, code)
+        assert syndromes.tolist() == list(code.syndrome_of_error)
+        fixed = _batch_syndrome_recover(images, uniforms, code)
+        worst = max(worst, float(np.max(1.0 - np.abs(fixed @ psi.conj()) ** 2)))
     assert worst <= 1e-9, f"worst recovery infidelity {worst:.3e}"
     _report("exhaustive_recovery", f"{worst:.3e}", "<=1e-9", t0, 5.0)
 

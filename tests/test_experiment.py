@@ -106,10 +106,16 @@ def test_experiment_config_validation():
         ExperimentConfig(noise=ZKERNEL, logical_state=(1.0, 1.0))
     with pytest.raises(ConfigError):
         ExperimentConfig(noise=ZKERNEL, t_total=0.0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(noise=ZKERNEL, n_values=(0,))
+    for n in (0, True, 2.5):
+        with pytest.raises(ConfigError, match="n_values"):
+            ExperimentConfig(noise=ZKERNEL, n_values=(n, 5))
     with pytest.raises(ConfigError):
         ExperimentConfig(noise=ZKERNEL, delta_t_values=())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="t_total"):
+            ExperimentConfig(noise=ZKERNEL, t_total=bad)
+        with pytest.raises(ConfigError, match="delta_t_values"):
+            ExperimentConfig(noise=ZKERNEL, delta_t_values=(0.01, bad))
     for trajectories in (0, 2.5, True, "10"):
         with pytest.raises(ConfigError, match="trajectories"):
             ExperimentConfig(noise=ZKERNEL, trajectories=trajectories)
@@ -608,6 +614,20 @@ def test_cli_missing_and_invalid_config(tmp_path):
     unknown = _write(tmp_path, "unknown.yaml", CHEAP_DENSITY_YAML + "mystery: 1\n")
     assert main(["cycle", "--config", unknown]) == 1
     assert main(["nonsense", "--config", unknown]) == 1
+
+
+def test_cli_rejects_non_finite_times(tmp_path):
+    # YAML's .nan and .inf load as floats; each is a config error, not a crash
+    texts = (
+        CHEAP_DENSITY_YAML.replace("[0.02, 0.05]", "[0.02, .nan]"),
+        CHEAP_DENSITY_YAML.replace("[0.02, 0.05]", "[.inf]"),
+        CHEAP_DENSITY_YAML.replace("t_total: 0.1", "t_total: .inf"),
+    )
+    for i, text in enumerate(texts):
+        assert text != CHEAP_DENSITY_YAML
+        path = _write(tmp_path, f"non_finite_{i}.yaml", text)
+        for command in ("cycle", "scaling", "validate"):
+            assert main([command, "--config", path]) == 1
 
 
 def test_cli_cycle_writes_csv(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrqec.errors import DomainError, SimulationError
-from corrqec.operators import basis_state, trace_distance
+from corrqec.operators import trace_distance
 from corrqec.qecc import (
     FIVE_QUBIT_GENERATORS,
     _batch_measure,
@@ -16,9 +16,7 @@ from corrqec.qecc import (
     correction_channel,
     encode,
     five_qubit_code,
-    measure_syndrome,
     pauli_string_matrix,
-    recover,
     syndrome_index,
 )
 
@@ -132,13 +130,13 @@ def test_syndrome_projectors_resolve_identity():
         np.testing.assert_allclose(p, p.conj().T, atol=1e-10)
 
 
-def test_measure_syndrome_codeword_is_trivial():
+def test_batch_measure_codeword_is_trivial():
     code = five_qubit_code()
-    out = measure_syndrome(code.logical_zero, code, np.random.default_rng(0))
-    assert out.bits == (0, 0, 0, 0)
-    assert out.index == 0
-    assert out.born_probability == pytest.approx(1.0, abs=1e-10)
-    assert abs(np.vdot(out.collapsed, code.logical_zero)) == pytest.approx(1.0, abs=1e-10)
+    uniforms = np.random.default_rng(0).random((1, len(code.generators)))
+    collapsed, syndrome, born = _batch_measure(code.logical_zero[None], uniforms, code)
+    assert syndrome[0] == 0
+    assert born[0] == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(collapsed[0], code.logical_zero)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_exhaustive_single_error_recovery():
@@ -153,16 +151,16 @@ def test_exhaustive_single_error_recovery():
     states += [_random_encoded(rng, code) for _ in range(7)]
     meas_rng = np.random.default_rng(5150)
     for psi in states:
-        for m, op in enumerate(code.error_basis):
-            corrupted = op @ psi
-            out = measure_syndrome(corrupted, code, meas_rng)
-            assert out.index == code.syndrome_of_error[m]
-            assert out.born_probability == pytest.approx(1.0, abs=1e-10)
-            fixed = recover(out, code)
-            assert abs(np.vdot(psi, fixed)) == pytest.approx(1.0, abs=1e-9)
+        images = code.error_basis @ psi
+        uniforms = meas_rng.random((len(images), len(code.generators)))
+        _, syndromes, born = _batch_measure(images.copy(), uniforms, code)
+        assert syndromes.tolist() == list(code.syndrome_of_error)
+        np.testing.assert_allclose(born, 1.0, rtol=0, atol=1e-10)
+        fixed = _batch_syndrome_recover(images, uniforms, code)
+        np.testing.assert_allclose(np.abs(fixed @ psi.conj()), 1.0, rtol=0, atol=1e-9)
 
 
-def test_measure_syndrome_branch_statistics():
+def test_batch_measure_branch_statistics():
     # coherent mixture of two error images: outcome frequencies follow the
     # Born weights and each branch collapses onto its image
     code = five_qubit_code()
@@ -172,24 +170,15 @@ def test_measure_syndrome_branch_statistics():
     s_x3 = code.syndrome_of_error[7]
     rng = np.random.default_rng(61)
     m = 2000
-    hits = 0
-    for _ in range(m):
-        out = measure_syndrome(psi, code, rng)
-        assert out.index in (0, s_x3)
-        if out.index == s_x3:
-            hits += 1
-            target = x3 @ code.logical_zero
-        else:
-            target = code.logical_zero
-        assert abs(np.vdot(target, out.collapsed)) == pytest.approx(1.0, abs=1e-10)
+    uniforms = rng.random((m, len(code.generators)))
+    collapsed, syndromes, _ = _batch_measure(np.tile(psi, (m, 1)), uniforms, code)
+    assert set(syndromes.tolist()) <= {0, s_x3}
+    hit = syndromes == s_x3
+    target = np.where(hit[:, None], x3 @ code.logical_zero, code.logical_zero)
+    overlaps = np.einsum("bi,bi->b", target.conj(), collapsed)
+    np.testing.assert_allclose(np.abs(overlaps), 1.0, rtol=0, atol=1e-10)
     p = np.sin(theta) ** 2
-    assert abs(hits / m - p) < 3 * np.sqrt(p * (1 - p) / m)
-
-
-def test_measure_syndrome_shape_gate():
-    code = five_qubit_code()
-    with pytest.raises(DomainError):
-        measure_syndrome(basis_state(0, 4), code, np.random.default_rng(0))
+    assert abs(hit.sum() / m - p) < 3 * np.sqrt(p * (1 - p) / m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,8 +186,8 @@ def test_measure_syndrome_shape_gate():
 def test_batch_syndrome_recover_matches_row_by_row(seed, images):
     # A block of rows, each either a single-error image of a random codeword
     # (True) or an arbitrary random state (False), goes through the batched
-    # step; every row must match measure_syndrome + recover fed the same
-    # uniforms from its own stream.
+    # step; every row must match the reference run on that row alone, fed
+    # the same uniforms from its own stream.
     code = five_qubit_code()
     rng = np.random.default_rng(seed)
     rows, errors = [], []
@@ -218,12 +207,13 @@ def test_batch_syndrome_recover_matches_row_by_row(seed, images):
     batched = _batch_syndrome_recover(psi.copy(), uniforms, code)
     _, syndromes, _ = _batch_measure(psi.copy(), uniforms, code)
     assert batched.shape == psi.shape
-    for row, m, stream, s, out in zip(psi, errors, streams, syndromes, batched):
-        outcome = measure_syndrome(row, code, np.random.default_rng(stream))
-        assert outcome.index == s
+    for i, (m, s, out) in enumerate(zip(errors, syndromes, batched)):
+        alone = slice(i, i + 1)
+        recovered, _, syndrome, _ = _reference_syndrome_recover(psi[alone], uniforms[alone], code)
+        assert syndrome[0] == s
         if m is not None:
-            assert outcome.index == code.syndrome_of_error[m]
-        np.testing.assert_allclose(out, recover(outcome, code), rtol=0, atol=1e-12)
+            assert s == code.syndrome_of_error[m]
+        np.testing.assert_allclose(out, recovered[0], rtol=0, atol=1e-12)
 
 
 def _reference_syndrome_recover(psi, uniforms, code):
@@ -293,20 +283,6 @@ def test_batch_syndrome_recover_matches_reference_bit_for_bit(seed, kinds):
     assert np.array_equal(_batch_syndrome_recover(psi.copy(), uniforms, code), recovered)
 
 
-def test_measure_and_recover_leave_caller_arrays_untouched():
-    # An arbitrary state, so that the measurement changes every amplitude.
-    code = five_qubit_code()
-    rng = np.random.default_rng(8)
-    psi = rng.standard_normal(code.dim) + 1j * rng.standard_normal(code.dim)
-    psi = psi / np.linalg.norm(psi)
-    before = psi.copy()
-    outcome = measure_syndrome(psi, code, np.random.default_rng(1))
-    collapsed = outcome.collapsed.copy()
-    recover(outcome, code)
-    assert np.array_equal(psi, before)
-    assert np.array_equal(outcome.collapsed, collapsed)
-
-
 def test_branch_probability_gate():
     # an unnormalized row, or a NaN one, fails the whole block loudly
     code = five_qubit_code()
@@ -315,17 +291,15 @@ def test_branch_probability_gate():
     for bad in (2.0 * good, np.full(code.dim, np.nan, dtype=complex)):
         with pytest.raises(SimulationError):
             _batch_syndrome_recover(np.array([good, bad]), uniforms, code)
-        with pytest.raises(SimulationError):
-            measure_syndrome(bad, code, np.random.default_rng(0))
 
 
 def test_recover_round_trip_z2():
     code = five_qubit_code()
     psi = encode(0.6, 0.8j, code)
     z2 = code.error_basis[code.error_labels.index("Z2")]
-    out = measure_syndrome(z2 @ psi, code, np.random.default_rng(3))
-    fixed = recover(out, code)
-    assert abs(np.vdot(psi, fixed)) == pytest.approx(1.0, abs=1e-10)
+    uniforms = np.random.default_rng(3).random((1, len(code.generators)))
+    fixed = _batch_syndrome_recover((z2 @ psi)[None], uniforms, code)
+    assert abs(np.vdot(psi, fixed[0])) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_correction_channel_fixes_single_errors():
@@ -362,11 +336,11 @@ def test_correction_channel_matches_sampled_measurement():
     psi = psi / np.linalg.norm(psi)
     expected = correction_channel(np.outer(psi, psi.conj()), code)
     m = 4000
-    acc = np.zeros((32, 32), dtype=complex)
     meas_rng = np.random.default_rng(78)
-    for _ in range(m):
-        fixed = recover(measure_syndrome(psi, code, meas_rng), code)
-        acc += np.outer(fixed, fixed.conj())
+    uniforms = meas_rng.random((m, len(code.generators)))
+    fixed = _batch_syndrome_recover(np.tile(psi, (m, 1)), uniforms, code)
+    # sum over rows of outer(fixed, fixed.conj())
+    acc = fixed.T @ fixed.conj()
     assert trace_distance(acc / m, expected) < 0.06
 
 
