@@ -104,6 +104,11 @@ class ExperimentConfig:
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         alpha, beta = self.logical_state
+        # The unit-norm test below is false for NaN.
+        if not np.all(np.isfinite([alpha, beta])):
+            raise ConfigError(
+                f"logical_state amplitudes must be finite, got {self.logical_state!r}"
+            )
         if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
             raise ConfigError("logical_state amplitudes must have unit norm")
         # The chained comparisons are false for NaN.

@@ -194,16 +194,22 @@ def encode(alpha: complex, beta: complex, code: StabilizerCode) -> np.ndarray:
     return alpha * code.logical_zero + beta * code.logical_one
 
 
-def _batch_measure(psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode):
+def _batch_measure(
+    psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode, scratch=None
+):
     """Projectively measure all generators in order on a block of pure states.
 
     uniforms has one column per generator; u < p_plus selects the +1 branch
     (bit 0).  Returns the collapsed (M, dim) states, the packed syndrome of
     each row and its Born probability (the product over the chosen branches).
-    psi is overwritten and may come back as the collapsed block.
+    psi is overwritten and may come back as the collapsed block.  `scratch`,
+    an (M, dim) complex block, is overwritten; one is allocated when not
+    given.
     """
     psi = np.require(psi, complex, "CW")
-    v, scratch = np.empty_like(psi), np.empty_like(psi)
+    v = np.empty_like(psi)
+    if scratch is None:
+        scratch = np.empty_like(psi)
     syndrome = np.zeros(psi.shape[0], dtype=np.int64)
     born = np.ones(psi.shape[0])
     for i, p_plus in enumerate(code.plus_projectors):
@@ -228,16 +234,20 @@ def _batch_syndrome_recover(
     """Measure-and-recover for a block of pure states; returns the (M, dim) result.
 
     Each row's syndrome names the error to undo (Pauli recoveries are
-    involutive).  Takes ownership of psi: the block is overwritten, and the
-    result may be written into it, so a caller that still needs psi passes
-    a copy.
+    involutive); rows whose error is R_0 = I are left as they are.  Takes
+    ownership of psi: the block is overwritten, and the result may be
+    written into it, so a caller that still needs psi passes a copy.
     """
-    psi, syndrome, _ = _batch_measure(psi, uniforms, code)
+    psi = np.require(psi, complex, "CW")
+    scratch = np.empty_like(psi)
+    psi, syndrome, _ = _batch_measure(psi, uniforms, code, scratch)
     for s in np.unique(syndrome):
+        m = code.syndrome_table[int(s)]
+        if m == 0:
+            continue
         rows = syndrome == s
-        r = code.error_basis[code.syndrome_table[int(s)]]
-        psi[rows] = psi[rows] @ r.T
-    divide_rows(psi, row_norms(psi, np.empty_like(psi)))
+        psi[rows] = psi[rows] @ code.error_basis[m].T
+    divide_rows(psi, row_norms(psi, scratch))
     return psi
 
 

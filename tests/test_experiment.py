@@ -104,6 +104,9 @@ def test_experiment_config_validation():
         ExperimentConfig(noise=ZKERNEL, engine="tensor_network")
     with pytest.raises(ConfigError):
         ExperimentConfig(noise=ZKERNEL, logical_state=(1.0, 1.0))
+    for state in ((math.nan, 0.0), (1.0, complex(0.0, math.nan)), (math.inf, 0.0)):
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(noise=ZKERNEL, logical_state=state)
     with pytest.raises(ConfigError):
         ExperimentConfig(noise=ZKERNEL, t_total=0.0)
     for n in (0, True, 2.5):
@@ -628,6 +631,14 @@ def test_cli_rejects_non_finite_times(tmp_path):
         path = _write(tmp_path, f"non_finite_{i}.yaml", text)
         for command in ("cycle", "scaling", "validate"):
             assert main([command, "--config", path]) == 1
+
+
+def test_cli_rejects_nan_logical_state(tmp_path):
+    # The unit-norm test is false for NaN; the state must not reach the engines.
+    text = CHEAP_DENSITY_YAML + "logical_state: [[.nan, 0.0], [0.0, 0.0]]\n"
+    path = _write(tmp_path, "nan_state.yaml", text)
+    for command in ("cycle", "scaling", "validate"):
+        assert main([command, "--config", path]) == 1
 
 
 def test_cli_cycle_writes_csv(tmp_path, capsys):

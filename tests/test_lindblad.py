@@ -77,6 +77,32 @@ def test_jump_stacks_built_once_with_unchanged_values():
         s_right[0, 0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "kernel, zero_blocks",
+    [
+        (collective_axis_kernel(5, axis=3, amplitude=0.2), 14),
+        (exponential_kernel(5, correlation_length=2.0, axis=3, tau_c=0.05, g1=1.0), 6),
+        (exponential_kernel(3, correlation_length=1.5), 0),
+    ],
+)
+def test_rhs_skips_exactly_zero_blocks_bit_for_bit(kernel, zero_blocks):
+    # The first product runs only over the span of stack blocks that are not
+    # exactly zero (zero-rate channels, clipped from negative roundoff, come
+    # first); the result equals the product over the whole stack.
+    ch = build_channels(rescale_to_unit_max_rate(integrate_kernel(kernel)))
+    s_left, s_right = ch.jump_stacks
+    d = ch.dim
+    zero = ~s_left.reshape(-1, d * d).any(axis=1)
+    assert zero[:zero_blocks].all() and not zero[zero_blocks:].any()
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        rho = _random_density(rng, d)
+        full = -1j * (ch.H_eff @ rho - rho @ ch.H_eff.conj().T)
+        s_rho = (s_left @ rho).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+        full += s_rho @ s_right
+        assert np.array_equal(lindblad_rhs(rho, ch), full)
+
+
 def _random_mixed_density(rng, dim):
     # Random rank, so pure and rank-deficient states are drawn too.
     rank = int(rng.integers(1, dim + 1))

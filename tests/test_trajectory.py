@@ -262,10 +262,16 @@ def _sequential_reference(psi0, ch, n_steps, delta_t, base_seed, index):
     return psi, log
 
 
+def _reference_totals(stepper, psi):
+    # Every row's <psi|Gamma|psi> from one product over the whole block.
+    return np.einsum("...k,...k->...", psi.view(float), (psi @ stepper.gamma.T).view(float))
+
+
 def _reference_step(stepper, psi, u):
-    # BatchStepper.step written with fresh temporaries, as it was before the
-    # step reused its buffers; psi is left as it was.
-    total = np.einsum("...k,...k->...", psi.view(float), (psi @ stepper.gamma.T).view(float))
+    # BatchStepper.step written with fresh temporaries and every row's total,
+    # as it was before the step reused its buffers and screened rows by the
+    # bound; psi is left as it was.
+    total = _reference_totals(stepper, psi)
     trajectory._check_gate(total.max(initial=0.0), stepper.delta_t)
     jumped = u < total
     channel = np.zeros(psi.shape[0], dtype=np.intp)
@@ -288,6 +294,14 @@ def _reference_step(stepper, psi, u):
     return phi, jumped, channel
 
 
+def _mixed_block(rng, dim, num_rows):
+    # Random unit states, about a quarter of them replaced by basis states.
+    psi = np.stack([_random_state(rng, dim) for _ in range(num_rows)])
+    basis = rng.random(num_rows) < 0.25
+    psi[basis] = np.eye(dim)[rng.integers(dim, size=np.count_nonzero(basis))]
+    return psi
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -308,9 +322,7 @@ def test_step_matches_reference_bit_for_bit(seed, kind, num_qubits, num_rows, ga
     rng = np.random.default_rng(seed)
     rate = np.linalg.eigvalsh(jump_rate_operator(ch, 1.0))[-1]
     stepper = BatchStepper(ch, gate_fraction * SUM_P_GATE / rate)
-    psi = np.stack([_random_state(rng, ch.dim) for _ in range(num_rows)])
-    basis = rng.random(num_rows) < 0.25
-    psi[basis] = np.eye(ch.dim)[rng.integers(ch.dim, size=np.count_nonzero(basis))]
+    psi = _mixed_block(rng, ch.dim, num_rows)
     for _ in range(steps):
         total = total_jump_probability(psi, stepper.gamma)
         draw = rng.integers(3, size=num_rows)
@@ -327,6 +339,99 @@ def test_step_matches_reference_bit_for_bit(seed, kind, num_qubits, num_rows, ga
         assert np.array_equal(psi, expected[0])
         assert np.array_equal(jumped, expected[1])
         assert np.array_equal(channel, expected[2])
+
+
+def _assert_step_matches_reference(stepper, psi, u):
+    try:
+        expected = _reference_step(stepper, psi, u)
+    except (SimulationError, StepSizeError) as err:
+        with pytest.raises(type(err)) as got:
+            stepper.step(psi.copy(), u)
+        assert str(got.value) == str(err)
+        return
+    got = stepper.step(psi.copy(), u)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "num_rows, count", [(1, 0), (1, 1), (2, 1), (9, 0), (9, 1), (9, 4), (9, 9)]
+)
+def test_step_totals_at_the_uniform_edge(num_rows, count):
+    # `count` candidate rows (u under the bound) get u exactly at the whole
+    # block's total or one ulp either side of it, so a total computed from a
+    # different product flips a decision: a one-row gemv differs from a
+    # block row in the last bit for 9-31% of random states on the
+    # exponential kernel at L=2..5.  The other rows' u are at or above the
+    # bound.
+    rng = np.random.default_rng(10 * num_rows + count)
+    edges = (lambda t: t, lambda t: np.nextafter(t, 0.0), lambda t: np.nextafter(t, 1.0))
+    for kind in sorted(_KERNELS):
+        for num_qubits in range(1, 6):
+            ch = _grid_channels(kind, num_qubits)
+            rate = np.linalg.eigvalsh(jump_rate_operator(ch, 1.0))[-1]
+            for trial in range(12):
+                stepper = BatchStepper(ch, rng.uniform(0.05, 0.95) * SUM_P_GATE / rate)
+                assert stepper.bound <= SUM_P_GATE
+                psi = _mixed_block(rng, ch.dim, num_rows)
+                total = _reference_totals(stepper, psi)
+                u = stepper.bound + rng.random(num_rows) * (1.0 - stepper.bound)
+                u[rng.integers(num_rows)] = stepper.bound
+                chosen = rng.permutation(num_rows)[:count]
+                u[chosen] = edges[trial % 3](total[chosen])
+                assert np.count_nonzero(u < stepper.bound) == count
+                _assert_step_matches_reference(stepper, psi, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(_KERNELS)),
+    num_qubits=st.integers(1, 5),
+    num_rows=st.integers(1, 40),
+    over=st.floats(1.01, 3.0),
+    top=st.booleans(),
+)
+def test_step_above_the_gate_bound_matches_reference(seed, kind, num_qubits, num_rows, over, top):
+    # A bound above the first-order gate: every row's total is computed and
+    # gated, with the same StepSizeError text as the whole-block reference.
+    # With `top`, one row is Gamma's top eigenvector, whose total exceeds
+    # the gate.
+    ch = _grid_channels(kind, num_qubits)
+    rng = np.random.default_rng(seed)
+    rate = np.linalg.eigvalsh(jump_rate_operator(ch, 1.0))[-1]
+    stepper = BatchStepper(ch, over * SUM_P_GATE / rate)
+    assert stepper.bound > SUM_P_GATE
+    psi = _mixed_block(rng, ch.dim, num_rows)
+    if top:
+        psi[rng.integers(num_rows)] = np.linalg.eigh(stepper.gamma)[1][:, -1]
+        with pytest.raises(StepSizeError):
+            _reference_step(stepper, psi, rng.random(num_rows))
+    total = _reference_totals(stepper, psi)
+    u = np.where(rng.random(num_rows) < 0.5, rng.random(num_rows), total)
+    _assert_step_matches_reference(stepper, psi, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(_KERNELS)),
+    num_qubits=st.integers(1, 5),
+    delta_t=st.floats(1e-4, 1.0),
+)
+def test_total_jump_probability_under_the_bound(seed, kind, num_qubits, delta_t):
+    # <psi|Gamma|psi> <= stepper.bound for random unit states, every basis
+    # state and Gamma's top eigenvector, as single states and as a block.
+    ch = _grid_channels(kind, num_qubits)
+    rng = np.random.default_rng(seed)
+    stepper = BatchStepper(ch, delta_t)
+    states = [_random_state(rng, ch.dim) for _ in range(8)]
+    states += list(np.eye(ch.dim, dtype=complex))
+    states.append(np.linalg.eigh(stepper.gamma)[1][:, -1])
+    block = np.stack(states)
+    assert np.all(total_jump_probability(block, stepper.gamma) <= stepper.bound)
+    for psi in states:
+        assert total_jump_probability(psi, stepper.gamma) <= stepper.bound
 
 
 def test_step_allocates_no_block():

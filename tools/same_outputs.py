@@ -5,7 +5,9 @@ Usage: python3 tools/same_outputs.py [REV]     (REV defaults to HEAD)
 Checks out REV into a temporary git worktree, then runs `cycle`, `scaling`,
 `trajectories` and `validate` on every config under `configs/` in both that
 worktree and this working tree (uncommitted changes included), each with
-PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1.  Stdout bytes and exit
+PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1.  Every config that names a
+`code` also runs `cycle` and `scaling` under the other engine (`--engine`),
+so both engines run on every such noise.  Stdout bytes and exit
 codes are compared; each mismatch prints its first differing line.  Exits 1
 on any mismatch, 0 when every output is identical.  The worktree is removed
 afterwards.
@@ -23,13 +25,29 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import yaml
+
 COMMANDS = ("cycle", "scaling", "trajectories", "validate")
+CROSS_COMMANDS = ("cycle", "scaling")
+OTHER_ENGINE = {"density": "trajectory", "trajectory": "density"}
 
 
-def _run(tree: Path, command: str, config: str):
+def _jobs(configs: Path) -> list:
+    """(command, config, extra arguments) for every run to compare."""
+    jobs = []
+    for path in sorted(configs.glob("*.yaml")):
+        jobs += [(command, path.name, ()) for command in COMMANDS]
+        data = yaml.safe_load(path.read_text())
+        if "code" in data:
+            other = OTHER_ENGINE[data.get("engine", "density")]
+            jobs += [(command, path.name, ("--engine", other)) for command in CROSS_COMMANDS]
+    return jobs
+
+
+def _run(tree: Path, command: str, config: str, extra: tuple):
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "corrqec.cli", command, "--config", f"configs/{config}"],
+        [sys.executable, "-m", "corrqec.cli", command, "--config", f"configs/{config}", *extra],
         cwd=tree,
         env=env,
         stdout=subprocess.PIPE,
@@ -60,8 +78,7 @@ def main(argv) -> int:
             text=True,
         ).stdout.strip()
     )
-    configs = sorted(p.name for p in (here / "configs").glob("*.yaml"))
-    jobs = [(command, config) for config in configs for command in COMMANDS]
+    jobs = _jobs(here / "configs")
 
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         there = Path(tmp) / "rev"
@@ -77,9 +94,9 @@ def main(argv) -> int:
                     for job in jobs
                 ]
                 mismatches = 0
-                for (command, config), old, new in futures:
+                for (command, config, extra), old, new in futures:
                     (old_code, old_out), (new_code, new_out) = old.result(), new.result()
-                    name = f"{command} {config}"
+                    name = " ".join((command, config, *extra))
                     if old_code != new_code:
                         mismatches += 1
                         print(f"DIFF {name}: exit {old_code} at {rev}, {new_code} here")
