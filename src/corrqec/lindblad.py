@@ -14,9 +14,9 @@ block row, times the (n*d, d) stack of sqrt(xi_n) s_n^dag.  The stacks are
 built once per JumpChannelSet (its `jump_stacks`).  The first product runs
 only over the span of stack blocks that are not exactly zero (zero-rate
 channels, clipped from roundoff, come first in build_channels' ascending
-order) and writes into a zeroed buffer; the second keeps its full n*d inner
-dimension, because a shorter one changes how the product accumulates and
-moves the last digit.
+order; the span is cached on the channel set too) and writes into a zeroed
+array; the second keeps its full n*d inner dimension, because a shorter one
+changes how the product accumulates and moves the last digit.
 """
 
 from __future__ import annotations
@@ -71,31 +71,24 @@ def lindblad_rhs(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
             f"density matrix shape {rho.shape} does not match channel dimension "
             f"{ch.H_eff.shape}"
         )
-    return _rhs_function(ch)(rho)
+    return _rhs_precomposed(rho, ch.H_eff, *ch.jump_stacks, ch._live_stack_rows)
 
 
-def _rhs_function(ch: JumpChannelSet):
-    """The right-hand side over ch as a function of rho, with its own product buffer.
-
-    The first product covers the stack rows from the first to the last block
-    that is not exactly zero; the rows outside stay zero in the buffer.
-    """
-    h_eff = ch.H_eff
-    s_left, s_right = ch.jump_stacks
-    d = ch.dim
-    nonzero = np.flatnonzero(s_left.reshape(-1, d * d).any(axis=1))
-    live = slice(d * nonzero[0], d * (nonzero[-1] + 1)) if nonzero.size else slice(0, 0)
-    products = np.zeros_like(s_left)
-    # sum_n s_n rho s_n^dag = [s_1 rho | ... | s_n rho] @ [s_1^dag; ...; s_n^dag]
-    s_rho = products.reshape(-1, d, d).transpose(1, 0, 2)
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
-        np.matmul(s_left[live], rho, out=products[live])
-        out += s_rho.reshape(d, -1) @ s_right
-        return out
-
-    return rhs
+def _rhs_precomposed(
+    rho: np.ndarray,
+    h_eff: np.ndarray,
+    s_left: np.ndarray,
+    s_right: np.ndarray,
+    live: slice,
+) -> np.ndarray:
+    out = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
+    # sum_n s_n rho s_n^dag = [s_1 rho | ... | s_n rho] @ [s_1^dag; ...; s_n^dag];
+    # the stack rows outside `live` are exactly zero and so are their products.
+    d = rho.shape[0]
+    products = np.zeros(s_left.shape, dtype=complex)
+    np.matmul(s_left[live], rho, out=products[live])
+    out += products.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1) @ s_right
+    return out
 
 
 def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> np.ndarray:
@@ -110,7 +103,9 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
             f"density matrix shape {rho.shape} does not match channel dimension "
             f"{ch.H_eff.shape}"
         )
-    rhs = _rhs_function(ch)
+    h_eff = ch.H_eff
+    s_left, s_right = ch.jump_stacks
+    live = ch._live_stack_rows
 
     n_full, remainder = divmod(cfg.t_final, cfg.dt_integrator)
     n_full = int(n_full)
@@ -121,10 +116,10 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
     renorm_count = 0
     for step in range(n_full + (1 if remainder else 0)):
         dt = cfg.dt_integrator if step < n_full else remainder
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
+        k1 = _rhs_precomposed(rho, h_eff, s_left, s_right, live)
+        k2 = _rhs_precomposed(rho + 0.5 * dt * k1, h_eff, s_left, s_right, live)
+        k3 = _rhs_precomposed(rho + 0.5 * dt * k2, h_eff, s_left, s_right, live)
+        k4 = _rhs_precomposed(rho + dt * k3, h_eff, s_left, s_right, live)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
         t = (step + 1) * cfg.dt_integrator if step < n_full else cfg.t_final

@@ -333,6 +333,18 @@ class JumpChannelSet:
             stack.setflags(write=False)
         return stacks
 
+    @cached_property
+    def _live_stack_rows(self) -> slice:
+        """The rows of jump_stacks[0] from its first to its last block that is not exactly zero.
+
+        Zero-rate channels (rates clipped from negative roundoff) come first
+        in build_channels' ascending order, so the density engine's first
+        dissipator product skips them by running over this span only.
+        """
+        d = self.dim
+        live = np.flatnonzero(self.jump_stacks[0].reshape(-1, d * d).any(axis=1))
+        return slice(d * int(live[0]), d * int(live[-1] + 1)) if live.size else slice(0, 0)
+
 
 def pauli_stack(num_qubits: int) -> np.ndarray:
     """All 3L single-qubit Paulis as one (3L, 2^L, 2^L) array in flat order."""

@@ -194,22 +194,16 @@ def encode(alpha: complex, beta: complex, code: StabilizerCode) -> np.ndarray:
     return alpha * code.logical_zero + beta * code.logical_one
 
 
-def _batch_measure(
-    psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode, scratch=None
-):
+def _batch_measure(psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode):
     """Projectively measure all generators in order on a block of pure states.
 
     uniforms has one column per generator; u < p_plus selects the +1 branch
     (bit 0).  Returns the collapsed (M, dim) states, the packed syndrome of
     each row and its Born probability (the product over the chosen branches).
-    psi is overwritten and may come back as the collapsed block.  `scratch`,
-    an (M, dim) complex block, is overwritten; one is allocated when not
-    given.
+    psi is overwritten and may come back as the collapsed block.
     """
     psi = np.require(psi, complex, "CW")
-    v = np.empty_like(psi)
-    if scratch is None:
-        scratch = np.empty_like(psi)
+    v, scratch = np.empty_like(psi), np.empty_like(psi)
     syndrome = np.zeros(psi.shape[0], dtype=np.int64)
     born = np.ones(psi.shape[0])
     for i, p_plus in enumerate(code.plus_projectors):
@@ -238,16 +232,14 @@ def _batch_syndrome_recover(
     ownership of psi: the block is overwritten, and the result may be
     written into it, so a caller that still needs psi passes a copy.
     """
-    psi = np.require(psi, complex, "CW")
-    scratch = np.empty_like(psi)
-    psi, syndrome, _ = _batch_measure(psi, uniforms, code, scratch)
+    psi, syndrome, _ = _batch_measure(psi, uniforms, code)
     for s in np.unique(syndrome):
         m = code.syndrome_table[int(s)]
         if m == 0:
             continue
         rows = syndrome == s
         psi[rows] = psi[rows] @ code.error_basis[m].T
-    divide_rows(psi, row_norms(psi, scratch))
+    divide_rows(psi, row_norms(psi, np.empty_like(psi)))
     return psi
 
 

@@ -12,7 +12,8 @@ per-channel probabilities and the jump images s_n psi are built only for the
 states that jump.  For a unit state the total is at most lambda_max(Gamma),
 so when that bound is within the first-order gate only the rows whose
 uniform falls under it have their totals computed; the others cannot jump.
-Those rows' totals come from a product of at least min(2, M) rows of the
+Above the gate every row is such a candidate, so the gate sees every total.
+The candidates' totals come from a product of at least min(2, M) rows of the
 (M, dim) block, so each is the total the whole block's product gives, bit
 for bit: numpy runs a one-row product through gemv, which can differ from a
 GEMM row in the last bit, while the rows of a GEMM do not depend on how many
@@ -34,8 +35,9 @@ hash of every row's entropy runs at once in vectorized uint32 arithmetic,
 then one reused PCG64, set to each row's state, draws that row.
 
 Buffers: BatchStepper.step takes ownership of the block it advances, uses it
-as scratch and writes the following step's result into it, so no (M, dim)
-array is allocated per step and a block lives in two arrays.
+as scratch and writes the following step's result into it, so a block
+lives in two arrays; per step only the candidate rows are gathered, and
+that is all M rows only when the bound is above the gate.
 """
 
 from __future__ import annotations
@@ -154,16 +156,10 @@ def jump_rate_operator(ch: JumpChannelSet, delta_t: float) -> np.ndarray:
     return 0.5 * (gamma + gamma.conj().T)
 
 
-def total_jump_probability(
-    psi: np.ndarray, gamma: np.ndarray, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """<psi|Gamma|psi> for a state (dim,) or for every row of a block (M, dim).
-
-    Gamma psi goes into `scratch` (an array of psi's shape, overwritten)
-    when one is given.
-    """
+def total_jump_probability(psi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """<psi|Gamma|psi> for a state (dim,) or for every row of a block (M, dim)."""
     psi = np.ascontiguousarray(psi, dtype=complex)
-    v = np.matmul(psi, gamma.T, out=scratch)
+    v = psi @ gamma.T
     # Re<psi|v> as a real dot product over the interleaved Re/Im parts.
     return np.einsum("...k,...k->...", psi.view(float), v.view(float))
 
@@ -192,8 +188,8 @@ class BatchStepper:
     uniform is at or above `bound` cannot jump; when `bound` is within the
     first-order gate, no row can fail the gate either, and only the other
     rows get their total jump probability <psi|Gamma|psi>, from a product
-    of at least min(2, M) rows.  Otherwise every row's total is computed and
-    gated.  Only the rows that jump get per-channel probabilities and jump
+    of at least min(2, M) rows.  Otherwise every row is a candidate and
+    every total is gated.  Only the rows that jump get per-channel probabilities and jump
     images.  A step takes ownership of the block it is given, and the
     stepper writes its next step's result into it.
     """
@@ -223,18 +219,17 @@ class BatchStepper:
         phi = self._spare
         if phi is None or phi.shape != psi.shape or np.may_share_memory(phi, psi):
             phi = np.empty_like(psi)
-        if self.bound <= SUM_P_GATE:
-            candidates = np.flatnonzero(u < self.bound)
-            # A lone candidate in a block of several rows goes in a two-row
-            # product, so that its total is the block product's to the bit.
-            if candidates.size == 1 < psi.shape[0]:
-                block = psi[np.repeat(candidates, 2)]
-            else:
-                block = psi[candidates]
-            total = total_jump_probability(block, self.gamma)[: candidates.size]
+        # A row with u >= bound cannot jump.  Above the gate every row is a
+        # candidate, so that the gate sees every total.
+        screen = self.bound if self.bound <= SUM_P_GATE else np.inf
+        candidates = np.flatnonzero(u < screen)
+        # A lone candidate in a block of several rows goes in a two-row
+        # product, so that its total is the block product's to the bit.
+        if candidates.size == 1 < psi.shape[0]:
+            block = psi[np.repeat(candidates, 2)]
         else:
-            candidates = slice(None)
-            total = total_jump_probability(psi, self.gamma, scratch=phi)
+            block = psi[candidates]
+        total = total_jump_probability(block, self.gamma)[: candidates.size]
         _check_gate(total.max(initial=0.0), self.delta_t)
         jumped = np.zeros(psi.shape[0], dtype=bool)
         jumped[candidates] = u[candidates] < total

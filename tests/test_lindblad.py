@@ -94,6 +94,8 @@ def test_rhs_skips_exactly_zero_blocks_bit_for_bit(kernel, zero_blocks):
     d = ch.dim
     zero = ~s_left.reshape(-1, d * d).any(axis=1)
     assert zero[:zero_blocks].all() and not zero[zero_blocks:].any()
+    assert ch._live_stack_rows == slice(d * zero_blocks, s_left.shape[0])
+    assert ch._live_stack_rows is ch._live_stack_rows
     rng = np.random.default_rng(4)
     for _ in range(3):
         rho = _random_density(rng, d)
