@@ -20,6 +20,7 @@ unchanged.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -489,32 +490,37 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
 
     Bundles the noise PSD gate, the first-order jump-probability gate, the
     code orthogonality and recovery sweeps, a reduced unraveling-consistency
-    check, and the first-order channel convergence order.
+    check, and the first-order channel convergence order.  The spec, its
+    channels and the initial state are built on first use and shared; a spec
+    that fails to resolve is the error of every check that needs it.
     """
     checks = []
 
-    def initial_state(spec):
+    @functools.cache
+    def resolved():
+        return resolve_spec(cfg)
+
+    @functools.cache
+    def channels_and_state():
         # The codeword when the register fits the code, else the product state.
+        spec = resolved()
         code = five_qubit_code()
         alpha, beta = cfg.logical_state
         if spec.num_qubits == code.n_physical:
-            return encode(alpha, beta, code)
-        return _product_state(alpha, beta, spec.num_qubits)
+            psi = encode(alpha, beta, code)
+        else:
+            psi = _product_state(alpha, beta, spec.num_qubits)
+        return build_channels(spec), psi
 
     def psd_gate():
-        spec = resolve_spec(cfg)
-        w_min = float(np.linalg.eigvalsh(spec.A).min())
+        w_min = float(np.linalg.eigvalsh(resolved().A).min())
         return f"{w_min:.3e}", w_min >= -1e-10, ""
 
     checks.append(_check("noise_psd_gate", ">=-1e-10", psd_gate))
 
     def probability_gate():
-        spec = resolve_spec(cfg)
-        ch = build_channels(spec)
-        psi = initial_state(spec)
-        dt_max = max(cfg.delta_t_values)
-        if cfg.n_values:
-            dt_max = max(dt_max, cfg.t_total / min(cfg.n_values))
+        ch, psi = channels_and_state()
+        dt_max = max(max(cfg.delta_t_values), cfg.t_total / min(cfg.n_values))
         # Largest unraveling interval any configured run would use: correction
         # cycles are split into trajectory_substeps, raw trajectory logs step
         # at delta_t_values[0] directly.
@@ -586,12 +592,14 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
     checks.append(_check("unraveling_consistency", "<=0.03", unraveling))
 
     def channel_order():
-        spec = resolve_spec(cfg)
-        ch = build_channels(spec)
-        psi = initial_state(spec)
+        ch, psi = channels_and_state()
         rho0 = pure_state_projector(psi)
-        xi_max = max(max_rate(spec), 1e-12)
-        dt = 0.02 / xi_max
+        dt = 0.02 / max(max_rate(resolved()), 1e-12)
+        # At most half the first-order gate of jump probability from psi, so
+        # build_first_order_channel accepts both steps.
+        rate = float(total_jump_probability(psi, jump_rate_operator(ch, 1.0)))
+        if rate > 0:
+            dt = min(dt, SUM_P_GATE / 2 / rate)
         dt_int = default_dt_integrator(ch)
         errs = []
         for d in (dt, dt / 2):

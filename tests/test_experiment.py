@@ -1,6 +1,7 @@
 """Experiment driver, config parsing, CSV output, CLI exit codes."""
 
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from corrqec.noise import (
 )
 from corrqec.qecc import _batch_syndrome_recover
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ZKERNEL = exponential_kernel(5, amplitude=1.0, correlation_length=2.0, tau_c=0.05, axis=3)
 
 
@@ -499,6 +501,18 @@ def test_validation_suite_flags_bad_noise():
     assert run_validation_suite(bad).checks[0].passed
 
 
+def test_validation_suite_builds_its_inputs_once():
+    # one spec resolution and one channel build for the configured noise; the
+    # unraveling check builds its own L=2 channels
+    cfg = ExperimentConfig(noise=ZKERNEL, engine="density")
+    with mock.patch("corrqec.experiment.resolve_spec", wraps=resolve_spec) as resolve, \
+            mock.patch("corrqec.experiment.build_channels", wraps=build_channels) as build:
+        report = run_validation_suite(cfg)
+    assert report.passed, report.render()
+    assert resolve.call_count == 1
+    assert build.call_count == 2
+
+
 def test_validation_probability_gate_binds_trajectory_engine_only():
     # unit-rate dephasing at a 0.5 interval: total jump probability 0.5, over
     # the gate; reported as a failure for the trajectory engine, as passing
@@ -721,6 +735,11 @@ def test_cli_trajectories_command(tmp_path):
         CHEAP_TRAJECTORY_YAML.replace("delta_t_values: [0.05]", "delta_t_values: [0.03]"),
     )
     assert main(["trajectories", "--config", bad]) == 1
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+def test_packaged_configs_pass_validate(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0, capsys.readouterr().out
 
 
 def test_cli_validate_pass_and_fail(tmp_path, capsys):

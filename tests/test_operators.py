@@ -4,15 +4,22 @@ Expected values come from closed forms or independent oracles (50-term
 Taylor series, direct multiplication), never from the functions under test.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import corrqec
 from corrqec.errors import DomainError, ResourceError
 from corrqec.operators import (
     AXIS_X,
     AXIS_Y,
     AXIS_Z,
     IDENTITY_2,
+    MAX_DIM,
     MAX_QUBITS,
     PAULI_X,
     PAULI_Y,
@@ -197,6 +204,47 @@ def test_matrix_exponential_semigroup():
     lhs = matrix_exponential(m, 0.3 + 0.1j) @ matrix_exponential(m, 0.4 - 0.2j)
     rhs = matrix_exponential(m, 0.7 - 0.1j)
     assert np.linalg.norm(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
+def test_matrix_exponential_matches_scipy_past_the_squaring_threshold(dim):
+    # 1-norms above 1/2 take the squaring branch; scipy's Pade expm is the oracle
+    pytest.importorskip("scipy")
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(30 + dim)
+    for norm in (0.51, 0.75, 3.0, 20.0, 90.0):
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        jumps = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        # -i H_eff as in Q_0, with H_eff = H - (i/2) Gamma, and a general matrix
+        h_eff = raw + raw.conj().T - 0.5j * jumps @ jumps.conj().T
+        for m in (-1j * h_eff, raw):
+            m = m * (norm / np.linalg.norm(m, 1))
+            expected = expm(m)
+            rel = np.linalg.norm(matrix_exponential(m) - expected) / np.linalg.norm(expected)
+            assert rel < 1e-12, (norm, rel)
+
+
+def test_matrix_exponential_rejects_non_finite_and_oversized():
+    with pytest.raises(DomainError):
+        matrix_exponential(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(DomainError):
+        matrix_exponential(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
+    with pytest.raises(ResourceError):
+        matrix_exponential(np.zeros((MAX_DIM + 1, 1), dtype=complex))
+
+
+def test_scipy_is_off_the_import_path():
+    src = str(Path(corrqec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, corrqec, corrqec.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_state_helpers():
