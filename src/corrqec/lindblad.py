@@ -11,17 +11,21 @@ channel are validated against it.
 The dissipator is two matrix products over the stacked jump operators: the
 (n*d, d) stack of sqrt(xi_n) s_n times rho, laid side by side as a (d, n*d)
 block row, times the (n*d, d) stack of sqrt(xi_n) s_n^dag.  The stacks are
-built once per JumpChannelSet (its `jump_stacks`).  The first product runs
-only over the span of stack blocks that are not exactly zero (zero-rate
-channels, clipped from roundoff, come first in build_channels' ascending
-order; the span is cached on the channel set too) and writes into a zeroed
-array; the second keeps its full n*d inner dimension, because a shorter one
-changes how the product accumulates and moves the last digit.
+built once per JumpChannelSet (its `jump_stacks`).  The block row is a
+zeroed (d, n, d) array allocated once per `evolve_exact` call and reused by
+every stage of every step: the first product writes each live block's
+s_n rho straight into its place in it, through a transposed view, and
+never touches the blocks that are exactly zero (zero-rate channels, clipped
+from roundoff, come first in build_channels' ascending order; the span of
+live blocks is cached on the channel set).  The second product reads the
+block row as (d, n*d) and keeps its full n*d inner dimension, because a
+shorter one changes how the product accumulates and moves the last digit.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +55,12 @@ class EvolutionConfig:
     t_final: float
 
     def __post_init__(self):
-        if not self.dt_integrator > 0:
-            raise DomainError(f"dt_integrator must be positive, got {self.dt_integrator}")
-        if self.t_final < 0:
-            raise DomainError(f"t_final must be nonnegative, got {self.t_final}")
+        if not (math.isfinite(self.dt_integrator) and self.dt_integrator > 0):
+            raise DomainError(
+                f"dt_integrator must be positive and finite, got {self.dt_integrator}"
+            )
+        if not (math.isfinite(self.t_final) and self.t_final >= 0):
+            raise DomainError(f"t_final must be nonnegative and finite, got {self.t_final}")
 
 
 def default_dt_integrator(ch: JumpChannelSet) -> float:
@@ -71,24 +77,35 @@ def lindblad_rhs(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
             f"density matrix shape {rho.shape} does not match channel dimension "
             f"{ch.H_eff.shape}"
         )
-    return _rhs_precomposed(rho, ch.H_eff, *ch.jump_stacks, ch._live_stack_rows)
+    return _rhs(ch)(rho)
 
 
-def _rhs_precomposed(
-    rho: np.ndarray,
-    h_eff: np.ndarray,
-    s_left: np.ndarray,
-    s_right: np.ndarray,
-    live: slice,
-) -> np.ndarray:
-    out = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
-    # sum_n s_n rho s_n^dag = [s_1 rho | ... | s_n rho] @ [s_1^dag; ...; s_n^dag];
-    # the stack rows outside `live` are exactly zero and so are their products.
-    d = rho.shape[0]
-    products = np.zeros(s_left.shape, dtype=complex)
-    np.matmul(s_left[live], rho, out=products[live])
-    out += products.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1) @ s_right
-    return out
+def _rhs(ch: JumpChannelSet):
+    """The right-hand side as `rhs(rho)`, writing into one block row it owns.
+
+    sum_n s_n rho s_n^dag = [s_1 rho | ... | s_n rho] @ [s_1^dag; ...; s_n^dag].
+    Each call overwrites the live blocks of the block row and reads the whole
+    row, so the returned function must not run concurrently with itself.
+    Every block has d >= 2 rows, so each block's product is a GEMM whose
+    rows equal those of the whole stack's product.
+    """
+    h_eff = ch.H_eff
+    h_dag = h_eff.conj().T
+    s_left, s_right = ch.jump_stacks
+    d, n = ch.dim, ch.num_channels
+    blocks = ch._live_blocks
+    s_live = s_left.reshape(n, d, d)[blocks]
+    block_row = np.zeros((d, n, d), dtype=complex)
+    live_out = block_row.transpose(1, 0, 2)[blocks]
+    flat = block_row.reshape(d, n * d)
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        out = -1j * (h_eff @ rho - rho @ h_dag)
+        np.matmul(s_live, rho, out=live_out)
+        out += flat @ s_right
+        return out
+
+    return rhs
 
 
 def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> np.ndarray:
@@ -103,9 +120,7 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
             f"density matrix shape {rho.shape} does not match channel dimension "
             f"{ch.H_eff.shape}"
         )
-    h_eff = ch.H_eff
-    s_left, s_right = ch.jump_stacks
-    live = ch._live_stack_rows
+    rhs = _rhs(ch)
 
     n_full, remainder = divmod(cfg.t_final, cfg.dt_integrator)
     n_full = int(n_full)
@@ -116,10 +131,10 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
     renorm_count = 0
     for step in range(n_full + (1 if remainder else 0)):
         dt = cfg.dt_integrator if step < n_full else remainder
-        k1 = _rhs_precomposed(rho, h_eff, s_left, s_right, live)
-        k2 = _rhs_precomposed(rho + 0.5 * dt * k1, h_eff, s_left, s_right, live)
-        k3 = _rhs_precomposed(rho + 0.5 * dt * k2, h_eff, s_left, s_right, live)
-        k4 = _rhs_precomposed(rho + dt * k3, h_eff, s_left, s_right, live)
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
         t = (step + 1) * cfg.dt_integrator if step < n_full else cfg.t_final

@@ -334,8 +334,8 @@ class JumpChannelSet:
         return stacks
 
     @cached_property
-    def _live_stack_rows(self) -> slice:
-        """The rows of jump_stacks[0] from its first to its last block that is not exactly zero.
+    def _live_blocks(self) -> slice:
+        """The blocks of jump_stacks[0] from its first to its last that is not exactly zero.
 
         Zero-rate channels (rates clipped from negative roundoff) come first
         in build_channels' ascending order, so the density engine's first
@@ -343,7 +343,7 @@ class JumpChannelSet:
         """
         d = self.dim
         live = np.flatnonzero(self.jump_stacks[0].reshape(-1, d * d).any(axis=1))
-        return slice(d * int(live[0]), d * int(live[-1] + 1)) if live.size else slice(0, 0)
+        return slice(int(live[0]), int(live[-1] + 1)) if live.size else slice(0, 0)
 
 
 def pauli_stack(num_qubits: int) -> np.ndarray:

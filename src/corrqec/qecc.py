@@ -15,7 +15,7 @@ force anticommutation rather than entered by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,6 +88,19 @@ class StabilizerCode:
     @property
     def dim(self) -> int:
         return self.logical_zero.shape[0]
+
+    @cached_property
+    def recovery_products(self) -> tuple:
+        """The pairs (R_{m(s)} P_s, its complex conjugate) for every syndrome s, read-only.
+
+        The correction channel is a sum over them, so they are built once
+        per code.
+        """
+        pairs = []
+        for s, p in enumerate(self.syndrome_projectors):
+            rp = _frozen_array(self.error_basis[self.syndrome_table[s]] @ p)
+            pairs.append((rp, _frozen_array(rp.conj())))
+        return tuple(pairs)
 
 
 def syndrome_index(bits) -> int:
@@ -253,9 +266,8 @@ def correction_channel(rho: np.ndarray, code: StabilizerCode) -> np.ndarray:
     if rho.shape != (code.dim, code.dim):
         raise DomainError(f"density matrix shape {rho.shape} does not match code")
     out = np.zeros_like(rho)
-    for s, p in enumerate(code.syndrome_projectors):
-        rp = code.error_basis[code.syndrome_table[s]] @ p
-        out += rp @ rho @ rp.conj().T
+    for rp, rp_conj in code.recovery_products:
+        out += rp @ rho @ rp_conj.T
     if abs(out.trace() - rho.trace()) > 1e-10:
         raise SimulationError("correction channel failed to preserve the trace")
     return out

@@ -1,6 +1,8 @@
 """Density-matrix engine tests: RHS algebra, closed-form decays, RK4 behavior."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,19 +85,25 @@ def test_jump_stacks_built_once_with_unchanged_values():
         (collective_axis_kernel(5, axis=3, amplitude=0.2), 14),
         (exponential_kernel(5, correlation_length=2.0, axis=3, tau_c=0.05, g1=1.0), 6),
         (exponential_kernel(3, correlation_length=1.5), 0),
+        (collective_axis_kernel(1, axis=3, amplitude=0.2), 2),
+        (independent_kernel(1), 0),
+        (exponential_kernel(2, correlation_length=2.0, axis=3), 4),
+        (lowering_kernel(3), 6),
+        (independent_kernel(5), 0),
     ],
 )
 def test_rhs_skips_exactly_zero_blocks_bit_for_bit(kernel, zero_blocks):
-    # The first product runs only over the span of stack blocks that are not
+    # The first product writes only the span of stack blocks that are not
     # exactly zero (zero-rate channels, clipped from negative roundoff, come
-    # first); the result equals the product over the whole stack.
+    # first) into the block row; the result equals the transposed product
+    # over the whole stack.
     ch = build_channels(rescale_to_unit_max_rate(integrate_kernel(kernel)))
     s_left, s_right = ch.jump_stacks
     d = ch.dim
     zero = ~s_left.reshape(-1, d * d).any(axis=1)
     assert zero[:zero_blocks].all() and not zero[zero_blocks:].any()
-    assert ch._live_stack_rows == slice(d * zero_blocks, s_left.shape[0])
-    assert ch._live_stack_rows is ch._live_stack_rows
+    assert ch._live_blocks == slice(zero_blocks, ch.num_channels)
+    assert ch._live_blocks is ch._live_blocks
     rng = np.random.default_rng(4)
     for _ in range(3):
         rho = _random_density(rng, d)
@@ -103,6 +111,45 @@ def test_rhs_skips_exactly_zero_blocks_bit_for_bit(kernel, zero_blocks):
         s_rho = (s_left @ rho).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
         full += s_rho @ s_right
         assert np.array_equal(lindblad_rhs(rho, ch), full)
+
+
+def test_evolve_reuses_one_block_row():
+    # A warm evolve_exact at L=5 allocates its (d, n, d) block row once and
+    # writes every stage into it.  Ten steps peak at 1.68 rows above their
+    # baseline: that row and (d, d) temporaries.  A fresh row and its
+    # transposed copy on every right-hand side peaked at 2.54 rows.
+    ch = build_channels(rescale_to_unit_max_rate(integrate_kernel(exponential_kernel(5))))
+    block_row_bytes = ch.num_channels * ch.dim * ch.dim * 16
+    rho0 = _plus_state(5)
+    cfg = EvolutionConfig(dt_integrator=1e-3, t_final=0.01)
+    evolve_exact(rho0, ch, cfg)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        evolve_exact(rho0, ch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - baseline - block_row_bytes < block_row_bytes
+
+
+def test_interleaved_evolutions_match_lone_runs():
+    # Each evolve_exact call owns its block row.  The two sets share a
+    # dimension, one with zero blocks and one without, so a row shared
+    # between them would carry the second set's blocks into the first.
+    kernels = (collective_axis_kernel(3, axis=3, amplitude=0.2), exponential_kernel(3))
+    sets = [build_channels(rescale_to_unit_max_rate(integrate_kernel(k))) for k in kernels]
+    rng = np.random.default_rng(9)
+    starts = [_random_density(rng, 8) for _ in range(3)]
+    cfg = EvolutionConfig(dt_integrator=1e-2, t_final=0.05)
+    alone = [[evolve_exact(rho, ch, cfg) for rho in starts] for ch in sets]
+    for j, rho in enumerate(starts):
+        for i, ch in enumerate(sets):
+            assert np.array_equal(evolve_exact(rho, ch, cfg), alone[i][j])
 
 
 def _random_mixed_density(rng, dim):
@@ -234,6 +281,17 @@ def test_evolution_config_validation():
         EvolutionConfig(dt_integrator=0.0, t_final=1.0)
     with pytest.raises(DomainError):
         EvolutionConfig(dt_integrator=0.1, t_final=-1.0)
+
+
+@pytest.mark.parametrize(
+    "dt_integrator, t_final",
+    [(1e-3, math.nan), (1e-3, math.inf), (math.inf, 1.0), (math.nan, 1.0), (-math.inf, 1.0)],
+)
+def test_evolution_config_rejects_non_finite(dt_integrator, t_final):
+    # Unchecked, a NaN or infinite t_final reaches evolve_exact's step count
+    # as a bare ValueError, and an infinite step integrates in one RK4 step.
+    with pytest.raises(DomainError):
+        EvolutionConfig(dt_integrator=dt_integrator, t_final=t_final)
 
 
 def test_default_dt_targets_unit_rate_exposure():

@@ -328,6 +328,31 @@ def test_correction_channel_trace_and_positivity():
         correction_channel(np.eye(16, dtype=complex) / 16, code)
 
 
+def test_recovery_products_built_once_with_unchanged_bits():
+    # The cached pairs equal R_m(s) P_s and its conjugate bit for bit, and
+    # the channel over them gives the bits of products formed per call.
+    code = five_qubit_code()
+    pairs = code.recovery_products
+    assert code.recovery_products is pairs and len(pairs) == 16
+    for s, (rp, rp_conj) in enumerate(pairs):
+        fresh = code.error_basis[code.syndrome_table[s]] @ code.syndrome_projectors[s]
+        assert np.array_equal(rp, fresh) and np.array_equal(rp_conj, fresh.conj())
+        with pytest.raises(ValueError):
+            rp[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rp_conj[0, 0] = 1.0
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        m = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        rho = m @ m.conj().T
+        rho = rho / rho.trace()
+        expected = np.zeros_like(rho)
+        for s, p in enumerate(code.syndrome_projectors):
+            rp = code.error_basis[code.syndrome_table[s]] @ p
+            expected += rp @ rho @ rp.conj().T
+        assert np.array_equal(correction_channel(rho, code), expected)
+
+
 def test_correction_channel_matches_sampled_measurement():
     # Monte Carlo measure-and-recover converges to the deterministic channel
     code = five_qubit_code()

@@ -2,15 +2,15 @@
 
 Usage: python3 tools/same_outputs.py [REV]     (REV defaults to HEAD)
 
-Checks out REV into a temporary git worktree, then runs `cycle`, `scaling`,
-`trajectories` and `validate` on every config under `configs/` in both that
-worktree and this working tree (uncommitted changes included), each with
-PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1.  Every config that names a
-`code` also runs `cycle` and `scaling` under the other engine (`--engine`),
-so both engines run on every such noise.  Stdout bytes and exit
-codes are compared; each mismatch prints its first differing line.  Exits 1
-on any mismatch, 0 when every output is identical.  The worktree is removed
-afterwards.
+Checks out REV into a temporary directory (tools/revtree.py), then runs
+`cycle`, `scaling`, `trajectories` and `validate` on every config under
+`configs/` in both that checkout and this working tree (uncommitted changes
+included), each with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1.
+Every config that names a `code` also runs `cycle` and `scaling` under the
+other engine (`--engine`), so both engines run on every such noise.  Stdout
+bytes and exit codes are compared; each mismatch prints its first differing
+line.  Exits 1 on any mismatch, 0 when every output is identical.  The
+checkout is removed afterwards.
 
 The bytes depend on the BLAS kernel, so the comparison only means something
 between two trees on the same machine.
@@ -21,11 +21,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import yaml
+
+from revtree import repo_root, rev_tree
 
 COMMANDS = ("cycle", "scaling", "trajectories", "validate")
 CROSS_COMMANDS = ("cycle", "scaling")
@@ -69,47 +70,28 @@ def _first_difference(rev: str, old: bytes, new: bytes) -> str:
 
 def main(argv) -> int:
     rev = argv[1] if len(argv) > 1 else "HEAD"
-    here = Path(
-        subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            cwd=Path(__file__).resolve().parent,
-            check=True,
-            capture_output=True,
-            text=True,
-        ).stdout.strip()
-    )
+    here = repo_root()
     jobs = _jobs(here / "configs")
 
-    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        there = Path(tmp) / "rev"
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", "--quiet", str(there), rev],
-            cwd=here,
-            check=True,
-        )
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [
-                    (job, pool.submit(_run, there, *job), pool.submit(_run, here, *job))
-                    for job in jobs
-                ]
-                mismatches = 0
-                for (command, config, extra), old, new in futures:
-                    (old_code, old_out), (new_code, new_out) = old.result(), new.result()
-                    name = " ".join((command, config, *extra))
-                    if old_code != new_code:
-                        mismatches += 1
-                        print(f"DIFF {name}: exit {old_code} at {rev}, {new_code} here")
-                    elif old_out != new_out:
-                        mismatches += 1
-                        print(f"DIFF {name} (exit {new_code}), first difference at "
-                              f"{_first_difference(rev, old_out, new_out)}")
-                    else:
-                        print(f"same {name} (exit {new_code}, {len(new_out)} bytes)")
-        finally:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(there)], cwd=here, check=False
-            )
+    with rev_tree(here, rev, "same_outputs_") as there:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                (job, pool.submit(_run, there, *job), pool.submit(_run, here, *job))
+                for job in jobs
+            ]
+            mismatches = 0
+            for (command, config, extra), old, new in futures:
+                (old_code, old_out), (new_code, new_out) = old.result(), new.result()
+                name = " ".join((command, config, *extra))
+                if old_code != new_code:
+                    mismatches += 1
+                    print(f"DIFF {name}: exit {old_code} at {rev}, {new_code} here")
+                elif old_out != new_out:
+                    mismatches += 1
+                    print(f"DIFF {name} (exit {new_code}), first difference at "
+                          f"{_first_difference(rev, old_out, new_out)}")
+                else:
+                    print(f"same {name} (exit {new_code}, {len(new_out)} bytes)")
     print(f"{len(jobs) - mismatches}/{len(jobs)} outputs identical to {rev}")
     return 1 if mismatches else 0
 
