@@ -100,37 +100,51 @@ class ExperimentConfig:
             raise ConfigError(
                 "noise must be a CorrelationKernel, NoiseSpec or DirectNoise"
             )
+        if not isinstance(self.normalize_rates, bool):
+            raise ConfigError(f"normalize_rates must be a boolean, got {self.normalize_rates!r}")
         if self.code != "five_qubit":
             raise ConfigError(f"unsupported code {self.code!r}; only 'five_qubit'")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        alpha, beta = self.logical_state
+        state = self.logical_state
         # The unit-norm test below is false for NaN.
-        if not np.all(np.isfinite([alpha, beta])):
-            raise ConfigError(
-                f"logical_state amplitudes must be finite, got {self.logical_state!r}"
-            )
+        if not (
+            isinstance(state, (tuple, list))
+            and len(state) == 2
+            and all(_is_number(a, complex, np.complexfloating) for a in state)
+            and np.all(np.isfinite(state))
+        ):
+            raise ConfigError(f"logical_state must be two finite numbers, got {state!r}")
+        alpha, beta = state
         if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
             raise ConfigError("logical_state amplitudes must have unit norm")
         # The chained comparisons are false for NaN.
-        if not 0 < self.t_total < np.inf:
-            raise ConfigError(f"t_total must be positive and finite, got {self.t_total}")
-        if not self.n_values or any(
+        if not (_is_number(self.t_total) and 0 < self.t_total < np.inf):
+            raise ConfigError(f"t_total must be a positive finite number, got {self.t_total!r}")
+        if not isinstance(self.n_values, (tuple, list)) or not self.n_values or any(
             isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in self.n_values
         ):
             raise ConfigError(f"n_values must be positive integers, got {self.n_values!r}")
-        if not self.delta_t_values or any(
-            not 0 < dt < np.inf for dt in self.delta_t_values
+        if not isinstance(self.delta_t_values, (tuple, list)) or not self.delta_t_values or any(
+            not (_is_number(dt) and 0 < dt < np.inf) for dt in self.delta_t_values
         ):
-            raise ConfigError("delta_t_values must be positive and finite")
+            raise ConfigError(
+                f"delta_t_values must be positive finite numbers, got {self.delta_t_values!r}"
+            )
         for name, least in (("trajectories", 1), ("trajectory_substeps", 1), ("base_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 sign = "positive" if least else "nonnegative"
                 raise ConfigError(f"{name} must be a {sign} integer, got {value!r}")
         object.__setattr__(self, "logical_state", (complex(alpha), complex(beta)))
+        object.__setattr__(self, "t_total", float(self.t_total))
         object.__setattr__(self, "n_values", tuple(self.n_values))
         object.__setattr__(self, "delta_t_values", tuple(float(x) for x in self.delta_t_values))
+
+
+def _is_number(x, *extra) -> bool:
+    """A real number (or one of the `extra` types), not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating, *extra)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import DomainError, SimulationError
 from .operators import (
     AXIS_LABELS,
+    HERM_TOL,
     channel_index,
     channel_qubit_axis,
     hermitian_eigensystem,
@@ -36,7 +37,6 @@ from .operators import (
     _check_qubit_count,
 )
 
-_HERM_TOL = 1e-10
 _PSD_FLOOR = -1e-10
 _RECON_TOL = 1e-9
 _ROW_NORM_TOL = 1e-10
@@ -85,7 +85,7 @@ class CorrelationKernel:
         if not np.all(np.isfinite(spatial.view(float))):
             raise DomainError("spatial table contains non-finite entries")
         herm = np.max(np.abs(spatial - spatial.conj().T))
-        if herm > _HERM_TOL:
+        if herm > HERM_TOL:
             raise DomainError(
                 f"spatial correlation table is not Hermitian: residual {herm:.3e}"
             )
@@ -225,10 +225,10 @@ def noise_spec_direct(A, B=None, num_qubits: int | None = None) -> NoiseSpec:
         if not np.all(np.isfinite(m.view(float))):
             raise DomainError(f"{name} contains non-finite entries")
         herm = np.max(np.abs(m - m.conj().T))
-        if herm > _HERM_TOL:
+        if herm > HERM_TOL:
             raise DomainError(f"{name} is not Hermitian: residual {herm:.3e}")
 
-    w, v = hermitian_eigensystem(A, tol=_HERM_TOL)
+    w, v = hermitian_eigensystem(A)
     if w.min(initial=0.0) < _PSD_FLOOR:
         raise DomainError(
             f"A is not positive semidefinite: eigenvalue {w.min():.6e} "
@@ -409,7 +409,7 @@ def build_channels(spec: NoiseSpec) -> JumpChannelSet:
     degenerate eigenspace is acceptable, the resulting dissipator is basis
     independent.
     """
-    w, v = hermitian_eigensystem(spec.A, tol=_HERM_TOL)
+    w, v = hermitian_eigensystem(spec.A)
     if w.min(initial=0.0) < _PSD_FLOOR:
         raise DomainError(
             f"rate matrix eigenvalue {w.min():.6e} below the PSD floor"

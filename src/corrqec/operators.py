@@ -18,6 +18,11 @@ from .errors import DomainError, ResourceError
 MAX_QUBITS = 12
 MAX_DIM = 2**MAX_QUBITS
 
+# Largest |m - m^dag| entry a Hermitian input may carry.
+HERM_TOL = 1e-10
+# Largest deviation of a state vector's norm from 1.
+_NORM_TOL = 1e-10
+
 AXIS_X, AXIS_Y, AXIS_Z = 1, 2, 3
 AXIS_LABELS = {AXIS_X: "x", AXIS_Y: "y", AXIS_Z: "z"}
 
@@ -90,23 +95,21 @@ def kron_chain(factors) -> np.ndarray:
     return result
 
 
-def hermitian_eigensystem(
-    m: np.ndarray, tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real ascending
     and eigenvectors as the columns of a unitary matrix V, so that
     ``m = V @ diag(eigenvalues) @ V.conj().T``.  The input is symmetrized as
-    (m + m^dag)/2 before decomposition; asymmetry beyond `tol` is an error.
+    (m + m^dag)/2 before decomposition; asymmetry beyond HERM_TOL is an error.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     asym = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if asym > tol:
+    if asym > HERM_TOL:
         raise DomainError(
-            f"matrix is not Hermitian: max |m - m^dag| = {asym:.3e} > {tol:.1e}"
+            f"matrix is not Hermitian: max |m - m^dag| = {asym:.3e} > {HERM_TOL:.1e}"
         )
     sym = 0.5 * (m + m.conj().T)
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
@@ -187,7 +190,7 @@ def basis_state(index: int, num_qubits: int) -> np.ndarray:
     return psi
 
 
-def check_state_vector(psi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def check_state_vector(psi: np.ndarray) -> np.ndarray:
     """Validate amplitudes: power-of-two length, finite, unit norm."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
@@ -196,8 +199,8 @@ def check_state_vector(psi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if not np.all(np.isfinite(psi.view(float))):
         raise DomainError("state vector contains non-finite amplitudes")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol:
-        raise DomainError(f"state vector norm {norm!r} deviates from 1 beyond {tol:.1e}")
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise DomainError(f"state vector norm {norm!r} deviates from 1 beyond {_NORM_TOL:.1e}")
     return psi
 
 

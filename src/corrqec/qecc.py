@@ -211,14 +211,12 @@ def _batch_measure(psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode):
     """Projectively measure all generators in order on a block of pure states.
 
     uniforms has one column per generator; u < p_plus selects the +1 branch
-    (bit 0).  Returns the collapsed (M, dim) states, the packed syndrome of
-    each row and its Born probability (the product over the chosen branches).
-    psi is overwritten and may come back as the collapsed block.
+    (bit 0).  Returns the collapsed (M, dim) states and the packed syndrome
+    of each row.  psi is overwritten and may come back as the collapsed block.
     """
     psi = np.require(psi, complex, "CW")
     v, scratch = np.empty_like(psi), np.empty_like(psi)
     syndrome = np.zeros(psi.shape[0], dtype=np.int64)
-    born = np.ones(psi.shape[0])
     for i, p_plus in enumerate(code.plus_projectors):
         np.matmul(psi, p_plus.T, out=v)
         q = np.einsum("bi,bi->b", np.conjugate(v, out=scratch), v).real
@@ -226,13 +224,12 @@ def _batch_measure(psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode):
         if not -1e-10 <= lo <= hi <= 1.0 + 1e-10:
             raise SimulationError(f"branch probabilities [{lo!r}, {hi!r}] outside [0, 1]")
         take_plus = uniforms[:, i] < q
-        born *= np.where(take_plus, q, 1.0 - q)
         # v becomes the collapsed block: psi - v_plus on the -1 rows only.
         np.subtract(psi, v, out=v, where=~take_plus[:, None])
         divide_rows(v, row_norms(v, scratch))
         syndrome += (~take_plus).astype(np.int64) << i
         psi, v = v, psi
-    return psi, syndrome, born
+    return psi, syndrome
 
 
 def _batch_syndrome_recover(
@@ -245,7 +242,7 @@ def _batch_syndrome_recover(
     ownership of psi: the block is overwritten, and the result may be
     written into it, so a caller that still needs psi passes a copy.
     """
-    psi, syndrome, _ = _batch_measure(psi, uniforms, code)
+    psi, syndrome = _batch_measure(psi, uniforms, code)
     for s in np.unique(syndrome):
         m = code.syndrome_table[int(s)]
         if m == 0:

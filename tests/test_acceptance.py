@@ -89,7 +89,7 @@ def test_acceptance_2_exhaustive_recovery():
         # one block of the sixteen error images, one row of uniforms each
         images = code.error_basis @ psi
         uniforms = meas_rng.random((len(images), len(code.generators)))
-        _, syndromes, _ = _batch_measure(images.copy(), uniforms, code)
+        _, syndromes = _batch_measure(images.copy(), uniforms, code)
         assert syndromes.tolist() == list(code.syndrome_of_error)
         fixed = _batch_syndrome_recover(images, uniforms, code)
         worst = max(worst, float(np.max(1.0 - np.abs(fixed @ psi.conj()) ** 2)))

@@ -29,7 +29,11 @@ from corrqec.experiment import (
 from corrqec.noise import (
     CorrelationKernel,
     build_channels,
+    collective_axis_kernel,
+    cross_axis_kernel,
     exponential_kernel,
+    independent_kernel,
+    lowering_kernel,
     max_rate,
     noise_spec_direct,
 )
@@ -64,6 +68,21 @@ trajectory_substeps: 8
 base_seed: 77
 engine: trajectory
 """
+
+
+# Per noise kind: a section of only the required keys, and a key that
+# belongs to another kind.
+MINIMAL_NOISE = {
+    "independent": ({"num_qubits": 3}, "correlation_length"),
+    "collective_axis": ({"num_qubits": 3}, "axis_block"),
+    "exponential": ({"num_qubits": 3, "correlation_length": 2.0}, "axis_block"),
+    "cross_axis": (
+        {"num_qubits": 2, "axis_block": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.3]]},
+        "amplitude",
+    ),
+    "lowering": ({"num_qubits": 2}, "amplitude"),
+    "direct": ({"A": [[0.2, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 1.0]]}, "tau_c"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +128,30 @@ def test_experiment_config_validation():
     for state in ((math.nan, 0.0), (1.0, complex(0.0, math.nan)), (math.inf, 0.0)):
         with pytest.raises(ConfigError, match="finite"):
             ExperimentConfig(noise=ZKERNEL, logical_state=state)
+    for state in ((1, "0"), (True, 0.0), 1, (1.0,), (1.0, 0.0, 0.0)):
+        with pytest.raises(ConfigError, match="logical_state"):
+            ExperimentConfig(noise=ZKERNEL, logical_state=state)
     with pytest.raises(ConfigError):
         ExperimentConfig(noise=ZKERNEL, t_total=0.0)
     for n in (0, True, 2.5):
         with pytest.raises(ConfigError, match="n_values"):
             ExperimentConfig(noise=ZKERNEL, n_values=(n, 5))
-    with pytest.raises(ConfigError):
-        ExperimentConfig(noise=ZKERNEL, delta_t_values=())
+    with pytest.raises(ConfigError, match="n_values"):
+        ExperimentConfig(noise=ZKERNEL, n_values=5)
+    for values in ((), 0.01, (True,), ("0.1",)):
+        with pytest.raises(ConfigError, match="delta_t_values"):
+            ExperimentConfig(noise=ZKERNEL, delta_t_values=values)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match="t_total"):
-            ExperimentConfig(noise=ZKERNEL, t_total=bad)
         with pytest.raises(ConfigError, match="delta_t_values"):
             ExperimentConfig(noise=ZKERNEL, delta_t_values=(0.01, bad))
+    for bad in (math.nan, math.inf, True, "1", 1j):
+        with pytest.raises(ConfigError, match="t_total"):
+            ExperimentConfig(noise=ZKERNEL, t_total=bad)
+    # YAML's integers and numpy scalars are numbers; t_total is stored as a float
+    cfg = ExperimentConfig(noise=ZKERNEL, t_total=1, delta_t_values=(np.float64(0.5), 1))
+    assert type(cfg.t_total) is float and cfg.delta_t_values == (0.5, 1.0)
+    with pytest.raises(ConfigError, match="normalize_rates"):
+        ExperimentConfig(noise=ZKERNEL, normalize_rates="yes")
     for trajectories in (0, 2.5, True, "10"):
         with pytest.raises(ConfigError, match="trajectories"):
             ExperimentConfig(noise=ZKERNEL, trajectories=trajectories)
@@ -177,12 +208,38 @@ def test_parse_config_rejections():
         parse_config({**base, "noise": {"kind": "collective_axis", "num_qubits": 2, "axis": "w"}})
     with pytest.raises(ConfigError, match="kind"):
         parse_config({**base, "noise": {"kind": "thermal", "num_qubits": 2}})
-    with pytest.raises(ConfigError, match="correlation_length"):
-        parse_config({**base, "noise": {"kind": "exponential", "num_qubits": 2}})
-    with pytest.raises(ConfigError, match="do not apply"):
-        parse_config({**base, "noise": {"kind": "lowering", "num_qubits": 2, "amplitude": 1.0}})
+    # every kind: a key of another kind does not apply, and each required key
+    # left out is named
+    for kind, (section, foreign) in MINIMAL_NOISE.items():
+        noise = {"kind": kind, **section}
+        parse_config({**base, "noise": noise})
+        with pytest.raises(ConfigError, match="do not apply"):
+            parse_config({**base, "noise": {**noise, foreign: 1.0}})
+        for key in section:
+            missing = {k: v for k, v in noise.items() if k != key}
+            with pytest.raises(ConfigError, match=f"noise.{key} is required"):
+                parse_config({**base, "noise": missing})
+    # qubit counts the kernels refuse are config errors, not crashes
+    for count in (13, -1, 0):
+        with pytest.raises(ConfigError, match="invalid noise parameters"):
+            parse_config({**base, "noise": {"kind": "independent", "num_qubits": count}})
+    # malformed YAML values are config errors too
+    for noise in (
+        {"kind": "collective_axis", "num_qubits": 2, "axis": ["z"]},
+        {"kind": ["independent"], "num_qubits": 2},
+        {"kind": "cross_axis", "num_qubits": 1, "axis_block": [[1, 0], [0, 1, 0], [0]]},
+        {"kind": "direct", "A": [1, 2]},
+        {"kind": "independent", "num_qubits": 2, "normalize": "yes"},
+    ):
+        with pytest.raises(ConfigError):
+            parse_config({**base, "noise": noise})
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config({**base, 5: 1})
     with pytest.raises(ConfigError, match="unit norm"):
         parse_config({**base, "logical_state": [[1.0, 0.0], [1.0, 0.0]]})
+    for state in ([[1.0, "x"], 0.0], [1.0], "1, 0"):
+        with pytest.raises(ConfigError, match="logical_state"):
+            parse_config({**base, "logical_state": state})
     with pytest.raises(ConfigError, match="integer"):
         parse_config({**base, "n_values": [5, True]})
     with pytest.raises(ConfigError, match="number"):
@@ -191,6 +248,29 @@ def test_parse_config_rejections():
         parse_config({**base, "trajectory_substeps": 2.5})
     with pytest.raises(ConfigError):
         parse_config([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "kind, factory",
+    [
+        ("independent", independent_kernel),
+        ("collective_axis", collective_axis_kernel),
+        ("exponential", exponential_kernel),
+        ("cross_axis", cross_axis_kernel),
+        ("lowering", lowering_kernel),
+    ],
+)
+def test_parse_config_takes_factory_defaults(kind, factory):
+    # a noise key left out takes the factory's default, not a copy of it
+    section, _ = MINIMAL_NOISE[kind]
+    cfg = parse_config({"noise": {"kind": kind, **section}})
+    kernel = factory(**section)
+    assert cfg.noise.spatial.tobytes() == kernel.spatial.tobytes()
+    assert (cfg.noise.tau_c, cfg.noise.g1, cfg.noise.kind) == (
+        kernel.tau_c,
+        kernel.g1,
+        kernel.kind,
+    )
 
 
 def test_parse_config_direct_defers_psd_gate():
@@ -624,13 +704,17 @@ def test_cli_help_exits_zero(capsys):
     assert "cycle" in capsys.readouterr().out
 
 
-def test_cli_missing_and_invalid_config(tmp_path):
+def test_cli_missing_and_invalid_config(tmp_path, capsys):
     assert main(["cycle", "--config", str(tmp_path / "missing.yaml")]) == 1
     bad = _write(tmp_path, "bad.yaml", "noise: [unclosed")
     assert main(["cycle", "--config", bad]) == 1
     unknown = _write(tmp_path, "unknown.yaml", CHEAP_DENSITY_YAML + "mystery: 1\n")
     assert main(["cycle", "--config", unknown]) == 1
     assert main(["nonsense", "--config", unknown]) == 1
+    too_big = CHEAP_DENSITY_YAML.replace("num_qubits: 5", "num_qubits: 13")
+    assert too_big != CHEAP_DENSITY_YAML
+    assert main(["cycle", "--config", _write(tmp_path, "too_big.yaml", too_big)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_rejects_non_finite_times(tmp_path):

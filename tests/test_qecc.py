@@ -133,9 +133,8 @@ def test_syndrome_projectors_resolve_identity():
 def test_batch_measure_codeword_is_trivial():
     code = five_qubit_code()
     uniforms = np.random.default_rng(0).random((1, len(code.generators)))
-    collapsed, syndrome, born = _batch_measure(code.logical_zero[None], uniforms, code)
+    collapsed, syndrome = _batch_measure(code.logical_zero[None], uniforms, code)
     assert syndrome[0] == 0
-    assert born[0] == pytest.approx(1.0, abs=1e-10)
     assert abs(np.vdot(collapsed[0], code.logical_zero)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -153,9 +152,8 @@ def test_exhaustive_single_error_recovery():
     for psi in states:
         images = code.error_basis @ psi
         uniforms = meas_rng.random((len(images), len(code.generators)))
-        _, syndromes, born = _batch_measure(images.copy(), uniforms, code)
+        _, syndromes = _batch_measure(images.copy(), uniforms, code)
         assert syndromes.tolist() == list(code.syndrome_of_error)
-        np.testing.assert_allclose(born, 1.0, rtol=0, atol=1e-10)
         fixed = _batch_syndrome_recover(images, uniforms, code)
         np.testing.assert_allclose(np.abs(fixed @ psi.conj()), 1.0, rtol=0, atol=1e-9)
 
@@ -171,7 +169,7 @@ def test_batch_measure_branch_statistics():
     rng = np.random.default_rng(61)
     m = 2000
     uniforms = rng.random((m, len(code.generators)))
-    collapsed, syndromes, _ = _batch_measure(np.tile(psi, (m, 1)), uniforms, code)
+    collapsed, syndromes = _batch_measure(np.tile(psi, (m, 1)), uniforms, code)
     assert set(syndromes.tolist()) <= {0, s_x3}
     hit = syndromes == s_x3
     target = np.where(hit[:, None], x3 @ code.logical_zero, code.logical_zero)
@@ -205,11 +203,11 @@ def test_batch_syndrome_recover_matches_row_by_row(seed, images):
     n_gen = len(code.generators)
     uniforms = np.array([np.random.default_rng(s).random(n_gen) for s in streams])
     batched = _batch_syndrome_recover(psi.copy(), uniforms, code)
-    _, syndromes, _ = _batch_measure(psi.copy(), uniforms, code)
+    _, syndromes = _batch_measure(psi.copy(), uniforms, code)
     assert batched.shape == psi.shape
     for i, (m, s, out) in enumerate(zip(errors, syndromes, batched)):
         alone = slice(i, i + 1)
-        recovered, _, syndrome, _ = _reference_syndrome_recover(psi[alone], uniforms[alone], code)
+        recovered, _, syndrome = _reference_syndrome_recover(psi[alone], uniforms[alone], code)
         assert syndrome[0] == s
         if m is not None:
             assert s == code.syndrome_of_error[m]
@@ -219,10 +217,8 @@ def test_batch_syndrome_recover_matches_row_by_row(seed, images):
 def _reference_syndrome_recover(psi, uniforms, code):
     # The batched measure-and-recover written with fresh temporaries, as it
     # was before it reused its buffers.  Returns the recovered block, the
-    # collapsed block, the packed syndromes and the Born probabilities;
-    # psi is left as it was.
+    # collapsed block and the packed syndromes; psi is left as it was.
     syndrome = np.zeros(psi.shape[0], dtype=np.int64)
-    born = np.ones(psi.shape[0])
     for i, p_plus in enumerate(code.plus_projectors):
         v_plus = psi @ p_plus.T
         q = np.einsum("bi,bi->b", v_plus.conj(), v_plus).real
@@ -230,7 +226,6 @@ def _reference_syndrome_recover(psi, uniforms, code):
         if not -1e-10 <= lo <= hi <= 1.0 + 1e-10:
             raise SimulationError(f"branch probabilities [{lo!r}, {hi!r}] outside [0, 1]")
         take_plus = uniforms[:, i] < q
-        born *= np.where(take_plus, q, 1.0 - q)
         v_minus = psi - v_plus
         psi = np.where(take_plus[:, None], v_plus, v_minus)
         norms = np.linalg.norm(psi, axis=1)
@@ -242,7 +237,7 @@ def _reference_syndrome_recover(psi, uniforms, code):
         r = code.error_basis[code.syndrome_table[int(s)]]
         out[rows] = psi[rows] @ r.T
     norms = np.linalg.norm(out, axis=1)
-    return out / norms[:, None], psi, syndrome, born
+    return out / norms[:, None], psi, syndrome
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,8 +247,7 @@ def _reference_syndrome_recover(psi, uniforms, code):
 )
 def test_batch_syndrome_recover_matches_reference_bit_for_bit(seed, kinds):
     # The buffered measure-and-recover against the fresh-temporary one:
-    # equal recovered and collapsed states, syndromes and Born
-    # probabilities.  Rows are codewords, single-error images of codewords
+    # equal recovered and collapsed states and syndromes.  Rows are codewords, single-error images of codewords
     # (deterministic syndromes), superpositions of two images (a random
     # branch) or arbitrary states; a quarter of the uniforms are exactly 0.0.
     code = five_qubit_code()
@@ -275,11 +269,10 @@ def test_batch_syndrome_recover_matches_reference_bit_for_bit(seed, kinds):
     psi = np.array(rows)
     uniforms = rng.random((len(rows), len(code.generators)))
     uniforms[rng.random(uniforms.shape) < 0.25] = 0.0
-    recovered, collapsed, syndromes, born = _reference_syndrome_recover(psi, uniforms, code)
+    recovered, collapsed, syndromes = _reference_syndrome_recover(psi, uniforms, code)
     got = _batch_measure(psi.copy(), uniforms, code)
     assert np.array_equal(got[0], collapsed)
     assert np.array_equal(got[1], syndromes)
-    assert np.array_equal(got[2], born)
     assert np.array_equal(_batch_syndrome_recover(psi.copy(), uniforms, code), recovered)
 
 

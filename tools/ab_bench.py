@@ -2,12 +2,15 @@
 
 Usage: python3 tools/ab_bench.py REV [--workload W] [--pairs K]
 
-Checks out REV into a temporary directory (tools/revtree.py) and runs
-`bench/run.py --workload W --trace 0` K times (default 10) in that checkout
-and in this working tree (uncommitted changes included), alternating which
-side runs first.  Every workload in BENCHMARK.json runs unless --workload
-names one.  Each run lasts as long as the benchmark sets, the same on both
-sides, and runs are sequential, so the two sides never contend.
+Checks out REV into a temporary directory (tools/revtree.py), and a snapshot
+of this working tree into another (`git stash create`, so tracked files with
+their uncommitted changes; untracked files are left out), then runs
+`bench/run.py --workload W --trace 0` K times (default 10) in each,
+alternating which side runs first.  Both sides run from a fresh extract, so
+where a tree lives on disk does not enter the comparison.  Every workload in
+BENCHMARK.json runs unless --workload names one.  Each run lasts as long as
+the benchmark sets, the same on both sides, and runs are sequential, so the
+two sides never contend.
 
 For each end-to-end metric of BENCHMARK.json it prints and records each
 side's median and quartiles, the change's median relative to REV's, and the
@@ -91,20 +94,22 @@ def main(argv=None) -> int:
         parser.error(f"--workload must be one of {names}")
     workloads = [args.workload] if args.workload else names
     short = short_rev(here, args.rev)
-    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=here,
-                           check=True, capture_output=True, text=True).stdout.strip()
-    change = short_rev(here, "HEAD") + (" with uncommitted changes" if dirty else "")
+    # A commit object of the working tree that touches no ref; empty when clean.
+    snapshot = subprocess.run(["git", "stash", "create"], cwd=here, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    change = short_rev(here, "HEAD") + (" with uncommitted changes" if snapshot else "")
     path = here / f"BENCH_{short}.json"
     report = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
 
     ok = True
-    with rev_tree(here, args.rev, "ab_bench_") as there:
+    with (rev_tree(here, args.rev, "ab_bench_") as there,
+          rev_tree(here, snapshot or "HEAD", "ab_bench_") as changed):
         for workload in workloads:
             runs = {"base": [], "change": []}
             for k in range(args.pairs):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 for side in order:
-                    tree = there if side == "base" else here
+                    tree = there if side == "base" else changed
                     runs[side].append(_bench_once(tree, workload))
                 print(f"{workload} pair {k + 1}/{args.pairs}: " + ", ".join(
                     f"{side} run_s {runs[side][-1]['metrics']['run_s']:.4g}"
