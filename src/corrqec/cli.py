@@ -6,8 +6,9 @@ Subcommands:
   validate      cross-module invariant suite, pass/fail report
   trajectories  raw jump logs of the unraveled noise, no correction
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-gate failure
-(step size, PSD, integration accuracy), 3 validation failure.
+Exit codes: 0 success, 1 configuration error (an over-cap register too),
+2 numerical-gate failure (step size, PSD, integration accuracy), 3 validation
+failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from .config import load_config
-from .errors import ConfigError, DomainError, IntegrationError, StepSizeError
+from .errors import ConfigError, DomainError, IntegrationError, ResourceError, StepSizeError
 from .experiment import (
     ENGINES,
     render_cycle_csv,
@@ -117,7 +118,8 @@ def main(argv=None) -> int:
             _emit(report.render(), args.out)
             if not report.passed:
                 return EXIT_VALIDATION
-    except ConfigError as err:
+    except (ConfigError, ResourceError) as err:
+        # A ResourceError is a register over the qubit cap set in the config.
         logger.error("configuration error: %s", err)
         return EXIT_CONFIG
     except (StepSizeError, IntegrationError, DomainError) as err:

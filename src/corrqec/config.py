@@ -45,6 +45,7 @@ from .noise import (
     independent_kernel,
     lowering_kernel,
 )
+from .operators import AXIS_LABELS
 
 # `normalize_rates` is written as noise.normalize.
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)} - {"normalize_rates"}
@@ -71,7 +72,7 @@ _KINDS = {
 
 _NOISE_KEYS = {"kind", "normalize"}.union(*(opt + req for _, opt, req in _KINDS.values()))
 
-_AXES = {"x": 1, "y": 2, "z": 3, 1: 1, 2: 2, 3: 3}
+_AXES = {key: axis for axis, label in AXIS_LABELS.items() for key in (label, axis)}
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:

@@ -28,13 +28,13 @@ import numpy as np
 
 from .errors import DomainError, SimulationError
 from .operators import (
-    AXIS_LABELS,
+    AXES,
     HERM_TOL,
-    channel_index,
-    channel_qubit_axis,
+    axis_block,
     hermitian_eigensystem,
-    pauli_operator,
+    pauli_stack,
     _check_qubit_count,
+    _frozen_array,
 )
 
 _PSD_FLOOR = -1e-10
@@ -50,12 +50,6 @@ _INERT_RATIO = 1e-12
 LOWERING_BLOCK = 0.5 * np.array(
     [[1.0, 1.0j, 0.0], [-1.0j, 1.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex
 )
-
-
-def _frozen_array(m, dtype=complex) -> np.ndarray:
-    out = np.array(m, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -96,11 +90,20 @@ class CorrelationKernel:
         object.__setattr__(self, "spatial", _frozen_array(spatial))
 
 
+def _separable_table(num_qubits: int, qubit_table, block: np.ndarray) -> np.ndarray:
+    """Spatial table kron(qubit_table(L), block) of an L x L qubit table and a 3x3 axis block.
+
+    The qubit count is checked before anything of size L is built.
+    """
+    _check_qubit_count(num_qubits)
+    return np.kron(qubit_table(num_qubits), block)
+
+
 def independent_kernel(
     num_qubits: int, amplitude: float = 1.0, tau_c: float = 0.5, g1: float = 1.0
 ) -> CorrelationKernel:
     """Uncorrelated noise: C = amplitude * identity over (qubit, axis)."""
-    spatial = amplitude * np.eye(3 * num_qubits, dtype=complex)
+    spatial = _separable_table(num_qubits, lambda n: amplitude * np.eye(n), axis_block(*AXES))
     return CorrelationKernel(num_qubits, spatial, tau_c, g1, kind="independent")
 
 
@@ -112,12 +115,7 @@ def collective_axis_kernel(
     g1: float = 1.0,
 ) -> CorrelationKernel:
     """Maximally correlated noise on one axis: every qubit pair couples alike."""
-    if axis not in AXIS_LABELS:
-        raise DomainError(f"axis must be 1, 2 or 3, got {axis}")
-    spatial = np.zeros((3 * num_qubits, 3 * num_qubits), dtype=complex)
-    for l in range(1, num_qubits + 1):
-        for lp in range(1, num_qubits + 1):
-            spatial[channel_index(lp, axis), channel_index(l, axis)] = amplitude
+    spatial = _separable_table(num_qubits, lambda n: amplitude * np.ones((n, n)), axis_block(axis))
     return CorrelationKernel(num_qubits, spatial, tau_c, g1, kind="collective_axis")
 
 
@@ -143,18 +141,14 @@ def exponential_kernel(
         raise DomainError(
             f"correlation_length must be positive, got {correlation_length}"
         )
-    if axis is None:
-        axes = (1, 2, 3)
-    elif axis in (1, 2, 3):
-        axes = (axis,)
-    else:
-        raise DomainError(f"axis must be 1, 2, or 3, got {axis}")
-    spatial = np.zeros((3 * num_qubits, 3 * num_qubits), dtype=complex)
-    for l in range(1, num_qubits + 1):
-        for lp in range(1, num_qubits + 1):
-            c = amplitude * np.exp(-abs(l - lp) / correlation_length)
-            for ax in axes:
-                spatial[channel_index(lp, ax), channel_index(l, ax)] = c
+
+    def profile(n):
+        # one Python division per distance |l - l'|: a tiny length gives -inf without a warning
+        decay = np.array([amplitude * np.exp(-k / correlation_length) for k in range(n)])
+        return decay[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+
+    block = axis_block(*(AXES if axis is None else (axis,)))
+    spatial = _separable_table(num_qubits, profile, block)
     return CorrelationKernel(num_qubits, spatial, tau_c, g1, kind="exponential")
 
 
@@ -172,7 +166,7 @@ def cross_axis_kernel(
     block = np.asarray(axis_block, dtype=complex)
     if block.shape != (3, 3):
         raise DomainError(f"axis_block must be 3x3, got {block.shape}")
-    spatial = np.kron(np.eye(num_qubits), block)
+    spatial = _separable_table(num_qubits, np.eye, block)
     return CorrelationKernel(num_qubits, spatial, tau_c, g1, kind="cross_axis")
 
 
@@ -344,15 +338,6 @@ class JumpChannelSet:
         d = self.dim
         live = np.flatnonzero(self.jump_stacks[0].reshape(-1, d * d).any(axis=1))
         return slice(int(live[0]), int(live[-1] + 1)) if live.size else slice(0, 0)
-
-
-def pauli_stack(num_qubits: int) -> np.ndarray:
-    """All 3L single-qubit Paulis as one (3L, 2^L, 2^L) array in flat order."""
-    ops = [
-        pauli_operator(*channel_qubit_axis(n), num_qubits)
-        for n in range(3 * num_qubits)
-    ]
-    return np.stack(ops)
 
 
 def assemble_channel_set(

@@ -5,7 +5,8 @@ stabilizer code) is built from the handful of primitives in this module.
 Qubits are numbered 1..L with qubit 1 occupying the leftmost tensor slot, and
 the (qubit, axis) pair is flattened as ``3*(qubit-1) + (axis-1)``; that single
 convention indexes the rate/shift matrices and the jump-channel numbering
-everywhere in the package.
+everywhere in the package.  This module owns that layout: Pauli strings, the
+stack of all 3L single-qubit Paulis, and the 3x3 axis blocks.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ HERM_TOL = 1e-10
 # Largest deviation of a state vector's norm from 1.
 _NORM_TOL = 1e-10
 
-AXIS_X, AXIS_Y, AXIS_Z = 1, 2, 3
+AXIS_X, AXIS_Y, AXIS_Z = AXES = 1, 2, 3
 AXIS_LABELS = {AXIS_X: "x", AXIS_Y: "y", AXIS_Z: "z"}
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_CHARS = {"I": IDENTITY_2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def channel_index(qubit: int, axis: int) -> int:
@@ -52,6 +53,32 @@ def _check_qubit_count(num_qubits: int) -> None:
         )
 
 
+def axis_block(*axes: int) -> np.ndarray:
+    """Complex 3x3 projector onto the given Pauli axes (1 x, 2 y, 3 z).
+
+    The one check of an axis value: anything but 1, 2 or 3 is a DomainError.
+    """
+    block = np.zeros((3, 3), dtype=complex)
+    for axis in axes:
+        if axis not in AXES:
+            raise DomainError(f"axis must be 1 (x), 2 (y) or 3 (z), got {axis!r}")
+        block[axis - 1, axis - 1] = 1.0
+    return block
+
+
+def pauli_string_matrix(s: str) -> np.ndarray:
+    """Dense matrix of a Pauli string like "XZZXI" (leftmost = qubit 1)."""
+    _check_qubit_count(len(s))
+    try:
+        factors = [_PAULI_CHARS[c] for c in s]
+    except KeyError as err:
+        raise DomainError(f"invalid Pauli character {err.args[0]!r} in {s!r}") from None
+    result = np.ones((1, 1), dtype=complex)
+    for factor in factors:
+        result = np.kron(result, factor)
+    return result
+
+
 def pauli_operator(qubit: int, axis: int, num_qubits: int) -> np.ndarray:
     """Single-qubit Pauli acting on `qubit` (1-based), identity elsewhere.
 
@@ -68,31 +95,21 @@ def pauli_operator(qubit: int, axis: int, num_qubits: int) -> np.ndarray:
     _check_qubit_count(num_qubits)
     if not 1 <= qubit <= num_qubits:
         raise DomainError(f"qubit {qubit} out of range 1..{num_qubits}")
-    if axis not in (AXIS_X, AXIS_Y, AXIS_Z):
-        raise DomainError(f"axis must be 1 (x), 2 (y) or 3 (z), got {axis}")
-    return kron_chain(
-        PAULIS[axis - 1] if slot == qubit else IDENTITY_2
-        for slot in range(1, num_qubits + 1)
-    )
+    axis_block(axis)  # the shared axis check
+    label = AXIS_LABELS[axis].upper()
+    return pauli_string_matrix("I" * (qubit - 1) + label + "I" * (num_qubits - qubit))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the package-wide dimension cap enforced."""
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > MAX_DIM:
-        raise ResourceError(
-            f"kron result {rows}x{cols} exceeds the {MAX_DIM} dense-dimension cap"
-        )
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+def pauli_stack(num_qubits: int) -> np.ndarray:
+    """All 3L single-qubit Paulis as one (3L, 2^L, 2^L) array in flat order."""
+    ops = [pauli_operator(*channel_qubit_axis(n), num_qubits) for n in range(3 * num_qubits)]
+    return np.stack(ops)
 
 
-def kron_chain(factors) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    result = np.ones((1, 1), dtype=complex)
-    for f in factors:
-        result = kron(result, f)
-    return result
+def _frozen_array(m, dtype=complex) -> np.ndarray:
+    out = np.array(m, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,35 +20,19 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, SimulationError
-from .noise import _frozen_array, pauli_stack
 from .operators import (
     AXIS_LABELS,
-    IDENTITY_2,
-    PAULIS,
     basis_state,
     channel_qubit_axis,
     divide_rows,
-    kron_chain,
     normalized,
+    pauli_stack,
+    pauli_string_matrix,
     row_norms,
+    _frozen_array,
 )
 
-_CHAR_MATRIX = {
-    "I": IDENTITY_2,
-    "X": PAULIS[0],
-    "Y": PAULIS[1],
-    "Z": PAULIS[2],
-}
-
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
-
-
-def pauli_string_matrix(s: str) -> np.ndarray:
-    """Dense matrix of a Pauli string like "XZZXI" (leftmost = qubit 1)."""
-    try:
-        return kron_chain(_CHAR_MATRIX[c] for c in s)
-    except KeyError as err:
-        raise DomainError(f"invalid Pauli character {err.args[0]!r} in {s!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """Experiment driver, config parsing, CSV output, CLI exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -715,6 +718,30 @@ def test_cli_missing_and_invalid_config(tmp_path, capsys):
     assert too_big != CHEAP_DENSITY_YAML
     assert main(["cycle", "--config", _write(tmp_path, "too_big.yaml", too_big)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_over_cap_direct_register_exits_one(tmp_path):
+    # a 39x39 A is a 13-qubit register; the direct kind checks it only when
+    # the experiment resolves the spec
+    a = "\n".join(
+        "    - [" + ", ".join("0.1" if i == j else "0.0" for j in range(39)) + "]"
+        for i in range(39)
+    )
+    text = f"noise:\n  kind: direct\n  num_qubits: 13\n  A:\n{a}\ndelta_t_values: [0.01]\n"
+    path = _write(tmp_path, "over_cap.yaml", text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for command in ("cycle", "scaling", "trajectories"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrqec.cli", command, "--config", path],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert "configuration error" in proc.stderr
+    assert main(["validate", "--config", path]) == 3
 
 
 def test_cli_rejects_non_finite_times(tmp_path):

@@ -5,10 +5,15 @@ trusting the closed form; eigenvector-dependent quantities are only checked
 through basis-invariant observables.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrqec.errors import DomainError
+from corrqec.config import parse_config
+from corrqec.errors import ConfigError, DomainError, ResourceError
 from corrqec.noise import (
     LOWERING_BLOCK,
     DirectNoise,
@@ -24,7 +29,7 @@ from corrqec.noise import (
     noise_spec_direct,
     rescale_to_unit_max_rate,
 )
-from corrqec.operators import AXIS_Z, channel_index, pauli_operator
+from corrqec.operators import AXIS_Z, MAX_QUBITS, channel_index, pauli_operator
 
 
 def test_independent_kernel_closed_form():
@@ -84,6 +89,95 @@ def test_kernel_rejects_bad_parameters():
         independent_kernel(2, tau_c=-1.0)
     with pytest.raises(DomainError):
         cross_axis_kernel(2, np.eye(2))  # block must be 3x3
+
+
+def test_axis_is_checked_alike_by_every_factory():
+    # one axis check: collective has no every-axis form, so None is refused there
+    for bad in (0, 4, None, "z", [3]):
+        with pytest.raises(DomainError, match=r"axis must be 1 \(x\), 2 \(y\) or 3 \(z\)"):
+            collective_axis_kernel(2, axis=bad)
+        if bad is not None:
+            with pytest.raises(DomainError, match=r"axis must be 1 \(x\)"):
+                exponential_kernel(2, axis=bad)
+            with pytest.raises(DomainError, match=r"axis must be 1 \(x\)"):
+                pauli_operator(1, bad, 2)
+
+
+# The factories' former constructions, kept as byte references.
+def _loop_table(num_qubits, entry, axes):
+    spatial = np.zeros((3 * num_qubits, 3 * num_qubits), dtype=complex)
+    for l in range(1, num_qubits + 1):
+        for lp in range(1, num_qubits + 1):
+            for ax in axes:
+                spatial[channel_index(lp, ax), channel_index(l, ax)] = entry(l, lp)
+    return spatial
+
+
+def _reference_tables(num_qubits, amplitude, correlation_length, axis, block):
+    def decay(l, lp):
+        return amplitude * np.exp(-abs(l - lp) / correlation_length)
+
+    every = (1, 2, 3) if axis is None else (axis,)
+    one = 3 if axis is None else axis
+    return [
+        (amplitude * np.eye(3 * num_qubits, dtype=complex),
+         independent_kernel(num_qubits, amplitude=amplitude)),
+        (_loop_table(num_qubits, lambda l, lp: amplitude, (one,)),
+         collective_axis_kernel(num_qubits, axis=one, amplitude=amplitude)),
+        (_loop_table(num_qubits, decay, every),
+         exponential_kernel(num_qubits, amplitude, correlation_length, axis=axis)),
+        (np.kron(np.eye(num_qubits), block), cross_axis_kernel(num_qubits, block)),
+        (np.kron(np.eye(num_qubits), LOWERING_BLOCK), lowering_kernel(num_qubits)),
+    ]
+
+
+_ENTRY = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_qubits=st.integers(1, MAX_QUBITS),
+    amplitude=st.floats(0.0, 1e6, exclude_min=True),
+    correlation_length=st.floats(0.0, 1e6, exclude_min=True),
+    axis=st.sampled_from([None, 1, 2, 3]),
+    re=st.lists(_ENTRY, min_size=9, max_size=9),
+    im=st.lists(_ENTRY, min_size=9, max_size=9),
+)
+def test_separable_tables_match_former_constructions_bit_for_bit(
+    num_qubits, amplitude, correlation_length, axis, re, im
+):
+    raw = np.array(re).reshape(3, 3) + 1j * np.array(im).reshape(3, 3)
+    block = raw + raw.conj().T
+    for expected, kernel in _reference_tables(
+        num_qubits, amplitude, correlation_length, axis, block
+    ):
+        assert kernel.spatial.tobytes() == expected.tobytes(), kernel.kind
+
+
+CAP_CASES = {
+    "independent": (independent_kernel, {}),
+    "collective_axis": (collective_axis_kernel, {}),
+    "exponential": (exponential_kernel, {"correlation_length": 2.0}),
+    "cross_axis": (cross_axis_kernel, {"axis_block": np.eye(3).tolist()}),
+    "lowering": (lowering_kernel, {}),
+}
+
+
+@pytest.mark.parametrize("kind", CAP_CASES)
+def test_qubit_cap_is_checked_before_allocation(kind):
+    factory, extra = CAP_CASES[kind]
+    # a 300-qubit table would be 900 x 900 complex, about 13 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            factory(300, **extra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    section = {"kind": kind, "num_qubits": 300, **extra}
+    with pytest.raises(ConfigError, match="invalid noise parameters"):
+        parse_config({"noise": section, "delta_t_values": [0.01]})
 
 
 def test_direct_spec_accepts_and_clamps():

@@ -29,11 +29,11 @@ from corrqec.operators import (
     channel_qubit_axis,
     check_state_vector,
     hermitian_eigensystem,
-    kron,
-    kron_chain,
     matrix_exponential,
     normalized,
     pauli_operator,
+    pauli_stack,
+    pauli_string_matrix,
     pure_state_fidelity,
     pure_state_projector,
     trace_distance,
@@ -98,34 +98,47 @@ def test_channel_index_round_trip():
             n += 1
 
 
-def test_kron_identities():
-    np.testing.assert_array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
+def _kron_chain(factors):
+    # the former operators.kron_chain: left-to-right np.kron from a 1x1 one
+    result = np.ones((1, 1), dtype=complex)
+    for f in factors:
+        result = np.kron(result, np.asarray(f, dtype=complex))
+    return result
+
+
+def test_pauli_string_matrix_identities():
+    np.testing.assert_array_equal(pauli_string_matrix("II"), np.eye(4))
     np.testing.assert_array_equal(
-        kron(PAULI_Z, IDENTITY_2), np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+        pauli_string_matrix("ZI"), np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     )
 
 
-def test_kron_mixed_product_property():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        a, b, c, d = (
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4)
-        )
-        left = kron(a, b) @ kron(c, d)
-        right = kron(a @ c, b @ d)
-        np.testing.assert_allclose(left, right, atol=1e-12)
-
-
-def test_kron_resource_cap():
-    big = np.eye(2**MAX_QUBITS, dtype=complex)
+def test_pauli_string_matrix_resource_cap():
+    # the cap is checked on the string length, before the first product
     with pytest.raises(ResourceError):
-        kron(big, IDENTITY_2)
+        pauli_string_matrix("X" * (MAX_QUBITS + 1))
 
 
-def test_kron_chain():
-    mats = [PAULI_X, IDENTITY_2, PAULI_Z]
+def test_pauli_string_matrix_chain():
     expected = np.kron(np.kron(PAULI_X, np.eye(2)), PAULI_Z)
-    np.testing.assert_array_equal(kron_chain(mats), expected)
+    np.testing.assert_array_equal(pauli_string_matrix("XIZ"), expected)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_pauli_operator_and_stack_bytes_match_kron_chain(num_qubits):
+    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+    expected = []
+    for qubit in range(1, num_qubits + 1):
+        for axis in (AXIS_X, AXIS_Y, AXIS_Z):
+            ref = _kron_chain(
+                paulis[axis - 1] if slot == qubit else IDENTITY_2
+                for slot in range(1, num_qubits + 1)
+            )
+            assert pauli_operator(qubit, axis, num_qubits).tobytes() == ref.tobytes()
+            label = "I" * (qubit - 1) + "XYZ"[axis - 1] + "I" * (num_qubits - qubit)
+            assert pauli_string_matrix(label).tobytes() == ref.tobytes()
+            expected.append(ref)
+    assert pauli_stack(num_qubits).tobytes() == np.stack(expected).tobytes()
 
 
 def test_eigensystem_diagonal_input():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrqec.errors import DomainError, SimulationError
-from corrqec.operators import trace_distance
+from corrqec.operators import pauli_string_matrix, trace_distance
 from corrqec.qecc import (
     FIVE_QUBIT_GENERATORS,
     _batch_measure,
@@ -16,7 +16,6 @@ from corrqec.qecc import (
     correction_channel,
     encode,
     five_qubit_code,
-    pauli_string_matrix,
     syndrome_index,
 )
 
@@ -33,6 +32,36 @@ def test_pauli_string_matrix():
     np.testing.assert_array_equal(pauli_string_matrix("XZ"), np.kron(sx, sz))
     with pytest.raises(DomainError):
         pauli_string_matrix("XQ")
+
+
+# The former qecc construction of a Pauli string, kept as a byte reference:
+# left-to-right np.kron from a 1x1 one over these matrices.
+_REFERENCE_CHARS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def _reference_string(s):
+    result = np.ones((1, 1), dtype=complex)
+    for c in s:
+        result = np.kron(result, _REFERENCE_CHARS[c])
+    return result
+
+
+def test_code_operators_match_kron_chain_bit_for_bit():
+    code = five_qubit_code()
+    gens = np.stack([_reference_string(s) for s in FIVE_QUBIT_GENERATORS])
+    assert code.generators.tobytes() == gens.tobytes()
+    singles = [
+        _reference_string("I" * (q - 1) + c + "I" * (5 - q))
+        for q in range(1, 6)
+        for c in "XYZ"
+    ]
+    basis = np.concatenate([np.eye(32, dtype=complex)[None], np.stack(singles)])
+    assert code.error_basis.tobytes() == basis.tobytes()
 
 
 def test_generator_algebra():

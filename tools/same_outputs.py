@@ -7,7 +7,11 @@ Checks out REV into a temporary directory (tools/revtree.py), then runs
 `configs/` in both that checkout and this working tree (uncommitted changes
 included), each with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1.
 Every config that names a `code` also runs `cycle` and `scaling` under the
-other engine (`--engine`), so both engines run on every such noise.  Stdout
+other engine (`--engine`), so both engines run on every such noise.  The
+noise kinds no packaged config uses (independent, exponential on all three
+axes, a custom cross_axis block) run `validate` and `cycle` from L=5 configs
+written to a temporary directory and passed to both trees by absolute path.
+Stdout
 bytes and exit codes are compared; each mismatch prints its first differing
 line.  Exits 1 on any mismatch, 0 when every output is identical.  The
 checkout is removed afterwards.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -32,23 +37,51 @@ COMMANDS = ("cycle", "scaling", "trajectories", "validate")
 CROSS_COMMANDS = ("cycle", "scaling")
 OTHER_ENGINE = {"density": "trajectory", "trajectory": "density"}
 
+# Noise kinds the packaged configs leave out, each run with GENERATED_COMMANDS
+# from a config of GENERATED_BASE plus that noise section.
+GENERATED_NOISE = {
+    "independent": {"kind": "independent", "num_qubits": 5, "amplitude": 0.2},
+    "exponential_xyz": {"kind": "exponential", "num_qubits": 5, "correlation_length": 2.0},
+    "cross_axis_custom": {
+        "kind": "cross_axis",
+        "num_qubits": 5,
+        "axis_block": [[1.0, [0.0, 0.3], 0.0], [[0.0, -0.3], 0.5, 0.1], [0.0, 0.1, 0.2]],
+    },
+}
+GENERATED_BASE = {
+    "code": "five_qubit",
+    "t_total": 0.1,
+    "delta_t_values": [0.002, 0.004, 0.006, 0.01, 0.02],
+    "engine": "density",
+    "base_seed": 7,
+}
+GENERATED_COMMANDS = ("validate", "cycle")
 
-def _jobs(configs: Path) -> list:
-    """(command, config, extra arguments) for every run to compare."""
+
+def _jobs(configs: Path, generated: Path) -> list:
+    """(command, config path, extra arguments) for every run to compare.
+
+    Packaged configs are given relative to the tree, generated ones absolute.
+    """
     jobs = []
     for path in sorted(configs.glob("*.yaml")):
-        jobs += [(command, path.name, ()) for command in COMMANDS]
+        config = f"configs/{path.name}"
+        jobs += [(command, config, ()) for command in COMMANDS]
         data = yaml.safe_load(path.read_text())
         if "code" in data:
             other = OTHER_ENGINE[data.get("engine", "density")]
-            jobs += [(command, path.name, ("--engine", other)) for command in CROSS_COMMANDS]
+            jobs += [(command, config, ("--engine", other)) for command in CROSS_COMMANDS]
+    for name, noise in GENERATED_NOISE.items():
+        path = generated / f"{name}.yaml"
+        path.write_text(yaml.safe_dump({"noise": noise, **GENERATED_BASE}))
+        jobs += [(command, str(path), ()) for command in GENERATED_COMMANDS]
     return jobs
 
 
 def _run(tree: Path, command: str, config: str, extra: tuple):
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "corrqec.cli", command, "--config", f"configs/{config}", *extra],
+        [sys.executable, "-m", "corrqec.cli", command, "--config", config, *extra],
         cwd=tree,
         env=env,
         stdout=subprocess.PIPE,
@@ -71,9 +104,11 @@ def _first_difference(rev: str, old: bytes, new: bytes) -> str:
 def main(argv) -> int:
     rev = argv[1] if len(argv) > 1 else "HEAD"
     here = repo_root()
-    jobs = _jobs(here / "configs")
-
-    with rev_tree(here, rev, "same_outputs_") as there:
+    with (
+        tempfile.TemporaryDirectory(prefix="same_outputs_configs_") as generated,
+        rev_tree(here, rev, "same_outputs_") as there,
+    ):
+        jobs = _jobs(here / "configs", Path(generated))
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [
                 (job, pool.submit(_run, there, *job), pool.submit(_run, here, *job))
@@ -82,7 +117,7 @@ def main(argv) -> int:
             mismatches = 0
             for (command, config, extra), old, new in futures:
                 (old_code, old_out), (new_code, new_out) = old.result(), new.result()
-                name = " ".join((command, config, *extra))
+                name = " ".join((command, Path(config).name, *extra))
                 if old_code != new_code:
                     mismatches += 1
                     print(f"DIFF {name}: exit {old_code} at {rev}, {new_code} here")
