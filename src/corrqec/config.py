@@ -45,7 +45,7 @@ from .noise import (
     independent_kernel,
     lowering_kernel,
 )
-from .operators import AXIS_LABELS
+from .operators import AXIS_LABELS, is_number, is_real_number
 
 # `normalize_rates` is written as noise.normalize.
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)} - {"normalize_rates"}
@@ -81,12 +81,8 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
 
 
-def _real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _number(value, where: str) -> float:
-    if not _real(value):
+    if not is_real_number(value):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
 
@@ -100,22 +96,22 @@ def _integer(value, where: str):
 
 def _axis(value, where: str):
     # null means every axis (exponential); the collective factory rejects it.
-    try:
-        return None if value is None else _AXES[value]
-    except (KeyError, TypeError):
-        raise ConfigError(f"{where} must be x, y, z or 1..3, got {value!r}") from None
+    # A boolean is no axis, although True == 1 would find the key 1.
+    if value is None or (isinstance(value, str) or is_real_number(value)) and value in _AXES:
+        return _AXES.get(value)
+    raise ConfigError(f"{where} must be x, y, z or 1..3, got {value!r}")
 
 
 def _complex_pair(value):
     """An [re, im] pair of numbers as a complex; any other value as it is."""
-    if isinstance(value, list) and len(value) == 2 and all(map(_real, value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(is_real_number, value)):
         return complex(value[0], value[1])
     return value
 
 
 def _complex_value(value, where: str) -> complex:
     value = _complex_pair(value)
-    if not (_real(value) or isinstance(value, complex)):
+    if not is_number(value):
         raise ConfigError(f"{where} must be a number or a [re, im] pair, got {value!r}")
     return complex(value)
 

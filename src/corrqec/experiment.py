@@ -44,7 +44,16 @@ from .noise import (
     max_rate,
     rescale_to_unit_max_rate,
 )
-from .operators import pure_state_fidelity, pure_state_projector, trace_distance
+from .operators import (
+    _NORM_TOL,
+    _PSD_FLOOR,
+    is_number,
+    is_positive,
+    meets_psd_floor,
+    pure_state_fidelity,
+    pure_state_projector,
+    trace_distance,
+)
 from .qecc import (
     _batch_syndrome_recover,
     _gram_deviation,
@@ -111,26 +120,22 @@ class ExperimentConfig:
         if not (
             isinstance(state, (tuple, list))
             and len(state) == 2
-            and all(_is_number(a, complex, np.complexfloating) for a in state)
+            and all(map(is_number, state))
             and np.all(np.isfinite(state))
         ):
             raise ConfigError(f"logical_state must be two finite numbers, got {state!r}")
         alpha, beta = state
-        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > _NORM_TOL:
             raise ConfigError("logical_state amplitudes must have unit norm")
-        # The chained comparisons are false for NaN.
-        if not (_is_number(self.t_total) and 0 < self.t_total < np.inf):
+        if not is_positive(self.t_total):
             raise ConfigError(f"t_total must be a positive finite number, got {self.t_total!r}")
         if not isinstance(self.n_values, (tuple, list)) or not self.n_values or any(
             isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in self.n_values
         ):
             raise ConfigError(f"n_values must be positive integers, got {self.n_values!r}")
-        if not isinstance(self.delta_t_values, (tuple, list)) or not self.delta_t_values or any(
-            not (_is_number(dt) and 0 < dt < np.inf) for dt in self.delta_t_values
-        ):
-            raise ConfigError(
-                f"delta_t_values must be positive finite numbers, got {self.delta_t_values!r}"
-            )
+        dts = self.delta_t_values
+        if not isinstance(dts, (tuple, list)) or not dts or not all(map(is_positive, dts)):
+            raise ConfigError(f"delta_t_values must be positive finite numbers, got {dts!r}")
         for name, least in (("trajectories", 1), ("trajectory_substeps", 1), ("base_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -142,11 +147,6 @@ class ExperimentConfig:
         object.__setattr__(self, "delta_t_values", tuple(float(x) for x in self.delta_t_values))
 
 
-def _is_number(x, *extra) -> bool:
-    """A real number (or one of the `extra` types), not a bool."""
-    return isinstance(x, (int, float, np.integer, np.floating, *extra)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class FitResult:
     slope: float
@@ -155,15 +155,19 @@ class FitResult:
     points: int
 
 
-def fit_loglog(x, y, min_points: int = 5):
+# Fewest positive points a log-log fit is made from.
+_MIN_FIT_POINTS = 5
+
+
+def fit_loglog(x, y):
     """OLS fit of log(y) against log(x), skipping nonpositive values.
 
-    Returns a FitResult, or None when fewer than min_points survive.
+    Returns a FitResult, or None when fewer than _MIN_FIT_POINTS survive.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mask = (x > 0) & (y > 0)
-    if mask.sum() < min_points:
+    if mask.sum() < _MIN_FIT_POINTS:
         return None
     lx, ly = np.log(x[mask]), np.log(y[mask])
     n = len(lx)
@@ -248,20 +252,17 @@ def _density_qec_run(
     return rho
 
 
-def _qec_block(psi0, ch, code, uniforms, delta_t, n_cycles, substeps, correction):
-    """Final states of a block of trajectories after n_cycles correction cycles.
+def _qec_block(psi0, ch, code, cycles, delta_t, substeps, correction):
+    """Final states of a block of trajectories after one correction cycle per cycles[:, c].
 
-    Row b of uniforms is trajectory b's stream, of which only the first
-    n_cycles cycles are read.  Each cycle of length delta_t is unraveled
-    with `substeps` jump intervals, one uniform each, followed by one
-    uniform per stabilizer generator when correcting.
+    cycles[b, c] holds the uniforms trajectory b reads in cycle c.  Each
+    cycle of length delta_t is unraveled with `substeps` jump intervals, one
+    uniform each, followed by one uniform per stabilizer generator when
+    correcting.
     """
     stepper = BatchStepper(ch, delta_t / substeps)
-    per_cycle = substeps + (len(code.generators) if correction else 0)
-    rows = uniforms.shape[0]
-    cycles = uniforms[:, : n_cycles * per_cycle].reshape(rows, n_cycles, per_cycle)
-    psi = np.tile(psi0, (rows, 1))
-    for c in range(n_cycles):
+    psi = np.tile(psi0, (cycles.shape[0], 1))
+    for c in range(cycles.shape[1]):
         for k in range(substeps):
             psi, _, _ = stepper.step(psi, cycles[:, c, k])
         if correction:
@@ -285,6 +286,7 @@ def _trajectory_overlaps(cfg, ch, code, psi0, correction, delta_ts, n_cycles):
     failure is reported; once the first point fails no further block is drawn.
     """
     substeps = cfg.trajectory_substeps
+    # The uniforms a cycle reads: one per jump interval, then one per generator.
     per_cycle = substeps + (len(code.generators) if correction else 0)
     overlaps = np.empty((len(delta_ts), cfg.trajectories), dtype=complex)
     live, failure = len(delta_ts), None
@@ -293,14 +295,15 @@ def _trajectory_overlaps(cfg, ch, code, psi0, correction, delta_ts, n_cycles):
         rows = slice(start, start + table.shape[0])
         for i in range(live):
             dt, n = delta_ts[i], n_cycles[i]
+            cycles = table[:, : n * per_cycle].reshape(-1, n, per_cycle)
             try:
-                psi = _qec_block(psi0, ch, code, table, dt, n, substeps, correction)
+                psi = _qec_block(psi0, ch, code, cycles, dt, substeps, correction)
             except StepSizeError as err:
                 live, failure = i, (i, err)
                 break
             overlaps[i, rows] = psi @ psi0.conj()
             del psi  # not held while the next point steps its own block
-        del table  # free this block's draws before the next block's are made
+        del table, cycles  # free this block's draws before the next block's are made
         if not live:
             break
     return overlaps, failure
@@ -527,10 +530,10 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
         return build_channels(spec), psi
 
     def psd_gate():
-        w_min = float(np.linalg.eigvalsh(resolved().A).min())
-        return f"{w_min:.3e}", w_min >= -1e-10, ""
+        w = np.linalg.eigvalsh(resolved().A)
+        return f"{float(w.min()):.3e}", meets_psd_floor(w), ""
 
-    checks.append(_check("noise_psd_gate", ">=-1e-10", psd_gate))
+    checks.append(_check("noise_psd_gate", f">={_PSD_FLOOR:g}", psd_gate))
 
     def probability_gate():
         ch, psi = channels_and_state()

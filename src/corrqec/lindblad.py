@@ -25,13 +25,13 @@ shorter one changes how the product accumulates and moves the last digit.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .noise import JumpChannelSet
+from .operators import is_nonnegative, is_positive
 
 logger = logging.getLogger(__name__)
 
@@ -55,11 +55,11 @@ class EvolutionConfig:
     t_final: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt_integrator) and self.dt_integrator > 0):
+        if not is_positive(self.dt_integrator):
             raise DomainError(
                 f"dt_integrator must be positive and finite, got {self.dt_integrator}"
             )
-        if not (math.isfinite(self.t_final) and self.t_final >= 0):
+        if not is_nonnegative(self.t_final):
             raise DomainError(f"t_final must be nonnegative and finite, got {self.t_final}")
 
 
@@ -71,13 +71,16 @@ def default_dt_integrator(ch: JumpChannelSet) -> float:
 
 def lindblad_rhs(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
     """Right-hand side -i H_eff rho + i rho H_eff^dag + sum_n xi_n s_n rho s_n^dag."""
-    rho = np.asarray(rho, dtype=complex)
+    return _rhs(ch)(_check_density(np.asarray(rho, dtype=complex), ch))
+
+
+def _check_density(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
     if rho.shape != ch.H_eff.shape:
         raise DomainError(
             f"density matrix shape {rho.shape} does not match channel dimension "
             f"{ch.H_eff.shape}"
         )
-    return _rhs(ch)(rho)
+    return rho
 
 
 def _rhs(ch: JumpChannelSet):
@@ -114,12 +117,7 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
     Returns the final density matrix; trace drift beyond 1e-9 is repaired by
     renormalization (and logged), beyond 1e-7 it raises IntegrationError.
     """
-    rho = np.array(rho0, dtype=complex)
-    if rho.shape != ch.H_eff.shape:
-        raise DomainError(
-            f"density matrix shape {rho.shape} does not match channel dimension "
-            f"{ch.H_eff.shape}"
-        )
+    rho = _check_density(np.array(rho0, dtype=complex), ch)
     rhs = _rhs(ch)
 
     n_full, remainder = divmod(cfg.t_final, cfg.dt_integrator)

@@ -29,15 +29,16 @@ import numpy as np
 from .errors import DomainError, SimulationError
 from .operators import (
     AXES,
-    HERM_TOL,
     axis_block,
-    hermitian_eigensystem,
+    check_hermitian,
+    is_nonnegative,
+    is_positive,
     pauli_stack,
+    psd_eigensystem,
     _check_qubit_count,
     _frozen_array,
 )
 
-_PSD_FLOOR = -1e-10
 _RECON_TOL = 1e-9
 _ROW_NORM_TOL = 1e-10
 _DAMPING_TOL = 1e-9
@@ -58,7 +59,9 @@ class CorrelationKernel:
 
     `spatial` is the 3L x 3L table C over flat channel indices; Hermiticity
     of the correlation function requires C to be Hermitian as a matrix.
-    `tau_c` is the bath memory time (seconds), `g1` the coupling (rad/s).
+    `tau_c` is the bath memory time (seconds), `g1` the coupling (rad/s);
+    tau_c must be positive and g1 nonnegative, both finite (A scales with
+    g1^2 tau_c, so an infinite one makes A non-finite).
     """
 
     num_qubits: int
@@ -70,23 +73,13 @@ class CorrelationKernel:
     def __post_init__(self):
         _check_qubit_count(self.num_qubits)
         dim = 3 * self.num_qubits
-        spatial = np.asarray(self.spatial, dtype=complex)
+        spatial = check_hermitian(self.spatial, "spatial table")
         if spatial.shape != (dim, dim):
-            raise DomainError(
-                f"spatial table must be {dim}x{dim} for {self.num_qubits} qubits, "
-                f"got {spatial.shape}"
-            )
-        if not np.all(np.isfinite(spatial.view(float))):
-            raise DomainError("spatial table contains non-finite entries")
-        herm = np.max(np.abs(spatial - spatial.conj().T))
-        if herm > HERM_TOL:
-            raise DomainError(
-                f"spatial correlation table is not Hermitian: residual {herm:.3e}"
-            )
-        if not self.tau_c > 0:
-            raise DomainError(f"tau_c must be positive, got {self.tau_c}")
-        if not np.isfinite(self.g1):
-            raise DomainError(f"g1 must be finite, got {self.g1}")
+            raise DomainError(f"spatial table must be 3L x 3L = {dim}x{dim}, got {spatial.shape}")
+        if not is_positive(self.tau_c):
+            raise DomainError(f"tau_c must be positive and finite, got {self.tau_c}")
+        if not is_nonnegative(self.g1):
+            raise DomainError(f"g1 must be nonnegative and finite, got {self.g1}")
         object.__setattr__(self, "spatial", _frozen_array(spatial))
 
 
@@ -137,6 +130,7 @@ def exponential_kernel(
     axes active the summed rate at unit max eigenvalue is large enough that
     the smallest repetition counts leave the perturbative regime.
     """
+    # +inf passes: exp(-k / inf) = 1 is the uniform-profile limit.
     if not correlation_length > 0:
         raise DomainError(
             f"correlation_length must be positive, got {correlation_length}"
@@ -193,41 +187,25 @@ class NoiseSpec:
 def noise_spec_direct(A, B=None, num_qubits: int | None = None) -> NoiseSpec:
     """Build a NoiseSpec from explicit matrices, bypassing any kernel.
 
-    A must be Hermitian within 1e-10 and positive semidefinite: eigenvalues in
-    [-1e-10, 0) are clamped to zero (A is reconstructed from the clamped
-    spectrum), anything lower is rejected.  B must be Hermitian; it defaults
-    to zero.
+    A and B pass the matrix gate (square, finite, Hermitian within HERM_TOL)
+    and A the PSD floor: eigenvalues in [-1e-10, 0) are clamped to zero (A is
+    reconstructed from the clamped spectrum), anything lower is rejected.
+    B defaults to zero.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 3 != 0:
         raise DomainError(f"A must be square 3L x 3L, got shape {A.shape}")
-    inferred = A.shape[0] // 3
-    if num_qubits is None:
-        num_qubits = inferred
-    elif num_qubits != inferred:
+    if num_qubits not in (None, A.shape[0] // 3):
         raise DomainError(
             f"A is {A.shape[0]}x{A.shape[0]} but num_qubits={num_qubits} implies "
             f"{3 * num_qubits}x{3 * num_qubits}"
         )
+    num_qubits = A.shape[0] // 3
     _check_qubit_count(num_qubits)
-    if B is None:
-        B = np.zeros_like(A)
-    B = np.asarray(B, dtype=complex)
+    w, v = psd_eigensystem(A, "A")
+    B = check_hermitian(np.zeros_like(A) if B is None else B, "B")
     if B.shape != A.shape:
         raise DomainError(f"B shape {B.shape} does not match A shape {A.shape}")
-    for name, m in (("A", A), ("B", B)):
-        if not np.all(np.isfinite(m.view(float))):
-            raise DomainError(f"{name} contains non-finite entries")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERM_TOL:
-            raise DomainError(f"{name} is not Hermitian: residual {herm:.3e}")
-
-    w, v = hermitian_eigensystem(A)
-    if w.min(initial=0.0) < _PSD_FLOOR:
-        raise DomainError(
-            f"A is not positive semidefinite: eigenvalue {w.min():.6e} "
-            f"below the {_PSD_FLOOR:.1e} floor"
-        )
     if w.min(initial=0.0) < 0.0:
         w = np.clip(w, 0.0, None)
         A = (v * w) @ v.conj().T
@@ -258,8 +236,7 @@ def integrate_kernel(kernel: CorrelationKernel) -> NoiseSpec:
     temporal profile is even in tau.
     """
     A = kernel.g1**2 * 2.0 * kernel.tau_c * kernel.spatial
-    B = np.zeros_like(A)
-    return noise_spec_direct(A, B, num_qubits=kernel.num_qubits)
+    return noise_spec_direct(A, num_qubits=kernel.num_qubits)
 
 
 def max_rate(spec: NoiseSpec) -> float:
@@ -394,11 +371,7 @@ def build_channels(spec: NoiseSpec) -> JumpChannelSet:
     degenerate eigenspace is acceptable, the resulting dissipator is basis
     independent.
     """
-    w, v = hermitian_eigensystem(spec.A)
-    if w.min(initial=0.0) < _PSD_FLOOR:
-        raise DomainError(
-            f"rate matrix eigenvalue {w.min():.6e} below the PSD floor"
-        )
+    w, v = psd_eigensystem(spec.A, "A")
     xi = np.clip(w, 0.0, None)
     # A = V diag(xi) V^dag, so the mixing matrix with A = U^dag diag U is V^dag.
     return assemble_channel_set(spec, xi, v.conj().T)

@@ -7,9 +7,18 @@ the (qubit, axis) pair is flattened as ``3*(qubit-1) + (axis-1)``; that single
 convention indexes the rate/shift matrices and the jump-channel numbering
 everywhere in the package.  This module owns that layout: Pauli strings, the
 stack of all 3L single-qubit Paulis, and the 3x3 axis blocks.
+
+It also holds the one implementation of each input rule the package checks:
+a real number (not a bool) or a complex one, a positive or nonnegative
+finite scalar, the matrix gate (square, finite, Hermitian within HERM_TOL),
+the PSD floor and the unit-norm tolerance.  Callers of the scalar rules
+raise their own error type with a message naming the value; the matrix gate
+and the PSD floor raise DomainError naming the matrix.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,7 +30,9 @@ MAX_DIM = 2**MAX_QUBITS
 
 # Largest |m - m^dag| entry a Hermitian input may carry.
 HERM_TOL = 1e-10
-# Largest deviation of a state vector's norm from 1.
+# Lowest eigenvalue a positive semidefinite input may carry (then clipped to 0).
+_PSD_FLOOR = -1e-10
+# Largest deviation of a state's norm (or of |alpha|^2 + |beta|^2) from 1.
 _NORM_TOL = 1e-10
 
 AXIS_X, AXIS_Y, AXIS_Z = AXES = 1, 2, 3
@@ -32,6 +43,50 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 _PAULI_CHARS = {"I": IDENTITY_2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
+def is_real_number(x) -> bool:
+    """An int, float or numpy real scalar, and not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    """A real number (is_real_number) or a Python or numpy complex."""
+    return is_real_number(x) or isinstance(x, (complex, np.complexfloating))
+
+
+def is_positive(x) -> bool:
+    """A real number (is_real_number) that is finite and > 0."""
+    return is_real_number(x) and math.isfinite(x) and x > 0
+
+
+def is_nonnegative(x) -> bool:
+    """A real number (is_real_number) that is finite and >= 0."""
+    return is_real_number(x) and math.isfinite(x) and x >= 0
+
+
+def check_finite_square(m, name: str) -> np.ndarray:
+    """m as a complex square matrix with finite entries; DomainError naming it otherwise."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"{name} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError(f"{name} contains non-finite entries")
+    return m
+
+
+def check_hermitian(m, name: str) -> np.ndarray:
+    """The matrix gate: check_finite_square, then max |m - m^dag| within HERM_TOL."""
+    m = check_finite_square(m, name)
+    asym = np.max(np.abs(m - m.conj().T), initial=0.0)
+    if asym > HERM_TOL:
+        raise DomainError(f"{name} is not Hermitian: max |m - m^dag| = {asym:.3e} > {HERM_TOL:.1e}")
+    return m
+
+
+def meets_psd_floor(eigenvalues: np.ndarray) -> bool:
+    """The PSD floor: no eigenvalue below _PSD_FLOOR."""
+    return eigenvalues.min(initial=0.0) >= _PSD_FLOOR
 
 
 def channel_index(qubit: int, axis: int) -> int:
@@ -56,13 +111,14 @@ def _check_qubit_count(num_qubits: int) -> None:
 def axis_block(*axes: int) -> np.ndarray:
     """Complex 3x3 projector onto the given Pauli axes (1 x, 2 y, 3 z).
 
-    The one check of an axis value: anything but 1, 2 or 3 is a DomainError.
+    The one check of an axis value: anything but 1, 2 or 3 is a DomainError,
+    a bool too, although True == 1.
     """
     block = np.zeros((3, 3), dtype=complex)
     for axis in axes:
-        if axis not in AXES:
+        if not is_real_number(axis) or axis not in AXES:
             raise DomainError(f"axis must be 1 (x), 2 (y) or 3 (z), got {axis!r}")
-        block[axis - 1, axis - 1] = 1.0
+        block[int(axis) - 1, int(axis) - 1] = 1.0  # 2.0 is axis 2, as YAML reads it
     return block
 
 
@@ -112,25 +168,31 @@ def _frozen_array(m, dtype=complex) -> np.ndarray:
     return out
 
 
+def _eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
+    m = check_hermitian(m, name)
+    return tuple(np.linalg.eigh(0.5 * (m + m.conj().T)))
+
+
 def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real ascending
     and eigenvectors as the columns of a unitary matrix V, so that
-    ``m = V @ diag(eigenvalues) @ V.conj().T``.  The input is symmetrized as
-    (m + m^dag)/2 before decomposition; asymmetry beyond HERM_TOL is an error.
+    ``m = V @ diag(eigenvalues) @ V.conj().T``.  The input passes the matrix
+    gate (check_hermitian) and is symmetrized as (m + m^dag)/2 before
+    decomposition.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    asym = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if asym > HERM_TOL:
+    return _eigensystem(m, "matrix")
+
+
+def psd_eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eigensystem of m, which must also meet the PSD floor."""
+    w, v = _eigensystem(m, name)
+    if not meets_psd_floor(w):
         raise DomainError(
-            f"matrix is not Hermitian: max |m - m^dag| = {asym:.3e} > {HERM_TOL:.1e}"
+            f"{name} is not positive semidefinite: eigenvalue {w.min():.6e} < {_PSD_FLOOR:.1e}"
         )
-    sym = 0.5 * (m + m.conj().T)
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    return eigenvalues, eigenvectors
+    return w, v
 
 
 def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
@@ -144,9 +206,7 @@ def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape[0] > MAX_DIM:
         raise ResourceError(f"matrix dimension {m.shape[0]} exceeds {MAX_DIM}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("cannot exponentiate a matrix with non-finite entries")
-    a = scale * m
+    a = scale * check_finite_square(m, "matrix")
     norm = np.linalg.norm(a, 1)
     squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
     a = a / 2.0**squarings

@@ -29,6 +29,7 @@ from .operators import (
     pauli_stack,
     pauli_string_matrix,
     row_norms,
+    _NORM_TOL,
     _frozen_array,
 )
 
@@ -186,7 +187,7 @@ def five_qubit_code() -> StabilizerCode:
 def encode(alpha: complex, beta: complex, code: StabilizerCode) -> np.ndarray:
     """Logical state alpha |0_L> + beta |1_L>; (alpha, beta) must be unit norm."""
     norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm_sq - 1.0) > 1e-10:
+    if abs(norm_sq - 1.0) > _NORM_TOL:
         raise DomainError(f"|alpha|^2 + |beta|^2 = {norm_sq!r}, expected 1")
     return alpha * code.logical_zero + beta * code.logical_one
 

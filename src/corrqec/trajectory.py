@@ -49,7 +49,14 @@ import numpy as np
 
 from .errors import DomainError, SimulationError, StepSizeError
 from .noise import JumpChannelSet
-from .operators import check_state_vector, divide_rows, matrix_exponential, row_norms
+from .operators import (
+    check_state_vector,
+    divide_rows,
+    is_nonnegative,
+    is_positive,
+    matrix_exponential,
+    row_norms,
+)
 
 # First-order validity gate on the total jump probability per interval.
 SUM_P_GATE = 0.1
@@ -111,19 +118,24 @@ def apply_first_order_channel(rho0: np.ndarray, channel: FirstOrderChannel) -> n
 
 def step_count(t_total: float, delta_t: float) -> int:
     """Number of intervals m with m * delta_t == t_total; DomainError otherwise."""
-    if not delta_t > 0:
-        raise DomainError(f"delta_t must be positive, got {delta_t}")
+    if not is_positive(delta_t):
+        raise DomainError(f"delta_t must be positive and finite, got {delta_t}")
+    if not is_nonnegative(t_total):
+        raise DomainError(f"t_total must be nonnegative and finite, got {t_total}")
     m = round(t_total / delta_t)
-    if m < 0 or abs(m * delta_t - t_total) > 1e-9 * max(t_total, delta_t):
+    if abs(m * delta_t - t_total) > 1e-9 * max(t_total, delta_t):
         raise DomainError(
             f"t_total={t_total!r} is not an integer multiple of delta_t={delta_t!r}"
         )
     return m
 
 
-def _active_rates(ch: JumpChannelSet) -> np.ndarray:
+def _channel_weights(ch: JumpChannelSet, delta_t: float) -> np.ndarray:
+    """w_n = xi_n delta_t per channel, so that p_n = w_n ||s_n psi||^2; checks delta_t."""
+    if not is_nonnegative(delta_t):
+        raise DomainError(f"delta_t must be nonnegative and finite, got {delta_t}")
     # Inert channels get exactly zero weight so they can never fire.
-    return np.where(ch.inert, 0.0, ch.eigenvalues)
+    return np.where(ch.inert, 0.0, ch.eigenvalues) * delta_t
 
 
 def _check_gate(total: float, delta_t: float) -> None:
@@ -148,10 +160,8 @@ def jump_rate_operator(ch: JumpChannelSet, delta_t: float) -> np.ndarray:
     Gamma is positive semidefinite and <psi|Gamma|psi> is the total jump
     probability of the interval (see total_jump_probability).
     """
-    if delta_t < 0:
-        raise DomainError(f"delta_t must be nonnegative, got {delta_t}")
     s = ch.jump_ops
-    weighted = (_active_rates(ch) * delta_t)[:, None, None] * s
+    weighted = _channel_weights(ch, delta_t)[:, None, None] * s
     gamma = weighted.reshape(-1, ch.dim).conj().T @ s.reshape(-1, ch.dim)
     return 0.5 * (gamma + gamma.conj().T)
 
@@ -169,12 +179,11 @@ def jump_probabilities(psi: np.ndarray, ch: JumpChannelSet, delta_t: float) -> n
 
     Raises StepSizeError when the total exceeds the first-order gate 0.1.
     """
-    if delta_t < 0:
-        raise DomainError(f"delta_t must be nonnegative, got {delta_t}")
+    weights = _channel_weights(ch, delta_t)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (ch.dim,):
         raise DomainError(f"state shape {psi.shape} does not match dimension {ch.dim}")
-    _, p = _jump_images(psi[None], ch.jump_ops, _active_rates(ch) * delta_t)
+    _, p = _jump_images(psi[None], ch.jump_ops, weights)
     _check_gate(p.sum(), delta_t)
     return p[0]
 
@@ -200,7 +209,7 @@ class BatchStepper:
         # <psi|Gamma|psi> <= lambda_max for a unit state; the margin covers
         # the roundoff of a computed total, so it never changes a decision.
         self.bound = float(np.linalg.eigvalsh(self.gamma)[-1]) * (1.0 + 1e-9)
-        self.weights = _active_rates(ch) * delta_t
+        self.weights = _channel_weights(ch, delta_t)
         self.jump_ops = ch.jump_ops
         self.prop = np.eye(ch.dim, dtype=complex) - 1j * delta_t * ch.H_eff
         self._spare = None  # the block consumed by the last step

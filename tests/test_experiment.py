@@ -109,7 +109,6 @@ def test_fit_loglog_insufficient_points():
     y = 3.0 * x5**-0.9
     y[2] = 0.0
     assert fit_loglog(x5, y) is None
-    assert fit_loglog(x5, y, min_points=4).points == 4
 
 
 def test_resolve_spec_normalization():
@@ -756,6 +755,27 @@ def test_cli_rejects_non_finite_times(tmp_path):
         path = _write(tmp_path, f"non_finite_{i}.yaml", text)
         for command in ("cycle", "scaling", "validate"):
             assert main([command, "--config", path]) == 1
+
+
+@pytest.mark.parametrize("key", ["tau_c", "g1"])
+def test_cli_non_finite_noise_parameter_is_a_config_error(tmp_path, key):
+    # tau_c: .inf used to reach the integrator as a non-finite A and exit 2
+    text = CHEAP_DENSITY_YAML.replace("  axis: z\n", f"  axis: z\n  {key}: .inf\n")
+    assert text != CHEAP_DENSITY_YAML
+    path = _write(tmp_path, "non_finite_noise.yaml", text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for command in ("cycle", "validate"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrqec.cli", command, "--config", path],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 def test_cli_rejects_nan_logical_state(tmp_path):

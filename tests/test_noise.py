@@ -5,6 +5,7 @@ trusting the closed form; eigenvector-dependent quantities are only checked
 through basis-invariant observables.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,9 @@ from corrqec.config import parse_config
 from corrqec.errors import ConfigError, DomainError, ResourceError
 from corrqec.noise import (
     LOWERING_BLOCK,
+    CorrelationKernel,
     DirectNoise,
+    NoiseSpec,
     assemble_channel_set,
     build_channels,
     collective_axis_kernel,
@@ -29,7 +32,15 @@ from corrqec.noise import (
     noise_spec_direct,
     rescale_to_unit_max_rate,
 )
-from corrqec.operators import AXIS_Z, MAX_QUBITS, channel_index, pauli_operator
+from corrqec.operators import (
+    AXIS_Z,
+    HERM_TOL,
+    MAX_QUBITS,
+    axis_block,
+    channel_index,
+    hermitian_eigensystem,
+    pauli_operator,
+)
 
 
 def test_independent_kernel_closed_form():
@@ -101,6 +112,109 @@ def test_axis_is_checked_alike_by_every_factory():
                 exponential_kernel(2, axis=bad)
             with pytest.raises(DomainError, match=r"axis must be 1 \(x\)"):
                 pauli_operator(1, bad, 2)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_boolean_axis_is_rejected(flag):
+    # True == 1, but a boolean is no axis: the axis check and the YAML reader refuse it
+    for build in (
+        axis_block,
+        lambda a: collective_axis_kernel(2, axis=a),
+        lambda a: exponential_kernel(2, axis=a),
+        lambda a: pauli_operator(1, a, 2),
+    ):
+        with pytest.raises(DomainError, match=r"axis must be 1 \(x\), 2 \(y\) or 3 \(z\)"):
+            build(flag)
+    for section in (
+        {"kind": "collective_axis", "num_qubits": 2},
+        {"kind": "exponential", "num_qubits": 2, "correlation_length": 1.0},
+    ):
+        with pytest.raises(ConfigError, match="axis"):
+            parse_config({"noise": {**section, "axis": bool(flag)}, "delta_t_values": [0.01]})
+
+
+def test_integral_float_axis_is_that_axis():
+    # YAML's axis: 2.0 is axis 2; the factories used to index with the float
+    for axis in (1, 2, 3):
+        for factory in (collective_axis_kernel, lambda n, axis: exponential_kernel(n, axis=axis)):
+            expected = factory(2, axis=axis).spatial.tobytes()
+            assert factory(2, axis=float(axis)).spatial.tobytes() == expected
+            assert factory(2, axis=np.float64(axis)).spatial.tobytes() == expected
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tau_c", math.inf),
+        ("tau_c", math.nan),
+        ("tau_c", 0.0),
+        ("tau_c", -1.0),
+        ("g1", math.inf),
+        ("g1", -math.inf),
+        ("g1", math.nan),
+        ("g1", -1.0),
+    ],
+)
+def test_kernel_time_scales_must_be_finite(key, value):
+    # an infinite tau_c used to reach the integrator as a non-finite A
+    with pytest.raises(DomainError, match=f"{key} must be"):
+        independent_kernel(1, **{key: value})
+    section = {"kind": "independent", "num_qubits": 1, key: value}
+    with pytest.raises(ConfigError, match=f"invalid noise parameters: {key}"):
+        parse_config({"noise": section, "delta_t_values": [0.01]})
+
+
+def test_zero_coupling_is_a_silent_kernel():
+    spec = integrate_kernel(independent_kernel(2, g1=0.0))
+    assert not np.any(spec.A)
+
+
+def test_infinite_correlation_length_is_the_uniform_profile():
+    # exp(-k / inf) = 1: every qubit pair correlates fully on every axis
+    kernel = exponential_kernel(3, correlation_length=math.inf)
+    assert kernel.spatial.tobytes() == np.kron(np.ones((3, 3)), axis_block(1, 2, 3)).tobytes()
+    section = {"kind": "exponential", "num_qubits": 3, "correlation_length": math.inf}
+    parse_config({"noise": section, "delta_t_values": [0.01]})
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="correlation_length"):
+            exponential_kernel(3, correlation_length=bad)
+
+
+# Every entry point of the matrix gate, each given a 3x3 matrix (one qubit).
+MATRIX_GATES = {
+    "hermitian_eigensystem": hermitian_eigensystem,
+    "spatial": lambda m: CorrelationKernel(1, m, 0.5, 1.0),
+    "direct_A": noise_spec_direct,
+    "direct_B": lambda m: noise_spec_direct(np.eye(3), m),
+    "build_channels": lambda m: build_channels(NoiseSpec(1, m, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", MATRIX_GATES)
+def test_hermitian_tolerance_at_every_matrix_entry_point(entry):
+    gate = MATRIX_GATES[entry]
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = HERM_TOL * (1 - 1e-6)  # max |m - m^dag| is this entry
+    gate(m)
+    m[0, 1] = HERM_TOL * (1 + 1e-6)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        gate(m)
+
+
+@pytest.mark.parametrize("entry", MATRIX_GATES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_matrix_is_rejected_at_every_entry_point(entry, bad):
+    # a NaN rate used to come out of build_channels as NaN eigenvalues
+    m = np.eye(3, dtype=complex)
+    m[1, 1] = bad
+    with pytest.raises(DomainError, match="contains non-finite entries"):
+        MATRIX_GATES[entry](m)
+
+
+@pytest.mark.parametrize("entry", MATRIX_GATES)
+def test_non_square_matrix_is_rejected_at_every_entry_point(entry):
+    with pytest.raises(DomainError):
+        MATRIX_GATES[entry](np.eye(3, 2))
 
 
 # The factories' former constructions, kept as byte references.

@@ -4,6 +4,7 @@ Expected values come from closed forms or independent oracles (50-term
 Taylor series, direct multiplication), never from the functions under test.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,10 @@ from corrqec.operators import (
     channel_qubit_axis,
     check_state_vector,
     hermitian_eigensystem,
+    is_nonnegative,
+    is_number,
+    is_positive,
+    is_real_number,
     matrix_exponential,
     normalized,
     pauli_operator,
@@ -181,6 +186,53 @@ def test_eigensystem_invariant_under_conjugation():
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(DomainError):
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, 0.0)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+def test_eigensystem_rejects_non_finite(bad, where):
+    m = np.diag([1.0, 2.0, 0.0]).astype(complex)
+    m[where] = m[where[::-1]] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        hermitian_eigensystem(m)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), (0, 1)])
+def test_matrix_exponential_rejects_non_square(shape):
+    with pytest.raises(DomainError, match="square"):
+        matrix_exponential(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "x, positive, nonnegative",
+    [
+        (1, True, True),
+        (2.5, True, True),
+        (np.float64(1e-300), True, True),
+        (np.int64(3), True, True),
+        (0, False, True),
+        (-0.0, False, True),
+        (-1.0, False, False),
+        (math.nan, False, False),
+        (math.inf, False, False),
+        (-math.inf, False, False),
+    ],
+)
+def test_scalar_rules(x, positive, nonnegative):
+    assert is_real_number(x) and is_number(x)
+    assert is_positive(x) == positive
+    assert is_nonnegative(x) == nonnegative
+
+
+@pytest.mark.parametrize(
+    "x, number",
+    [(True, False), (np.True_, False), ("1", False), (None, False), ([1.0], False),
+     (1j, True), (np.complex128(1.0), True), (np.complex64(1.0), True)],
+)
+def test_real_number_rule_rejects_non_reals(x, number):
+    assert not is_real_number(x)
+    assert is_number(x) == number
+    assert not is_positive(x) and not is_nonnegative(x)
 
 
 def test_matrix_exponential_zero_scale():

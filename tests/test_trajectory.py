@@ -1,6 +1,7 @@
 """Stochastic unraveling tests: jump statistics, determinism, batch equivalence."""
 
 import functools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -33,6 +34,7 @@ from corrqec.trajectory import (
     jump_probabilities,
     jump_rate_operator,
     sample_ensemble,
+    step_count,
     total_jump_probability,
     uniform_blocks,
 )
@@ -613,6 +615,26 @@ def test_sample_ensemble_gate_and_argument_errors():
         sample_ensemble(psi0, ch, 0.1, 0.02, 7, 16)
     with pytest.raises(DomainError):
         sample_ensemble(psi0, ch, 0.1, 0.005, 7, 0)
+
+
+# Every entry point that takes an interval length, called with `dt`.
+TIME_STEP_ENTRY_POINTS = {
+    "step_count": lambda ch, dt: step_count(1.0, dt),
+    "step_count_total": lambda ch, dt: step_count(dt, 0.1),
+    "sample_ensemble": lambda ch, dt: sample_ensemble(PLUS, ch, 1.0, dt, 7, 4),
+    "jump_rate_operator": jump_rate_operator,
+    "jump_probabilities": lambda ch, dt: jump_probabilities(PLUS, ch, dt),
+    "BatchStepper": BatchStepper,
+    "build_first_order_channel": lambda ch, dt: build_first_order_channel(PLUS, ch, dt),
+}
+
+
+@pytest.mark.parametrize("entry", TIME_STEP_ENTRY_POINTS)
+@pytest.mark.parametrize("dt", [math.inf, math.nan, -math.inf, -0.1])
+def test_time_steps_must_be_finite(entry, dt):
+    # delta_t = inf used to give zero intervals, and NaN a silent NaN probability
+    with pytest.raises(DomainError, match="must be"):
+        TIME_STEP_ENTRY_POINTS[entry](_dephasing(), dt)
 
 
 def test_ensemble_density_validation():
