@@ -7,8 +7,9 @@ Subcommands:
   trajectories  raw jump logs of the unraveled noise, no correction
 
 Exit codes: 0 success, 1 configuration error (an over-cap register too),
-2 numerical-gate failure (step size, PSD, integration accuracy), 3 validation
-failure.
+2 numerical-gate failure (step size, PSD, integration accuracy, a simulation
+invariant such as norm collapse or a branch probability outside [0, 1]),
+3 validation failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from .config import load_config
-from .errors import ConfigError, DomainError, IntegrationError, ResourceError, StepSizeError
+from .errors import ConfigError, ResourceError, SimulationError
 from .experiment import (
     ENGINES,
     render_cycle_csv,
@@ -92,8 +93,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; report those as config errors and
         # keep 2 reserved for numerical gates.
-        code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-        return EXIT_OK if code == 0 else EXIT_CONFIG
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 
     try:
         cfg = load_config(args.config)
@@ -122,7 +122,9 @@ def main(argv=None) -> int:
         # A ResourceError is a register over the qubit cap set in the config.
         logger.error("configuration error: %s", err)
         return EXIT_CONFIG
-    except (StepSizeError, IntegrationError, DomainError) as err:
+    except SimulationError as err:
+        # Step size, PSD floor, integration accuracy, and the invariants the
+        # engines assert as they run (norm collapse, branch probabilities).
         logger.error("numerical gate: %s", err)
         return EXIT_GATE
     return EXIT_OK

@@ -35,7 +35,7 @@ from dataclasses import fields
 
 import yaml
 
-from .errors import ConfigError, ResourceError
+from .errors import ConfigError, DomainError, ResourceError
 from .experiment import ExperimentConfig
 from .noise import (
     DirectNoise,
@@ -87,13 +87,6 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _integer(value, where: str):
-    # null is only reachable for direct's optional num_qubits (inferred from A).
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 def _axis(value, where: str):
     # null means every axis (exponential); the collective factory rejects it.
     # A boolean is no axis, although True == 1 would find the key 1.
@@ -129,8 +122,9 @@ def _complex_matrix(value, where: str):
     ]
 
 
+# How each noise key's YAML form becomes the factory's argument; num_qubits
+# passes as it is, to the factory's integer rule.
 _CONVERT = {
-    "num_qubits": _integer,
     "amplitude": _number,
     "correlation_length": _number,
     "tau_c": _number,
@@ -164,14 +158,13 @@ def _parse_noise(section):
         if section.get(key) is None:
             raise ConfigError(f"noise.{key} is required for kind {kind!r}")
     kwargs = {
-        key: _CONVERT[key](section[key], f"noise.{key}")
+        key: _CONVERT[key](section[key], f"noise.{key}") if key in _CONVERT else section[key]
         for key in (*required, *optional)
         if key in section
     }
-    # DomainError is a ValueError, and so is numpy's for a negative num_qubits.
     try:
         return factory(**kwargs)
-    except (ValueError, ResourceError) as err:
+    except (DomainError, ResourceError) as err:
         raise ConfigError(f"invalid noise parameters: {err}") from err
 
 

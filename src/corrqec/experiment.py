@@ -47,6 +47,7 @@ from .noise import (
 from .operators import (
     _NORM_TOL,
     _PSD_FLOOR,
+    is_integer,
     is_number,
     is_positive,
     meets_psd_floor,
@@ -129,21 +130,24 @@ class ExperimentConfig:
             raise ConfigError("logical_state amplitudes must have unit norm")
         if not is_positive(self.t_total):
             raise ConfigError(f"t_total must be a positive finite number, got {self.t_total!r}")
-        if not isinstance(self.n_values, (tuple, list)) or not self.n_values or any(
-            isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in self.n_values
-        ):
-            raise ConfigError(f"n_values must be positive integers, got {self.n_values!r}")
         dts = self.delta_t_values
         if not isinstance(dts, (tuple, list)) or not dts or not all(map(is_positive, dts)):
             raise ConfigError(f"delta_t_values must be positive finite numbers, got {dts!r}")
-        for name, least in (("trajectories", 1), ("trajectory_substeps", 1), ("base_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                sign = "positive" if least else "nonnegative"
-                raise ConfigError(f"{name} must be a {sign} integer, got {value!r}")
+        if not isinstance(self.n_values, (tuple, list)) or not self.n_values:
+            raise ConfigError(f"n_values must be positive integers, got {self.n_values!r}")
+        # The integer fields, stored as Python ints as t_total is stored as a float.
+        for name, values, least, rule in (
+            ("n_values", self.n_values, 1, "positive integers"),
+            ("trajectories", (self.trajectories,), 1, "a positive integer"),
+            ("trajectory_substeps", (self.trajectory_substeps,), 1, "a positive integer"),
+            ("base_seed", (self.base_seed,), 0, "a nonnegative integer"),
+        ):
+            if not all(is_integer(n) and n >= least for n in values):
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+            ints = tuple(map(int, values))
+            object.__setattr__(self, name, ints if name == "n_values" else ints[0])
         object.__setattr__(self, "logical_state", (complex(alpha), complex(beta)))
         object.__setattr__(self, "t_total", float(self.t_total))
-        object.__setattr__(self, "n_values", tuple(self.n_values))
         object.__setattr__(self, "delta_t_values", tuple(float(x) for x in self.delta_t_values))
 
 
@@ -530,7 +534,13 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
         return build_channels(spec), psi
 
     def psd_gate():
-        w = np.linalg.eigvalsh(resolved().A)
+        try:
+            w = np.linalg.eigvalsh(resolved().A)
+        except DomainError as err:
+            # Resolving stopped at the PSD floor: report the input's eigenvalues.
+            w = getattr(err, "eigenvalues", None)
+            if w is None:
+                raise
         return f"{float(w.min()):.3e}", meets_psd_floor(w), ""
 
     checks.append(_check("noise_psd_gate", f">={_PSD_FLOOR:g}", psd_gate))

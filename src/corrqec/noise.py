@@ -31,6 +31,7 @@ from .operators import (
     AXES,
     axis_block,
     check_hermitian,
+    is_integer,
     is_nonnegative,
     is_positive,
     pauli_stack,
@@ -71,7 +72,7 @@ class CorrelationKernel:
     kind: str = "custom"
 
     def __post_init__(self):
-        _check_qubit_count(self.num_qubits)
+        object.__setattr__(self, "num_qubits", _check_qubit_count(self.num_qubits))
         dim = 3 * self.num_qubits
         spatial = check_hermitian(self.spatial, "spatial table")
         if spatial.shape != (dim, dim):
@@ -88,8 +89,7 @@ def _separable_table(num_qubits: int, qubit_table, block: np.ndarray) -> np.ndar
 
     The qubit count is checked before anything of size L is built.
     """
-    _check_qubit_count(num_qubits)
-    return np.kron(qubit_table(num_qubits), block)
+    return np.kron(qubit_table(_check_qubit_count(num_qubits)), block)
 
 
 def independent_kernel(
@@ -195,13 +195,12 @@ def noise_spec_direct(A, B=None, num_qubits: int | None = None) -> NoiseSpec:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 3 != 0:
         raise DomainError(f"A must be square 3L x 3L, got shape {A.shape}")
-    if num_qubits not in (None, A.shape[0] // 3):
+    if num_qubits is not None and _check_qubit_count(num_qubits) != A.shape[0] // 3:
         raise DomainError(
             f"A is {A.shape[0]}x{A.shape[0]} but num_qubits={num_qubits} implies "
             f"{3 * num_qubits}x{3 * num_qubits}"
         )
-    num_qubits = A.shape[0] // 3
-    _check_qubit_count(num_qubits)
+    num_qubits = _check_qubit_count(A.shape[0] // 3)
     w, v = psd_eigensystem(A, "A")
     B = check_hermitian(np.zeros_like(A) if B is None else B, "B")
     if B.shape != A.shape:
@@ -218,11 +217,17 @@ class DirectNoise:
 
     Lets a config file carry deliberately bad matrices to the validation
     suite, which reports the gate failure instead of dying at load time.
+    Only the type of num_qubits (None to infer it from A, or an integer) is
+    checked here; its value is checked against A and the cap on resolve().
     """
 
     A: object
     B: object = None
     num_qubits: int | None = None
+
+    def __post_init__(self):
+        if not (self.num_qubits is None or is_integer(self.num_qubits)):
+            raise DomainError(f"num_qubits must be an integer or None, got {self.num_qubits!r}")
 
     def resolve(self) -> NoiseSpec:
         return noise_spec_direct(self.A, self.B, num_qubits=self.num_qubits)

@@ -9,11 +9,15 @@ everywhere in the package.  This module owns that layout: Pauli strings, the
 stack of all 3L single-qubit Paulis, and the 3x3 axis blocks.
 
 It also holds the one implementation of each input rule the package checks:
-a real number (not a bool) or a complex one, a positive or nonnegative
-finite scalar, the matrix gate (square, finite, Hermitian within HERM_TOL),
-the PSD floor and the unit-norm tolerance.  Callers of the scalar rules
-raise their own error type with a message naming the value; the matrix gate
-and the PSD floor raise DomainError naming the matrix.
+an integer (a Python or numpy integer, not a bool), a real number (not a
+bool) or a complex one, a positive or nonnegative finite scalar, the matrix
+gate (square, finite, Hermitian within HERM_TOL), the PSD floor and the
+unit-norm tolerance.  Callers of the scalar rules raise their own error type
+with a message naming the value; the matrix gate and the PSD floor raise
+DomainError naming the matrix.  The counts, indices and seeds the library
+takes (qubit count, qubit and basis index, trajectory count, base seed) pass
+the integer rule: numpy integers are accepted like Python ints, and a bool,
+a float or a string is a DomainError.
 """
 
 from __future__ import annotations
@@ -45,9 +49,14 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 _PAULI_CHARS = {"I": IDENTITY_2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
+def is_integer(x) -> bool:
+    """A Python int or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def is_real_number(x) -> bool:
-    """An int, float or numpy real scalar, and not a bool."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    """An integer (is_integer), a float or a numpy floating scalar."""
+    return is_integer(x) or isinstance(x, (float, np.floating))
 
 
 def is_number(x) -> bool:
@@ -89,23 +98,20 @@ def meets_psd_floor(eigenvalues: np.ndarray) -> bool:
     return eigenvalues.min(initial=0.0) >= _PSD_FLOOR
 
 
-def channel_index(qubit: int, axis: int) -> int:
-    """Flatten a 1-based (qubit, axis) pair to the global channel index."""
-    return 3 * (qubit - 1) + (axis - 1)
-
-
 def channel_qubit_axis(index: int) -> tuple[int, int]:
-    """Invert :func:`channel_index`."""
+    """The 1-based (qubit, axis) pair of the flat channel index 3*(qubit-1) + (axis-1)."""
     return index // 3 + 1, index % 3 + 1
 
 
-def _check_qubit_count(num_qubits: int) -> None:
-    if num_qubits < 1:
-        raise DomainError(f"qubit count must be positive, got {num_qubits}")
+def _check_qubit_count(num_qubits) -> int:
+    """num_qubits as a Python int: a positive integer (is_integer) within MAX_QUBITS."""
+    if not is_integer(num_qubits) or num_qubits < 1:
+        raise DomainError(f"qubit count must be a positive integer, got {num_qubits!r}")
     if num_qubits > MAX_QUBITS:
         raise ResourceError(
             f"{num_qubits} qubits exceeds the dense-storage cap of {MAX_QUBITS}"
         )
+    return int(num_qubits)
 
 
 def axis_block(*axes: int) -> np.ndarray:
@@ -141,16 +147,16 @@ def pauli_operator(qubit: int, axis: int, num_qubits: int) -> np.ndarray:
     Parameters
     ----------
     qubit : int
-        Target qubit, 1 <= qubit <= num_qubits; qubit 1 is the leftmost
-        tensor factor (most significant basis bit).
+        Target qubit, an integer 1 <= qubit <= num_qubits; qubit 1 is the
+        leftmost tensor factor (most significant basis bit).
     axis : int
         1, 2 or 3 for x, y, z.
     num_qubits : int
         Total number of qubits L; the result is 2**L x 2**L.
     """
-    _check_qubit_count(num_qubits)
-    if not 1 <= qubit <= num_qubits:
-        raise DomainError(f"qubit {qubit} out of range 1..{num_qubits}")
+    num_qubits = _check_qubit_count(num_qubits)
+    if not is_integer(qubit) or not 1 <= qubit <= num_qubits:
+        raise DomainError(f"qubit must be an integer in 1..{num_qubits}, got {qubit!r}")
     axis_block(axis)  # the shared axis check
     label = AXIS_LABELS[axis].upper()
     return pauli_string_matrix("I" * (qubit - 1) + label + "I" * (num_qubits - qubit))
@@ -158,6 +164,7 @@ def pauli_operator(qubit: int, axis: int, num_qubits: int) -> np.ndarray:
 
 def pauli_stack(num_qubits: int) -> np.ndarray:
     """All 3L single-qubit Paulis as one (3L, 2^L, 2^L) array in flat order."""
+    num_qubits = _check_qubit_count(num_qubits)
     ops = [pauli_operator(*channel_qubit_axis(n), num_qubits) for n in range(3 * num_qubits)]
     return np.stack(ops)
 
@@ -169,29 +176,31 @@ def _frozen_array(m, dtype=complex) -> np.ndarray:
 
 
 def _eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
-    m = check_hermitian(m, name)
-    return tuple(np.linalg.eigh(0.5 * (m + m.conj().T)))
-
-
-def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real ascending
     and eigenvectors as the columns of a unitary matrix V, so that
     ``m = V @ diag(eigenvalues) @ V.conj().T``.  The input passes the matrix
-    gate (check_hermitian) and is symmetrized as (m + m^dag)/2 before
-    decomposition.
+    gate (check_hermitian, naming it `name`) and is symmetrized as
+    (m + m^dag)/2 before decomposition.
     """
-    return _eigensystem(m, "matrix")
+    m = check_hermitian(m, name)
+    return tuple(np.linalg.eigh(0.5 * (m + m.conj().T)))
 
 
 def psd_eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """hermitian_eigensystem of m, which must also meet the PSD floor."""
+    """The eigensystem of m (_eigensystem), which must also meet the PSD floor.
+
+    Below the floor the DomainError carries the eigenvalues it measured as
+    its `eigenvalues` attribute, which the validation suite reports.
+    """
     w, v = _eigensystem(m, name)
     if not meets_psd_floor(w):
-        raise DomainError(
+        err = DomainError(
             f"{name} is not positive semidefinite: eigenvalue {w.min():.6e} < {_PSD_FLOOR:.1e}"
         )
+        err.eigenvalues = w
+        raise err
     return w, v
 
 
@@ -260,8 +269,10 @@ def divide_rows(psi: np.ndarray, norms: np.ndarray) -> None:
 
 
 def basis_state(index: int, num_qubits: int) -> np.ndarray:
-    """Computational basis vector |index> on L qubits."""
-    _check_qubit_count(num_qubits)
+    """Computational basis vector |index> on L qubits, 0 <= index < 2**L."""
+    num_qubits = _check_qubit_count(num_qubits)
+    if not is_integer(index) or not 0 <= index < 2**num_qubits:
+        raise DomainError(f"basis index must be in 0..{2**num_qubits - 1}, got {index!r}")
     psi = np.zeros(2**num_qubits, dtype=complex)
     psi[index] = 1.0
     return psi

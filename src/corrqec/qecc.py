@@ -21,9 +21,7 @@ import numpy as np
 
 from .errors import DomainError, SimulationError
 from .operators import (
-    AXIS_LABELS,
     basis_state,
-    channel_qubit_axis,
     divide_rows,
     normalized,
     pauli_stack,
@@ -44,17 +42,16 @@ class StabilizerCode:
     generator i) and pack into an integer as sum(bits[i] << i).
     `syndrome_table` maps that integer to the index of the error-basis
     element to undo; `syndrome_projectors[s]` projects onto the syndrome-s
-    subspace.
+    subspace.  `error_basis[0]` is the identity and
+    `error_basis[1 + 3*(qubit-1) + (axis-1)]` the Pauli sigma_qubit^axis.
     """
 
     n_physical: int
-    generator_strings: tuple
     generators: np.ndarray
     plus_projectors: np.ndarray
     logical_zero: np.ndarray
     logical_one: np.ndarray
     error_basis: np.ndarray
-    error_labels: tuple
     syndrome_of_error: tuple
     syndrome_table: dict
     syndrome_projectors: np.ndarray
@@ -86,10 +83,6 @@ class StabilizerCode:
             rp = _frozen_array(self.error_basis[self.syndrome_table[s]] @ p)
             pairs.append((rp, _frozen_array(rp.conj())))
         return tuple(pairs)
-
-
-def syndrome_index(bits) -> int:
-    return sum(int(b) << i for i, b in enumerate(bits))
 
 
 def _commutation_bit(g: np.ndarray, r: np.ndarray) -> int:
@@ -149,13 +142,8 @@ def five_qubit_code() -> StabilizerCode:
     logical_one = pauli_string_matrix("XXXXX") @ logical_zero
 
     error_basis = np.concatenate([eye[None], pauli_stack(n)])
-    labels = ["I"] + [
-        f"{AXIS_LABELS[axis].upper()}{qubit}"
-        for qubit, axis in map(channel_qubit_axis, range(3 * n))
-    ]
-
     syndrome_of_error = tuple(
-        syndrome_index([_commutation_bit(g, r) for g in gens]) for r in error_basis
+        sum(_commutation_bit(g, r) << i for i, g in enumerate(gens)) for r in error_basis
     )
     table = {s: m for m, s in enumerate(syndrome_of_error)}
 
@@ -169,13 +157,11 @@ def five_qubit_code() -> StabilizerCode:
 
     code = StabilizerCode(
         n_physical=n,
-        generator_strings=FIVE_QUBIT_GENERATORS,
         generators=gens,
         plus_projectors=plus_projectors,
         logical_zero=logical_zero,
         logical_one=logical_one,
         error_basis=error_basis,
-        error_labels=tuple(labels),
         syndrome_of_error=syndrome_of_error,
         syndrome_table=table,
         syndrome_projectors=projectors,

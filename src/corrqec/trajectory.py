@@ -42,7 +42,6 @@ that is all M rows only when the bound is above the gate.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,7 @@ from .noise import JumpChannelSet
 from .operators import (
     check_state_vector,
     divide_rows,
+    is_integer,
     is_nonnegative,
     is_positive,
     matrix_exponential,
@@ -269,10 +269,13 @@ class BatchStepper:
 
 
 def _seed_words(base_seed: int) -> list:
-    """Little-endian uint32 words of a nonnegative seed, 0 -> [0], as SeedSequence splits it."""
-    seed = operator.index(base_seed)
-    if seed < 0:
-        raise DomainError(f"base_seed must be nonnegative, got {seed}")
+    """Little-endian uint32 words of a nonnegative seed, 0 -> [0], as SeedSequence splits it.
+
+    The one library check of a seed: a nonnegative integer (is_integer).
+    """
+    if not is_integer(base_seed) or base_seed < 0:
+        raise DomainError(f"base_seed must be a nonnegative integer, got {base_seed!r}")
+    seed = int(base_seed)
     words = [seed & _MASK32]
     seed >>= 32
     while seed:
@@ -372,10 +375,12 @@ def sample_ensemble(
     Returns (states, jump_counts) with states of shape (M, 2^L), or
     (states, jump_counts, logs) when collect_logs is set, logs being
     (trajectory_index, t, channel) triples sorted by trajectory then time,
-    t the start of the interval in which the jump fired.
+    t the start of the interval in which the jump fired.  num_trajectories
+    must be a positive integer and base_seed a nonnegative one (checked
+    where the streams are seeded, _seed_words); numpy integers are accepted.
     """
-    if num_trajectories < 1:
-        raise DomainError(f"need at least one trajectory, got {num_trajectories}")
+    if not is_integer(num_trajectories) or num_trajectories < 1:
+        raise DomainError(f"num_trajectories must be a positive integer, got {num_trajectories!r}")
     n_steps = step_count(t_total, delta_t)
     psi0 = check_state_vector(psi0)
     stepper = BatchStepper(ch, delta_t)

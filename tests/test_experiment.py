@@ -31,16 +31,20 @@ from corrqec.experiment import (
 )
 from corrqec.noise import (
     CorrelationKernel,
+    DirectNoise,
     build_channels,
     collective_axis_kernel,
     cross_axis_kernel,
     exponential_kernel,
     independent_kernel,
+    integrate_kernel,
     lowering_kernel,
     max_rate,
     noise_spec_direct,
 )
+from corrqec.operators import basis_state, pauli_operator, pauli_stack
 from corrqec.qecc import _batch_syndrome_recover
+from corrqec.trajectory import sample_ensemble
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ZKERNEL = exponential_kernel(5, amplitude=1.0, correlation_length=2.0, tau_c=0.05, axis=3)
@@ -162,6 +166,95 @@ def test_experiment_config_validation():
     for seed in (-1, True, 1.5):
         with pytest.raises(ConfigError, match="base_seed"):
             ExperimentConfig(noise=ZKERNEL, base_seed=seed)
+
+
+def _sample(base_seed=0, num_trajectories=1):
+    ch = build_channels(integrate_kernel(independent_kernel(1)))
+    return sample_ensemble(basis_state(0, 1), ch, 0.01, 0.01, base_seed, num_trajectories)
+
+
+def _config_field(name):
+    def build(x):
+        return ExperimentConfig(noise=ZKERNEL, **{name: (x,) if name == "n_values" else x})
+
+    return build
+
+
+def _yaml_field(name):
+    def build(x):
+        value = [x] if name == "n_values" else x
+        return parse_config({"noise": {"kind": "independent", "num_qubits": 1},
+                             "delta_t_values": [0.01], name: value})
+
+    return build
+
+
+def _yaml_num_qubits(kind):
+    def build(x):
+        section, _ = MINIMAL_NOISE[kind]
+        return parse_config({"noise": {"kind": kind, **section, "num_qubits": x},
+                             "delta_t_values": [0.01]})
+
+    return build
+
+
+_CONFIG_FIELDS = ("n_values", "trajectories", "trajectory_substeps", "base_seed")
+
+# Every integer entry point: name -> (call with the integer, error, None accepted).
+# Each call is valid when the integer is 1.
+INTEGER_ENTRY_POINTS = {
+    "independent_kernel": (independent_kernel, DomainError, False),
+    "collective_axis_kernel": (collective_axis_kernel, DomainError, False),
+    "exponential_kernel": (exponential_kernel, DomainError, False),
+    "cross_axis_kernel": (lambda x: cross_axis_kernel(x, np.eye(3)), DomainError, False),
+    "lowering_kernel": (lowering_kernel, DomainError, False),
+    "CorrelationKernel": (lambda x: CorrelationKernel(x, np.eye(3), 0.5, 1.0), DomainError, False),
+    "pauli_operator.num_qubits": (lambda x: pauli_operator(1, 3, x), DomainError, False),
+    "pauli_operator.qubit": (lambda x: pauli_operator(x, 3, 3), DomainError, False),
+    "basis_state": (lambda x: basis_state(0, x), DomainError, False),
+    "basis_state.index": (lambda x: basis_state(x, 1), DomainError, False),
+    "pauli_stack": (pauli_stack, DomainError, False),
+    "noise_spec_direct": (lambda x: noise_spec_direct(np.eye(3), num_qubits=x), DomainError, True),
+    "DirectNoise": (lambda x: DirectNoise(np.eye(3), num_qubits=x).resolve(), DomainError, True),
+    "sample_ensemble.base_seed": (lambda x: _sample(base_seed=x), DomainError, False),
+    "sample_ensemble.num_trajectories": (lambda x: _sample(num_trajectories=x), DomainError, False),
+    **{f"ExperimentConfig.{f}": (_config_field(f), ConfigError, False) for f in _CONFIG_FIELDS},
+    **{f"parse_config.{f}": (_yaml_field(f), ConfigError, False) for f in _CONFIG_FIELDS},
+    **{
+        f"parse_config.noise.{kind}.num_qubits": (
+            _yaml_num_qubits(kind),
+            ConfigError,
+            kind == "direct",  # direct infers num_qubits from A when it is null
+        )
+        for kind in MINIMAL_NOISE
+    },
+}
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+@pytest.mark.parametrize("make", (int, *NUMPY_INTEGERS), ids=lambda t: t.__name__)
+def test_integer_entry_points_accept_numpy_integers(entry, make):
+    call, _, _ = INTEGER_ENTRY_POINTS[entry]
+    result = call(make(1))
+    if isinstance(result, ExperimentConfig):
+        # stored as Python ints, as t_total is stored as a float
+        assert type(result.base_seed) is int and type(result.trajectories) is int
+        assert type(result.trajectory_substeps) is int
+        assert all(type(n) is int for n in result.n_values)
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "value", [True, np.True_, 1.0, 2.5, np.float64(2.0), "2", None], ids=repr
+)
+def test_integer_entry_points_refuse_non_integers(entry, value):
+    call, error, none_ok = INTEGER_ENTRY_POINTS[entry]
+    if value is None and none_ok:
+        call(value)  # documented: None infers the qubit count from A
+        return
+    with pytest.raises(error):
+        call(value)
 
 
 def test_fidelity_result_rejects_out_of_range():
@@ -583,6 +676,21 @@ def test_validation_suite_flags_bad_noise():
     assert run_validation_suite(bad).checks[0].passed
 
 
+def test_validation_psd_gate_measures_a_direct_input_below_the_floor():
+    # the spec does not resolve, so the gate reports the input's lowest eigenvalue
+    cfg = ExperimentConfig(
+        noise=DirectNoise(A=np.diag([1.0, 0.5, -0.01])), normalize_rates=False
+    )
+    line = run_validation_suite(cfg).render().splitlines()[0]
+    assert line == "FAIL noise_psd_gate: measured=-1.000e-02 bound=>=-1e-10"
+    # an input the matrix gate refuses is still reported as an error
+    skew = np.diag([1.0, 0.5, 0.2]).astype(complex)
+    skew[0, 1] = 1.0
+    check = run_validation_suite(ExperimentConfig(noise=DirectNoise(A=skew))).checks[0]
+    assert (check.passed, check.measured) == (False, "error")
+    assert "DomainError: A is not Hermitian" in check.detail
+
+
 def test_validation_suite_builds_its_inputs_once():
     # one spec resolution and one channel build for the configured noise; the
     # unraveling check builds its own L=2 channels
@@ -829,6 +937,18 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, caplog):
     assert main(["cycle", "--config", cfg, "--seed", "-1"]) == 1
     assert "configuration error" in caplog.text
     assert "base_seed must be a nonnegative integer" in caplog.text
+
+
+def test_cli_simulation_invariant_exits_two(tmp_path, monkeypatch, caplog):
+    # a bare SimulationError (norm collapse, a branch probability outside
+    # [0, 1], a fidelity outside [0, 1]) is a numerical gate, not a traceback
+    def collapse(cfg, correction=True):
+        raise SimulationError("trajectory state norm collapsed during a step")
+
+    monkeypatch.setattr("corrqec.cli.run_cycle_fidelity", collapse)
+    cfg = _write(tmp_path, "cycle.yaml", CHEAP_DENSITY_YAML)
+    assert main(["cycle", "--config", cfg]) == 2
+    assert "numerical gate: trajectory state norm collapsed" in caplog.text
 
 
 def test_cli_engine_override(tmp_path):

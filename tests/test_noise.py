@@ -36,11 +36,15 @@ from corrqec.operators import (
     AXIS_Z,
     HERM_TOL,
     MAX_QUBITS,
+    _eigensystem,
     axis_block,
-    channel_index,
-    hermitian_eigensystem,
     pauli_operator,
 )
+
+
+def _channel_index(qubit, axis):
+    # the flat (qubit, axis) channel index, written out as the oracle
+    return 3 * (qubit - 1) + (axis - 1)
 
 
 def test_independent_kernel_closed_form():
@@ -55,7 +59,7 @@ def test_collective_z_kernel_closed_form():
     expected = np.zeros((9, 9), dtype=complex)
     for l in range(1, 4):
         for lp in range(1, 4):
-            expected[channel_index(lp, AXIS_Z), channel_index(l, AXIS_Z)] = 0.2
+            expected[_channel_index(lp, AXIS_Z), _channel_index(l, AXIS_Z)] = 0.2
     np.testing.assert_allclose(spec.A, expected, atol=1e-12)
 
 
@@ -72,7 +76,7 @@ def test_exponential_kernel_vs_quadrature():
         for lp in range(1, 4):
             c = a * np.exp(-abs(l - lp) / xi_corr)
             for ax in (1, 2, 3):
-                expected[channel_index(lp, ax), channel_index(l, ax)] = c * weight
+                expected[_channel_index(lp, ax), _channel_index(l, ax)] = c * weight
     np.testing.assert_allclose(spec.A, expected, atol=1e-6)
 
 
@@ -81,7 +85,7 @@ def test_exponential_kernel_single_axis():
         exponential_kernel(2, amplitude=1.0, correlation_length=2.0, axis=AXIS_Z)
     )
     # x and y rows/columns empty, z block is the 2x2 exponential profile
-    z_idx = [channel_index(l, AXIS_Z) for l in (1, 2)]
+    z_idx = [_channel_index(l, AXIS_Z) for l in (1, 2)]
     other = [n for n in range(6) if n not in z_idx]
     assert np.all(spec.A[other, :] == 0) and np.all(spec.A[:, other] == 0)
     np.testing.assert_allclose(
@@ -182,7 +186,8 @@ def test_infinite_correlation_length_is_the_uniform_profile():
 
 # Every entry point of the matrix gate, each given a 3x3 matrix (one qubit).
 MATRIX_GATES = {
-    "hermitian_eigensystem": hermitian_eigensystem,
+    # the Hermitian eigensolver behind psd_eigensystem; the id keeps its former public name
+    "hermitian_eigensystem": lambda m: _eigensystem(m, "matrix"),
     "spatial": lambda m: CorrelationKernel(1, m, 0.5, 1.0),
     "direct_A": noise_spec_direct,
     "direct_B": lambda m: noise_spec_direct(np.eye(3), m),
@@ -223,7 +228,7 @@ def _loop_table(num_qubits, entry, axes):
     for l in range(1, num_qubits + 1):
         for lp in range(1, num_qubits + 1):
             for ax in axes:
-                spatial[channel_index(lp, ax), channel_index(l, ax)] = entry(l, lp)
+                spatial[_channel_index(lp, ax), _channel_index(l, ax)] = entry(l, lp)
     return spatial
 
 

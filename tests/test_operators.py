@@ -25,11 +25,11 @@ from corrqec.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _eigensystem,
     basis_state,
-    channel_index,
     channel_qubit_axis,
     check_state_vector,
-    hermitian_eigensystem,
+    is_integer,
     is_nonnegative,
     is_number,
     is_positive,
@@ -98,7 +98,7 @@ def test_channel_index_round_trip():
     n = 0
     for qubit in range(1, 5):
         for axis in (1, 2, 3):
-            assert channel_index(qubit, axis) == n
+            assert 3 * (qubit - 1) + (axis - 1) == n
             assert channel_qubit_axis(n) == (qubit, axis)
             n += 1
 
@@ -147,7 +147,7 @@ def test_pauli_operator_and_stack_bytes_match_kron_chain(num_qubits):
 
 
 def test_eigensystem_diagonal_input():
-    w, v = hermitian_eigensystem(np.diag([3.0, 1.0]).astype(complex))
+    w, v = _eigensystem(np.diag([3.0, 1.0]).astype(complex), "matrix")
     np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-14)
     # columns are permuted identity columns up to phase
     np.testing.assert_allclose(np.abs(v), [[0, 1], [1, 0]], atol=1e-14)
@@ -156,7 +156,7 @@ def test_eigensystem_diagonal_input():
 def test_eigensystem_two_level_closed_form():
     rho = 0.37
     m = np.array([[1.0, rho], [rho, 1.0]], dtype=complex)
-    w, _ = hermitian_eigensystem(m)
+    w, _ = _eigensystem(m, "matrix")
     np.testing.assert_allclose(w, [1 - rho, 1 + rho], atol=1e-12)
 
 
@@ -165,7 +165,7 @@ def test_eigensystem_reconstruction_random():
     for _ in range(10):
         raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         m = raw + raw.conj().T
-        w, v = hermitian_eigensystem(m)
+        w, v = _eigensystem(m, "matrix")
         assert np.all(np.diff(w) >= -1e-12)
         resid = np.linalg.norm(v @ np.diag(w) @ v.conj().T - m)
         assert resid < 1e-9
@@ -178,14 +178,14 @@ def test_eigensystem_invariant_under_conjugation():
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = raw + raw.conj().T
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    w1, _ = hermitian_eigensystem(m)
-    w2, _ = hermitian_eigensystem(q @ m @ q.conj().T)
+    w1, _ = _eigensystem(m, "matrix")
+    w2, _ = _eigensystem(q @ m @ q.conj().T, "matrix")
     np.testing.assert_allclose(w1, w2, atol=1e-9)
 
 
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(DomainError):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        _eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "matrix")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, 0.0)])
@@ -194,7 +194,7 @@ def test_eigensystem_rejects_non_finite(bad, where):
     m = np.diag([1.0, 2.0, 0.0]).astype(complex)
     m[where] = m[where[::-1]] = bad
     with pytest.raises(DomainError, match="non-finite"):
-        hermitian_eigensystem(m)
+        _eigensystem(m, "matrix")
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), (0, 1)])
@@ -233,6 +233,19 @@ def test_real_number_rule_rejects_non_reals(x, number):
     assert not is_real_number(x)
     assert is_number(x) == number
     assert not is_positive(x) and not is_nonnegative(x)
+
+
+@pytest.mark.parametrize(
+    "x, integer",
+    [(0, True), (-3, True), (2**70, True), (np.int8(1), True), (np.uint64(1), True),
+     (True, False), (np.True_, False), (1.0, False), (np.float64(2.0), False), ("2", False),
+     (None, False), (1j, False)],
+)
+def test_integer_rule(x, integer):
+    # a Python or numpy integer, not a bool; every integer is also a real number
+    assert is_integer(x) == integer
+    if integer:
+        assert is_real_number(x)
 
 
 def test_matrix_exponential_zero_scale():
@@ -317,6 +330,11 @@ def test_state_helpers():
     assert psi.shape == (2,)
     assert psi[0] == 1.0
     assert basis_state(5, 3).shape == (8,)
+    assert basis_state(3, 2)[3] == 1.0
+    # a negative index used to wrap around, and a bool one to fill the vector
+    for index in (-1, 4, True, False):
+        with pytest.raises(DomainError, match="basis index"):
+            basis_state(index, 2)
     v = normalized(np.array([3.0, 4.0], dtype=complex))
     np.testing.assert_allclose(np.linalg.norm(v), 1.0, atol=1e-15)
     with pytest.raises(DomainError):

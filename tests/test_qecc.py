@@ -16,7 +16,6 @@ from corrqec.qecc import (
     correction_channel,
     encode,
     five_qubit_code,
-    syndrome_index,
 )
 
 
@@ -67,7 +66,7 @@ def test_code_operators_match_kron_chain_bit_for_bit():
 def test_generator_algebra():
     code = five_qubit_code()
     gens = code.generators
-    assert code.generator_strings == FIVE_QUBIT_GENERATORS
+    assert np.array_equal(gens, np.stack([pauli_string_matrix(s) for s in FIVE_QUBIT_GENERATORS]))
     eye = np.eye(32)
     for i in range(4):
         np.testing.assert_allclose(gens[i] @ gens[i], eye, atol=1e-12)
@@ -102,9 +101,9 @@ def test_logical_states():
 def test_error_basis_layout():
     code = five_qubit_code()
     assert code.error_basis.shape == (16, 32, 32)
-    assert code.error_labels[0] == "I"
-    assert code.error_labels[7] == "X3"
+    # R_0 = I, then R_{1 + 3(l-1) + (a-1)} = sigma_l^a: index 7 is X on qubit 3
     np.testing.assert_array_equal(code.error_basis[0], np.eye(32))
+    np.testing.assert_array_equal(code.error_basis[7], pauli_string_matrix("IIXII"))
     # every non-identity element is a weight-1 Pauli: unitary, Hermitian, traceless
     for op in code.error_basis[1:]:
         np.testing.assert_allclose(op @ op, np.eye(32), atol=1e-12)
@@ -144,10 +143,21 @@ def test_syndrome_table_bijection():
 
 
 def test_syndrome_index_packing():
-    assert syndrome_index([0, 0, 0, 0]) == 0
-    assert syndrome_index([1, 0, 0, 0]) == 1
-    assert syndrome_index([0, 1, 0, 1]) == 10
-    assert syndrome_index([1, 1, 1, 1]) == 15
+    # bit i of a syndrome is generator i's outcome (1 for -1), packed as sum(bits[i] << i),
+    # in the code's table and in the measured syndrome alike
+    code = five_qubit_code()
+    bits_of_error = [
+        [int(np.max(np.abs(g @ op + op @ g)) < 1e-10) for g in code.generators]
+        for op in code.error_basis
+    ]
+    uniforms = np.full((1, len(code.generators)), 0.5)
+    for bits, packed in (
+        ([0, 0, 0, 0], 0), ([1, 0, 0, 0], 1), ([0, 1, 0, 1], 10), ([1, 1, 1, 1], 15)
+    ):
+        m = bits_of_error.index(bits)
+        assert code.syndrome_of_error[m] == packed
+        image = (code.error_basis[m] @ code.logical_zero)[None]
+        assert _batch_measure(image, uniforms, code)[1].tolist() == [packed]
 
 
 def test_syndrome_projectors_resolve_identity():
@@ -318,7 +328,7 @@ def test_branch_probability_gate():
 def test_recover_round_trip_z2():
     code = five_qubit_code()
     psi = encode(0.6, 0.8j, code)
-    z2 = code.error_basis[code.error_labels.index("Z2")]
+    z2 = pauli_string_matrix("IZIII")
     uniforms = np.random.default_rng(3).random((1, len(code.generators)))
     fixed = _batch_syndrome_recover((z2 @ psi)[None], uniforms, code)
     assert abs(np.vdot(psi, fixed[0])) == pytest.approx(1.0, abs=1e-10)

@@ -9,12 +9,13 @@ included), each with PYTHONPATH=<tree>/src and OPENBLAS_NUM_THREADS=1.
 Every config that names a `code` also runs `cycle` and `scaling` under the
 other engine (`--engine`), so both engines run on every such noise.  The
 noise kinds no packaged config uses (independent, exponential on all three
-axes, a custom cross_axis block) run `validate` and `cycle` from L=5 configs
-written to a temporary directory and passed to both trees by absolute path.
-Stdout
-bytes and exit codes are compared; each mismatch prints its first differing
-line.  Exits 1 on any mismatch, 0 when every output is identical.  The
-checkout is removed afterwards.
+axes, a custom cross_axis block) and a `direct` A below the PSD floor (which
+fails `validate` with exit 3 and `cycle` with exit 2) run `validate` and
+`cycle` from L=5 configs written to a temporary directory and passed to both
+trees by absolute path.  With the packaged configs that is 34 runs per tree.
+Stdout bytes and exit codes are compared; each mismatch prints its first
+differing line.  Exits 1 on any mismatch, 0 when every output is identical.
+The checkout is removed afterwards.
 
 The bytes depend on the BLAS kernel, so the comparison only means something
 between two trees on the same machine.
@@ -37,8 +38,9 @@ COMMANDS = ("cycle", "scaling", "trajectories", "validate")
 CROSS_COMMANDS = ("cycle", "scaling")
 OTHER_ENGINE = {"density": "trajectory", "trajectory": "density"}
 
-# Noise kinds the packaged configs leave out, each run with GENERATED_COMMANDS
-# from a config of GENERATED_BASE plus that noise section.
+# Noise kinds the packaged configs leave out, and an input the PSD floor
+# refuses, each run with GENERATED_COMMANDS from a config of GENERATED_BASE
+# plus that noise section.
 GENERATED_NOISE = {
     "independent": {"kind": "independent", "num_qubits": 5, "amplitude": 0.2},
     "exponential_xyz": {"kind": "exponential", "num_qubits": 5, "correlation_length": 2.0},
@@ -46,6 +48,14 @@ GENERATED_NOISE = {
         "kind": "cross_axis",
         "num_qubits": 5,
         "axis_block": [[1.0, [0.0, 0.3], 0.0], [[0.0, -0.3], 0.5, 0.1], [0.0, 0.1, 0.2]],
+    },
+    # diag(1, ..., 1, -0.01): one rate below the floor
+    "direct_non_psd": {
+        "kind": "direct",
+        "A": [
+            [(-0.01 if i == 14 else 1.0) if i == j else 0.0 for j in range(15)]
+            for i in range(15)
+        ],
     },
 }
 GENERATED_BASE = {
