@@ -47,6 +47,7 @@ from .noise import (
 from .operators import (
     _NORM_TOL,
     _PSD_FLOOR,
+    is_boolean,
     is_integer,
     is_number,
     is_positive,
@@ -110,7 +111,7 @@ class ExperimentConfig:
             raise ConfigError(
                 "noise must be a CorrelationKernel, NoiseSpec or DirectNoise"
             )
-        if not isinstance(self.normalize_rates, bool):
+        if not is_boolean(self.normalize_rates):
             raise ConfigError(f"normalize_rates must be a boolean, got {self.normalize_rates!r}")
         if self.code != "five_qubit":
             raise ConfigError(f"unsupported code {self.code!r}; only 'five_qubit'")

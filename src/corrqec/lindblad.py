@@ -18,14 +18,22 @@ s_n rho straight into its place in it, through a transposed view, and
 never touches the blocks that are exactly zero (zero-rate channels, clipped
 from roundoff, come first in build_channels' ascending order; the span of
 live blocks is cached on the channel set).  The second product reads the
-block row as (d, n*d) and keeps its full n*d inner dimension, because a
-shorter one changes how the product accumulates and moves the last digit.
+block row as (d, n*d) and drops the leading exactly-zero columns of that
+row, with the matching rows of the right stack, only up to the largest
+block-aligned skip that this BLAS gives the same bytes as the full product
+(largest_exact_skip).  A shorter inner dimension in general changes how the
+product accumulates and moves the last digit; dropping a zero prefix that
+ends on one of the BLAS's K-panel boundaries does not.  Where no skip is
+byte-equal the helper returns 0 and the product keeps its full n*d inner
+dimension.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -42,6 +50,14 @@ _DRIFT_FAIL = 1e-7
 
 # Default internal step targets xi_max * dt <= 1e-3.
 _DEFAULT_RATE_STEP = 1e-3
+
+# Pseudo-random products each candidate skip of largest_exact_skip must
+# reproduce, to test the summation order.
+_SKIP_PROBES = 3
+# The entries of its zero-sum products: the sign of an exactly-zero sum
+# depends on the signs of its terms, which random values never show.
+_SIGNED_ZEROS = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
+_SIGNS = np.concatenate([_SIGNED_ZEROS, [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]])
 
 
 @dataclass(frozen=True)
@@ -83,14 +99,89 @@ def _check_density(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
     return rho
 
 
+@cache
+def largest_exact_skip(d: int, n: int, zero_blocks: int) -> int:
+    """The most leading columns of a (d, n*d) block row the second product may drop.
+
+    The block row is a (d, n, d) array read as (d, n*d) whose first
+    `zero_blocks` blocks are exactly zero; it multiplies an (n*d, d) stack.
+    Tries the block-aligned skips zero_blocks*d, (zero_blocks-1)*d, ..., d,
+    largest first, and returns the first for which `flat[:, skip:] @
+    right[skip:]` has the same bytes as `flat @ right` on every product of
+    _probes, or 0 when none does.  The BLAS's summation order depends on
+    the shapes, not the data, so a pseudo-random probe tells an identical
+    order from a different one; the sign of an exactly-zero sum does depend on
+    the data, so the zero-sum probes enumerate the signs of its terms.
+    Memoized: each shape is probed once per process.
+    """
+    for skip in range(zero_blocks * d, 0, -d):
+        if _skip_is_exact(d, n, zero_blocks, skip):
+            return skip
+    return 0
+
+
+def _skip_is_exact(d: int, n: int, zero_blocks: int, skip: int) -> bool:
+    """Whether dropping `skip` columns keeps the bytes of every probe product."""
+    return all(
+        (flat[:, skip:] @ right[skip:]).tobytes() == (flat @ right).tobytes()
+        for flat, right in _probes(d, n, zero_blocks, skip)
+    )
+
+
+def _probes(d: int, n: int, zero_blocks: int, skip: int):
+    """(flat, right) pairs in the block-row layout with `zero_blocks` zero blocks.
+
+    First _SKIP_PROBES products of pseudo-random values, then the zero sums:
+    rows whose live part is one signed zero against columns whose dropped
+    rows, kept zero-block rows and live rows each hold one entry of _SIGNS,
+    for every combination, d rows and d columns per product.
+    """
+    drawn = 0
+
+    def draw(*shape):
+        # sin at consecutive integers from 1: full mantissas in [-1, 1] and
+        # the same values on every call sequence.  numpy.random would work
+        # too, but importing it adds about 6 MB to a density-only process.
+        nonlocal drawn
+        count = 2 * math.prod(shape)
+        values = np.sin(np.arange(drawn + 1, drawn + count + 1, dtype=float))
+        drawn += count
+        return values.view(complex).reshape(shape)
+
+    def chunks(values):
+        # The columns of `values`, cycled to a whole number of chunks of d.
+        count = values.shape[-1]
+        cycled = values[..., np.arange(-(-count // d) * d) % count]
+        return np.moveaxis(cycled.reshape(*values.shape[:-1], -1, d), -2, 0)
+
+    for _ in range(_SKIP_PROBES):
+        block_row = np.zeros((d, n, d), dtype=complex)
+        block_row[:, zero_blocks:] = draw(d, n - zero_blocks, d)
+        yield block_row.reshape(d, n * d), draw(n * d, d)
+    bounds = (0, skip, zero_blocks * d, n * d)
+    patterns = np.stack(np.meshgrid(_SIGNS, _SIGNS, _SIGNS)).reshape(3, -1)
+    for zeros in chunks(_SIGNED_ZEROS):
+        block_row = np.zeros((d, n, d), dtype=complex)
+        block_row[:, zero_blocks:] = zeros[:, None, None]
+        for columns in chunks(patterns):
+            right = np.empty((n * d, d), dtype=complex)
+            for lo, hi, values in zip(bounds, bounds[1:], columns):
+                right[lo:hi] = values
+            yield block_row.reshape(d, n * d), right
+
+
 def _rhs(ch: JumpChannelSet):
     """The right-hand side as `rhs(rho)`, writing into one block row it owns.
 
     sum_n s_n rho s_n^dag = [s_1 rho | ... | s_n rho] @ [s_1^dag; ...; s_n^dag].
     Each call overwrites the live blocks of the block row and reads the whole
-    row, so the returned function must not run concurrently with itself.
-    Every block has d >= 2 rows, so each block's product is a GEMM whose
-    rows equal those of the whole stack's product.
+    row past its skipped prefix, so the returned function must not run
+    concurrently with itself.  Every block has d >= 2 rows, so each block's
+    product is a GEMM whose rows equal those of the whole stack's product.
+    The second product drops the largest_exact_skip(d, n, zero_blocks)
+    leading columns of the row and rows of the right stack, where
+    zero_blocks counts the exactly-zero blocks ahead of the live span; that
+    skip is 0, the full product, wherever the BLAS gives no byte-equal one.
     """
     h_eff = ch.H_eff
     h_dag = h_eff.conj().T
@@ -100,12 +191,14 @@ def _rhs(ch: JumpChannelSet):
     s_live = s_left.reshape(n, d, d)[blocks]
     block_row = np.zeros((d, n, d), dtype=complex)
     live_out = block_row.transpose(1, 0, 2)[blocks]
-    flat = block_row.reshape(d, n * d)
+    skip = largest_exact_skip(d, n, blocks.start)
+    flat = block_row.reshape(d, n * d)[:, skip:]
+    s_tail = s_right[skip:]
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         out = -1j * (h_eff @ rho - rho @ h_dag)
         np.matmul(s_live, rho, out=live_out)
-        out += flat @ s_right
+        out += flat @ s_tail
         return out
 
     return rhs

@@ -173,13 +173,18 @@ def lowering_kernel(
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Validated rate matrix A (Hermitian PSD) and shift matrix B (Hermitian)."""
+    """Validated rate matrix A (Hermitian PSD) and shift matrix B (Hermitian).
+
+    noise_spec_direct validates A and B; num_qubits passes the qubit-count
+    rule (a positive integer, is_integer, within MAX_QUBITS) here.
+    """
 
     num_qubits: int
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _check_qubit_count(self.num_qubits))
         object.__setattr__(self, "A", _frozen_array(self.A))
         object.__setattr__(self, "B", _frozen_array(self.B))
 

@@ -9,15 +9,16 @@ everywhere in the package.  This module owns that layout: Pauli strings, the
 stack of all 3L single-qubit Paulis, and the 3x3 axis blocks.
 
 It also holds the one implementation of each input rule the package checks:
-an integer (a Python or numpy integer, not a bool), a real number (not a
-bool) or a complex one, a positive or nonnegative finite scalar, the matrix
-gate (square, finite, Hermitian within HERM_TOL), the PSD floor and the
-unit-norm tolerance.  Callers of the scalar rules raise their own error type
+a boolean (a Python or numpy bool), an integer (a Python or numpy integer,
+not a bool), a real number (not a bool) or a complex one, a positive or
+nonnegative finite scalar, the matrix gate (square, finite, Hermitian within
+HERM_TOL), the PSD floor and the unit-norm tolerance.  Callers of the scalar rules raise their own error type
 with a message naming the value; the matrix gate and the PSD floor raise
 DomainError naming the matrix.  The counts, indices and seeds the library
 takes (qubit count, qubit and basis index, trajectory count, base seed) pass
 the integer rule: numpy integers are accepted like Python ints, and a bool,
-a float or a string is a DomainError.
+a float or a string is a DomainError.  A flag passes the boolean rule, which
+accepts numpy bools like Python bools.
 """
 
 from __future__ import annotations
@@ -49,9 +50,14 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 _PAULI_CHARS = {"I": IDENTITY_2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
+def is_boolean(x) -> bool:
+    """A Python bool or numpy bool."""
+    return isinstance(x, (bool, np.bool_))
+
+
 def is_integer(x) -> bool:
-    """A Python int or numpy integer, and not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    """A Python int or numpy integer, and not a bool (is_boolean)."""
+    return isinstance(x, (int, np.integer)) and not is_boolean(x)
 
 
 def is_real_number(x) -> bool:

@@ -354,8 +354,12 @@ def uniform_blocks(base_seed: int, num_trajectories: int, draws: int):
     """Yield (start, uniforms) over blocks of at most _BLOCK trajectories.
 
     Row b of uniforms holds the first `draws` uniforms of trajectory
-    start + b's stream.
+    start + b's stream.  num_trajectories and draws are nonnegative integers
+    (is_integer); anything else is a DomainError at the first block.
     """
+    for name, value in (("num_trajectories", num_trajectories), ("draws", draws)):
+        if not is_integer(value) or value < 0:
+            raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
     for start in range(0, num_trajectories, _BLOCK):
         count = min(_BLOCK, num_trajectories - start)
         yield start, _uniform_table(base_seed, start, count, draws)

@@ -32,6 +32,7 @@ from corrqec.experiment import (
 from corrqec.noise import (
     CorrelationKernel,
     DirectNoise,
+    NoiseSpec,
     build_channels,
     collective_axis_kernel,
     cross_axis_kernel,
@@ -44,7 +45,7 @@ from corrqec.noise import (
 )
 from corrqec.operators import basis_state, pauli_operator, pauli_stack
 from corrqec.qecc import _batch_syndrome_recover
-from corrqec.trajectory import sample_ensemble
+from corrqec.trajectory import sample_ensemble, uniform_blocks
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ZKERNEL = exponential_kernel(5, amplitude=1.0, correlation_length=2.0, tau_c=0.05, axis=3)
@@ -120,6 +121,16 @@ def test_resolve_spec_normalization():
     assert max_rate(resolve_spec(cfg)) == pytest.approx(1.0, abs=1e-12)
     raw = ExperimentConfig(noise=ZKERNEL, normalize_rates=False)
     assert max_rate(resolve_spec(raw)) != pytest.approx(1.0, abs=1e-6)
+
+
+def test_normalize_rates_takes_numpy_bools_only_as_booleans():
+    # The boolean rule: a Python or numpy bool; 1 and "yes" are not flags.
+    for flag, unit in ((np.True_, True), (np.False_, False)):
+        spec = resolve_spec(ExperimentConfig(noise=ZKERNEL, normalize_rates=flag))
+        assert (max_rate(spec) == pytest.approx(1.0, abs=1e-12)) == unit
+    for bad in (1, "yes"):
+        with pytest.raises(ConfigError, match="normalize_rates"):
+            ExperimentConfig(noise=ZKERNEL, normalize_rates=bad)
 
 
 def test_experiment_config_validation():
@@ -216,6 +227,9 @@ INTEGER_ENTRY_POINTS = {
     "pauli_stack": (pauli_stack, DomainError, False),
     "noise_spec_direct": (lambda x: noise_spec_direct(np.eye(3), num_qubits=x), DomainError, True),
     "DirectNoise": (lambda x: DirectNoise(np.eye(3), num_qubits=x).resolve(), DomainError, True),
+    "NoiseSpec": (lambda x: NoiseSpec(x, np.eye(3), np.zeros((3, 3))), DomainError, False),
+    "uniform_blocks.num_trajectories": (lambda x: list(uniform_blocks(0, x, 3)), DomainError, False),
+    "uniform_blocks.draws": (lambda x: list(uniform_blocks(0, 2, x)), DomainError, False),
     "sample_ensemble.base_seed": (lambda x: _sample(base_seed=x), DomainError, False),
     "sample_ensemble.num_trajectories": (lambda x: _sample(num_trajectories=x), DomainError, False),
     **{f"ExperimentConfig.{f}": (_config_field(f), ConfigError, False) for f in _CONFIG_FIELDS},

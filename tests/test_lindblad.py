@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrqec import lindblad
 from corrqec.errors import DomainError, IntegrationError
 from corrqec.lindblad import (
     EvolutionConfig,
     default_dt_integrator,
     evolve_exact,
+    largest_exact_skip,
     lindblad_rhs,
 )
 from corrqec.noise import (
@@ -111,6 +113,115 @@ def test_rhs_skips_exactly_zero_blocks_bit_for_bit(kernel, zero_blocks):
         s_rho = (s_left @ rho).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
         full += s_rho @ s_right
         assert np.array_equal(lindblad_rhs(rho, ch), full)
+
+
+def _full_product_rhs(rho, ch):
+    # The right-hand side with the second product over its full n*d inner dimension.
+    s_left, s_right = ch.jump_stacks
+    d = ch.dim
+    out = -1j * (ch.H_eff @ rho - rho @ ch.H_eff.conj().T)
+    out += (s_left @ rho).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1) @ s_right
+    return out
+
+
+# Scales of the entries drawn below: exact zeros, subnormals, order one, and
+# values large enough that a product of K <= 480 terms stays finite.
+_ENTRY_SCALES = {"zero": 0.0, "subnormal": 1e-310, "unit": 1.0, "huge": 1e150}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_qubits=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.sets(st.sampled_from(sorted(_ENTRY_SCALES)), min_size=1),
+    zero_rows=st.booleans(),
+    zero_right_prefix=st.booleans(),
+)
+def test_largest_exact_skip_keeps_product_bytes(
+    num_qubits, seed, scales, zero_rows, zero_right_prefix
+):
+    # For every zero prefix of the (d, n, d) block row, dropping the skip the
+    # helper chose gives the bytes of the full product.  Entries mix the
+    # drawn scales.  Whole rows of signed zeros (s_n rho of a state with a
+    # zero row) and signed zeros in the right stack's prefix (the zero-rate
+    # channels' rows) make exactly-zero sums, whose sign is data-dependent.
+    d, n = 2**num_qubits, 3 * num_qubits
+    rng = np.random.default_rng(seed)
+    table = np.array([_ENTRY_SCALES[name] for name in sorted(scales)])
+
+    def draw(*shape):
+        parts = rng.standard_normal((2, *shape)) * rng.choice(table, size=(2, *shape))
+        return parts[0] + 1j * parts[1]
+
+    def signed_zeros(values):
+        return np.copysign(0.0, values.view(float)).view(complex)
+
+    for zero_blocks in range(n + 1):
+        skip = largest_exact_skip(d, n, zero_blocks)
+        assert skip % d == 0 and 0 <= skip <= zero_blocks * d
+        block_row = np.zeros((d, n, d), dtype=complex)
+        block_row[:, zero_blocks:] = draw(d, n - zero_blocks, d)
+        if zero_rows:
+            rows = rng.random(d) < 0.5
+            block_row[rows, zero_blocks:] = signed_zeros(block_row[rows, zero_blocks:])
+        flat = block_row.reshape(d, n * d)
+        right = draw(n * d, d)
+        if zero_right_prefix:
+            right[: zero_blocks * d] = signed_zeros(right[: zero_blocks * d])
+        full = flat @ right
+        assert np.isfinite(full).all()
+        assert (flat[:, skip:] @ right[skip:]).tobytes() == full.tobytes()
+
+
+def test_exact_skip_probed_once_per_channel_shape(monkeypatch):
+    # The probe runs at the first right-hand side built for a shape, not when
+    # the channels are built, and a second one reuses its answer.
+    probes = []
+    probe = lindblad._skip_is_exact
+
+    def counting(*args):
+        probes.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(lindblad, "_skip_is_exact", counting)
+    largest_exact_skip.cache_clear()
+    kernel = collective_axis_kernel(3, axis=3, amplitude=0.2)
+    ch = build_channels(rescale_to_unit_max_rate(integrate_kernel(kernel)))
+    assert probes == []
+    rho = _random_density(np.random.default_rng(5), ch.dim)
+    first = lindblad_rhs(rho, ch)
+    assert probes
+    count = len(probes)
+    second = lindblad_rhs(rho, ch)
+    assert len(probes) == count
+    assert first.tobytes() == second.tobytes() == _full_product_rhs(rho, ch).tobytes()
+
+
+@pytest.mark.parametrize("num_qubits", [1, 3, 5])
+def test_silent_spec_rhs_matches_full_product(num_qubits):
+    ch = build_channels(noise_spec_direct(np.zeros((3 * num_qubits, 3 * num_qubits))))
+    assert ch._live_blocks == slice(0, 0)
+    rng = np.random.default_rng(6)
+    rho = _random_density(rng, ch.dim)
+    assert lindblad_rhs(rho, ch).tobytes() == _full_product_rhs(rho, ch).tobytes()
+
+
+def test_exact_skip_on_d16_panel_shapes():
+    # At d=16, n=12 (K=192) this OpenBLAS sums K in two 96-column panels.
+    # An 80-column zero prefix ends inside the first, so no block-aligned
+    # skip keeps the bytes; prefixes that reach into the last, 176 columns
+    # or the 160 of collective z dephasing at L=4 (one inert and one live
+    # channel follow), are dropped whole.
+    assert largest_exact_skip(16, 12, 5) == 0
+    assert largest_exact_skip(16, 12, 11) == 176
+    kernel = collective_axis_kernel(4, axis=3, amplitude=0.2)
+    ch = build_channels(rescale_to_unit_max_rate(integrate_kernel(kernel)))
+    assert ch._live_blocks == slice(10, 12)
+    assert largest_exact_skip(ch.dim, ch.num_channels, 10) == 160
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        rho = _random_density(rng, ch.dim)
+        assert lindblad_rhs(rho, ch).tobytes() == _full_product_rhs(rho, ch).tobytes()
 
 
 def test_evolve_reuses_one_block_row():

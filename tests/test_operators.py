@@ -29,6 +29,7 @@ from corrqec.operators import (
     basis_state,
     channel_qubit_axis,
     check_state_vector,
+    is_boolean,
     is_integer,
     is_nonnegative,
     is_number,
@@ -246,6 +247,18 @@ def test_integer_rule(x, integer):
     assert is_integer(x) == integer
     if integer:
         assert is_real_number(x)
+
+
+@pytest.mark.parametrize(
+    "x, boolean",
+    [(True, True), (False, True), (np.True_, True), (np.False_, True), (1, False),
+     (0, False), (np.int8(1), False), (1.0, False), ("yes", False), (None, False)],
+)
+def test_boolean_rule(x, boolean):
+    # a Python or numpy bool; no bool passes the integer rule
+    assert is_boolean(x) == boolean
+    if boolean:
+        assert not is_integer(x)
 
 
 def test_matrix_exponential_zero_scale():

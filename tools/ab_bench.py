@@ -1,12 +1,13 @@
 """Alternating A/B runs of the benchmark against another revision.
 
-Usage: python3 tools/ab_bench.py REV [--workload W] [--pairs K]
+Usage: python3 tools/ab_bench.py REV [--workload W] [--pairs K]     (K even)
 
 Checks out REV into a temporary directory (tools/revtree.py), and a snapshot
 of this working tree into another (`git stash create`, so tracked files with
 their uncommitted changes; untracked files are left out), then runs
 `bench/run.py --workload W --trace 0` K times (default 10) in each,
-alternating which side runs first.  Both sides run from a fresh extract, so
+alternating which side runs first.  K must be even, so each side runs first
+in exactly half of the pairs.  Both sides run from a fresh extract, so
 where a tree lives on disk does not enter the comparison.  Every workload in
 BENCHMARK.json runs unless --workload names one.  Each run lasts as long as
 the benchmark sets, the same on both sides, and runs are sequential, so the
@@ -84,8 +85,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
+    if args.pairs < 2 or args.pairs % 2:
+        parser.error("--pairs must be even and at least 2")
 
     here = repo_root()
     definition = json.loads((here / "BENCHMARK.json").read_text())

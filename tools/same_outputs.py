@@ -12,7 +12,9 @@ noise kinds no packaged config uses (independent, exponential on all three
 axes, a custom cross_axis block) and a `direct` A below the PSD floor (which
 fails `validate` with exit 3 and `cycle` with exit 2) run `validate` and
 `cycle` from L=5 configs written to a temporary directory and passed to both
-trees by absolute path.  With the packaged configs that is 34 runs per tree.
+trees by absolute path.  An L=4 collective z config, a second shape of the
+density engine's skipped zero prefix, runs `validate` and `cycle` the same
+way on both engines.  With the packaged configs that is 38 runs per tree.
 Stdout bytes and exit codes are compared; each mismatch prints its first
 differing line.  Exits 1 on any mismatch, 0 when every output is identical.
 The checkout is removed afterwards.
@@ -66,6 +68,15 @@ GENERATED_BASE = {
     "base_seed": 7,
 }
 GENERATED_COMMANDS = ("validate", "cycle")
+# A second shape of the density engine's skipped zero prefix: collective z
+# dephasing at L=4 (d=16), 10 of its 12 channels exactly zero.  Its config
+# runs GENERATED_COMMANDS on both engines.  The five-qubit code needs L=5, so
+# `cycle` exits 1; validate's first-order convergence check runs the density
+# engine, from a product state the dephasing acts on.
+GENERATED_L4 = {
+    "noise": {"kind": "collective_axis", "num_qubits": 4, "amplitude": 0.2, "axis": "z"},
+    "logical_state": [[0.6, 0.0], [0.8, 0.0]],
+}
 
 
 def _jobs(configs: Path, generated: Path) -> list:
@@ -85,6 +96,10 @@ def _jobs(configs: Path, generated: Path) -> list:
         path = generated / f"{name}.yaml"
         path.write_text(yaml.safe_dump({"noise": noise, **GENERATED_BASE}))
         jobs += [(command, str(path), ()) for command in GENERATED_COMMANDS]
+    path = generated / "collective_z_l4.yaml"
+    path.write_text(yaml.safe_dump({**GENERATED_BASE, **GENERATED_L4}))
+    for extra in ((), ("--engine", "trajectory")):
+        jobs += [(command, str(path), extra) for command in GENERATED_COMMANDS]
     return jobs
 
 
