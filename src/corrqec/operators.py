@@ -258,10 +258,34 @@ def row_norms(psi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     Runs numpy's own sequence (conjugate, multiply, real-part row sums, sqrt)
     with `scratch`, an array of psi's shape and dtype, in place of its two
     temporaries; scratch is overwritten.
+
+    A row of 1 <= d < 16 squares is summed column by column, over strided
+    views of scratch.real, in the order of numpy's pairwise sum:
+    ((x0 + x1) + x2) + ... for d < 8, and for 8 <= d < 16 the tree
+    ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)) followed by x8..x(d-1)
+    in sequence.  Each column is then one vectorized add over all M rows
+    instead of a short reduction per row, which makes the sum several times
+    faster at d = 2..8.  The order is the same, so the bytes are too
+    (tests/test_operators.py pins them against numpy).  From d = 16 on
+    numpy's row reduction is faster (it keeps eight partial sums), and it
+    is used as it is.
     """
     np.conjugate(psi, out=scratch)
     np.multiply(scratch, psi, out=scratch)
-    return np.sqrt(np.add.reduce(scratch.real, axis=1))
+    squares = scratch.real
+    d = squares.shape[1]
+    if not 0 < d < 16:
+        return np.sqrt(np.add.reduce(squares, axis=1))
+    col = squares.T
+    if d < 8:
+        total, rest = col[0].copy(), col[1:]
+    else:
+        total = (col[0] + col[1]) + (col[2] + col[3])
+        total += (col[4] + col[5]) + (col[6] + col[7])
+        rest = col[8:]
+    for c in rest:
+        total += c
+    return np.sqrt(total, out=total)
 
 
 def divide_rows(psi: np.ndarray, norms: np.ndarray) -> None:

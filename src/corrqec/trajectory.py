@@ -261,8 +261,9 @@ class BatchStepper:
             channel[rows] = pick
             phi[rows] = s_psi[k, pick]
         norms = row_norms(phi, scratch=psi)
-        if norms.min(initial=1.0) <= 1e-12:
-            raise SimulationError("trajectory state norm collapsed during a step")
+        # Written as "not > " so that a NaN norm fails the gate too.
+        if not norms.min(initial=1.0) > 1e-12:
+            raise SimulationError("trajectory state norm collapsed or is not finite during a step")
         divide_rows(phi, norms)
         self._spare = psi
         return phi, jumped, channel

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corrqec
 from corrqec.errors import DomainError, ResourceError
@@ -29,6 +31,7 @@ from corrqec.operators import (
     basis_state,
     channel_qubit_axis,
     check_state_vector,
+    divide_rows,
     is_boolean,
     is_integer,
     is_nonnegative,
@@ -42,6 +45,7 @@ from corrqec.operators import (
     pauli_string_matrix,
     pure_state_fidelity,
     pure_state_projector,
+    row_norms,
     trace_distance,
 )
 
@@ -367,3 +371,78 @@ def test_fidelity_and_trace_distance():
     # TD between pure states is sqrt(1 - |<a|b>|^2)
     td = trace_distance(pure_state_projector(zero), pure_state_projector(plus))
     assert td == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+
+def _awkward_parts(rng, size, pools):
+    # Re/Im parts, each drawn from one of the chosen pools: 0 standard
+    # normal, 1 signed zeros, 2 subnormals, 3 magnitudes near 1e+150 (their
+    # squares overflow to inf), 4 near 1e-150 (their squares underflow).
+    sign = rng.choice([-1.0, 1.0], size)
+    choices = [
+        rng.standard_normal(size),
+        sign * 0.0,
+        sign * rng.uniform(0.0, 2.2e-308, size),
+        sign * 10.0 ** rng.uniform(140.0, 160.0, size),
+        sign * 10.0 ** rng.uniform(-160.0, -140.0, size),
+    ]
+    return np.choose(rng.choice(sorted(pools), size), choices)
+
+
+# Every d that row_norms sums column-wise (1..15) and its neighbours, plus
+# d where numpy's pairwise sum blocks (128) and splits recursively (129, 4096).
+@pytest.mark.parametrize("dim", [*range(1, 25), 32, 128, 129, 4096])
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_rows=st.one_of(st.sampled_from([0, 1, 8193]), st.integers(1, 600).map(lambda k: 2 * k + 1)),
+    pools=st.sets(st.integers(0, 4), min_size=1),
+)
+@example(seed=0, num_rows=0, pools={0})
+@example(seed=1, num_rows=8193, pools={0, 1, 2, 3, 4})
+def test_row_norms_are_numpy_bytes(dim, seed, num_rows, pools):
+    # row_norms sums short rows column by column in numpy's own order; its
+    # bytes equal numpy's row reduction and np.linalg.norm, overflowed,
+    # underflowed and zero rows included.  A numpy whose order changes fails
+    # here rather than shifting the trajectory engine's last bits.
+    num_rows = min(num_rows, 2**19 // dim | 1)  # at most 8 MB a block
+    rng = np.random.default_rng(seed)
+    psi = _awkward_parts(rng, 2 * num_rows * dim, pools).view(complex).reshape(num_rows, dim)
+    before = psi.copy()
+    # A part near 1e150 overflows its square; with both parts huge the
+    # product's imaginary part is inf - inf (invalid), which no sum reads.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = row_norms(psi, np.empty_like(psi))
+        want = np.sqrt(np.add.reduce((np.conjugate(psi) * psi).real, axis=1))
+        norm = np.linalg.norm(psi, axis=1)
+    assert got.shape == (num_rows,)
+    assert got.tobytes() == want.tobytes() == norm.tobytes()
+    assert psi.tobytes() == before.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 64),
+    num_rows=st.integers(0, 200).map(lambda k: 2 * k + 1),
+    pools=st.sets(st.integers(0, 4), min_size=1),
+    norm_scale=st.sampled_from(["random", "subnormal", "huge"]),
+)
+def test_divide_rows_matches_numpy_division(seed, dim, num_rows, pools, norm_scale):
+    # divide_rows(psi, norms) leaves psi / norms[:, None] value for value;
+    # only an exact-zero part may differ, and only in its sign.  The
+    # reciprocal of a subnormal norm may overflow to inf; numpy's complex
+    # division takes the same reciprocal.
+    rng = np.random.default_rng(seed)
+    psi = _awkward_parts(rng, 2 * num_rows * dim, pools).view(complex).reshape(num_rows, dim)
+    norms = {
+        "random": 10.0 ** rng.uniform(-3.0, 3.0, num_rows),
+        "subnormal": rng.uniform(1e-323, 2.2e-308, num_rows),
+        "huge": 10.0 ** rng.uniform(300.0, 308.0, num_rows),
+    }[norm_scale]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (psi / norms[:, None]).view(float)
+        divide_rows(psi, norms)
+    got = psi.view(float)
+    differ = got.view(np.int64) != want.view(np.int64)
+    both_nan = np.isnan(got) & np.isnan(want)
+    assert np.all(~differ | both_nan | ((got == 0.0) & (want == 0.0)))

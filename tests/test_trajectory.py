@@ -607,6 +607,30 @@ def test_batch_step_gate():
     BatchStepper(ch, 0.99 * SUM_P_GATE).step(block, np.array([0.5, 0.5]))
 
 
+def test_batch_step_rejects_a_non_finite_row():
+    # A NaN norm used to pass the collapse gate (NaN <= 1e-12 is False), and
+    # the step handed the NaN row back.
+    stepper = BatchStepper(_dephasing(), 0.01)
+    block = np.array([[1, 0], [np.nan, 0], [0, 1]], dtype=complex)
+    with pytest.raises(SimulationError, match="collapsed or is not finite"):
+        stepper.step(block, np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_KERNELS))
+def test_ensemble_bytes_with_numpy_row_norms(kind, num_qubits, monkeypatch):
+    # The unraveling grid's kernels end to end: the states are the bytes of
+    # a run whose step normalizes with np.linalg.norm itself.
+    ch = _grid_channels(kind, num_qubits)
+    psi0 = _random_state(np.random.default_rng(num_qubits), ch.dim)
+    states, counts = sample_ensemble(psi0, ch, 0.2, 0.005, 2024, 300)
+    monkeypatch.setattr(trajectory, "row_norms", lambda psi, scratch: np.linalg.norm(psi, axis=1))
+    ref_states, ref_counts = sample_ensemble(psi0, ch, 0.2, 0.005, 2024, 300)
+    assert counts.sum() > 0
+    assert np.array_equal(counts, ref_counts)
+    assert states.tobytes() == ref_states.tobytes()
+
+
 def test_sample_ensemble_gate_and_argument_errors():
     ch = build_channels(integrate_kernel(exponential_kernel(2, correlation_length=1.0)))
     psi0 = _random_state(np.random.default_rng(8), 4)

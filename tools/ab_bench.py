@@ -1,6 +1,6 @@
 """Alternating A/B runs of the benchmark against another revision.
 
-Usage: python3 tools/ab_bench.py REV [--workload W] [--pairs K]     (K even)
+Usage: python3 tools/ab_bench.py REV [--workload W] [--pairs K] [--aa]     (K even)
 
 Checks out REV into a temporary directory (tools/revtree.py), and a snapshot
 of this working tree into another (`git stash create`, so tracked files with
@@ -21,11 +21,19 @@ more than the distance between REV's quartiles.  Every run's metrics are
 recorded too, with its `host_slice_ms`, the benchmark's host-speed
 calibration.
 
+--aa is the harness's own control: the working tree's side is a second
+extract of REV, run on the same schedule, so every difference is the
+harness's.  Its figures go under the workload's `aa` key, with
+`iqr_overlap` per metric: the share of the union of the two sides'
+quartile ranges that both cover (1 for equal ranges, 0 for disjoint ones).
+Read an A/B `wins` against the A/A `wins` of the same workload: an A/A far
+from K/2 is a bias of the schedule or of the host, not of the code.
+
 The results go to BENCH_<short REV>.json at the repo root, with the host
-information from bench/run.py's record.  A workload already in that file is
-replaced and the others are kept, so workloads can be measured with
-different pair counts or at different times.  Exits 1 if any run fails or
-is not correct.
+information from bench/run.py's record.  A workload's A/B figures already
+in that file are replaced, and so are its A/A figures under --aa; the rest
+is kept, so workloads can be measured with different pair counts or at
+different times.  Exits 1 if any run fails or is not correct.
 """
 
 from __future__ import annotations
@@ -79,11 +87,19 @@ def _compare(metric: dict, base: list, change: list) -> dict:
     }
 
 
+def _iqr_overlap(a: dict, b: dict) -> float:
+    inter = min(a["q3"], b["q3"]) - max(a["q1"], b["q1"])
+    union = max(a["q3"], b["q3"]) - min(a["q1"], b["q1"])
+    return max(inter, 0.0) / union if union > 0 else 1.0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev")
     parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--aa", action="store_true",
+                        help="run REV against a second extract of REV")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.pairs % 2:
         parser.error("--pairs must be even and at least 2")
@@ -99,12 +115,13 @@ def main(argv=None) -> int:
     snapshot = subprocess.run(["git", "stash", "create"], cwd=here, check=True,
                               capture_output=True, text=True).stdout.strip()
     change = short_rev(here, "HEAD") + (" with uncommitted changes" if snapshot else "")
+    second = args.rev if args.aa else snapshot or "HEAD"
     path = here / f"BENCH_{short}.json"
     report = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
 
     ok = True
     with (rev_tree(here, args.rev, "ab_bench_") as there,
-          rev_tree(here, snapshot or "HEAD", "ab_bench_") as changed):
+          rev_tree(here, second, "ab_bench_") as changed):
         for workload in workloads:
             runs = {"base": [], "change": []}
             for k in range(args.pairs):
@@ -122,13 +139,17 @@ def main(argv=None) -> int:
                                          for side in ("base", "change")))
                 for m in definition["end_to_end"]
             }
+            if args.aa:
+                for c in metrics.values():
+                    c["iqr_overlap"] = _iqr_overlap(c["base"], c["change"])
             for name, c in metrics.items():
+                overlap = f", IQR overlap {c['iqr_overlap']:.2f}" if args.aa else ""
                 print(f"  {name:<12} {c['base']['median']:.4g} [{c['base']['q1']:.4g}, "
                       f"{c['base']['q3']:.4g}] -> {c['change']['median']:.4g} "
                       f"[{c['change']['q1']:.4g}, {c['change']['q3']:.4g}] {c['unit']} "
                       f"({c['change_vs_base']:+.1%}, wins {c['wins']}"
-                      f"{', gain' if c['gain'] else ''})")
-            report["workloads"][workload] = {
+                      f"{', gain' if c['gain'] else ''}{overlap})")
+            entry = {
                 "pairs": args.pairs,
                 "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "failed": failed,
@@ -136,9 +157,15 @@ def main(argv=None) -> int:
                 "runs": {side: [dict(r["metrics"], host_slice_ms=r["host_slice_ms"])
                                 for r in runs[side]] for side in ("base", "change")},
             }
+            figures = report["workloads"].setdefault(workload, {})
+            if args.aa:
+                figures["aa"] = entry
+            else:
+                figures.update(entry)
+                report["change"] = change
             machine = dict(runs["change"][-1]["machine"])
             machine.pop("git_commit", None)
-            report.update(base=short, change=change, host=machine)
+            report.update(base=short, host=machine)
 
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.relative_to(here)}")
