@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .noise import JumpChannelSet
-from .operators import is_nonnegative, is_positive
+from .operators import check_density_matrix, is_nonnegative, is_positive
 
 logger = logging.getLogger(__name__)
 
@@ -87,16 +87,7 @@ def default_dt_integrator(ch: JumpChannelSet) -> float:
 
 def lindblad_rhs(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
     """Right-hand side -i H_eff rho + i rho H_eff^dag + sum_n xi_n s_n rho s_n^dag."""
-    return _rhs(ch)(_check_density(np.asarray(rho, dtype=complex), ch))
-
-
-def _check_density(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
-    if rho.shape != ch.H_eff.shape:
-        raise DomainError(
-            f"density matrix shape {rho.shape} does not match channel dimension "
-            f"{ch.H_eff.shape}"
-        )
-    return rho
+    return _rhs(ch)(check_density_matrix(rho, ch.dim))
 
 
 @cache
@@ -210,7 +201,7 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
     Returns the final density matrix; trace drift beyond 1e-9 is repaired by
     renormalization (and logged), beyond 1e-7 it raises IntegrationError.
     """
-    rho = _check_density(np.array(rho0, dtype=complex), ch)
+    rho = check_density_matrix(np.array(rho0, dtype=complex), ch.dim)
     rhs = _rhs(ch)
 
     n_full, remainder = divmod(cfg.t_final, cfg.dt_integrator)
@@ -232,7 +223,8 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
 
         tr = float(rho.trace().real)
         drift = abs(tr - 1.0)
-        if drift >= _DRIFT_FAIL:
+        # Written as "not <" so that a NaN trace fails the gate too.
+        if not drift < _DRIFT_FAIL:
             raise IntegrationError(
                 f"trace drift {drift:.3e} at t={t:.6g} exceeds {_DRIFT_FAIL:.1e}; "
                 f"reduce dt_integrator below {cfg.dt_integrator:.3g}"

@@ -12,8 +12,10 @@ It also holds the one implementation of each input rule the package checks:
 a boolean (a Python or numpy bool), an integer (a Python or numpy integer,
 not a bool), a real number (not a bool) or a complex one, a positive or
 nonnegative finite scalar, the matrix gate (square, finite, Hermitian within
-HERM_TOL), the PSD floor and the unit-norm tolerance.  Callers of the scalar rules raise their own error type
-with a message naming the value; the matrix gate and the PSD floor raise
+HERM_TOL), the density-matrix check (square, finite, of the expected
+dimension), the PSD floor and the unit-norm tolerance.  Callers of the
+scalar rules raise their own error type with a message naming the value;
+the matrix gate, the density-matrix check and the PSD floor raise
 DomainError naming the matrix.  The counts, indices and seeds the library
 takes (qubit count, qubit and basis index, trajectory count, base seed) pass
 the integer rule: numpy integers are accepted like Python ints, and a bool,
@@ -29,9 +31,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Dense storage throughout; 2**12 = 4096 is the hard dimension cap.
+# Dense storage throughout; 12 qubits (dimension 4096) is the hard cap.
 MAX_QUBITS = 12
-MAX_DIM = 2**MAX_QUBITS
 
 # Largest |m - m^dag| entry a Hermitian input may carry.
 HERM_TOL = 1e-10
@@ -85,7 +86,7 @@ def check_finite_square(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError(f"{name} contains non-finite entries")
     return m
 
@@ -210,30 +211,6 @@ def psd_eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * m) for a dense square matrix, by Taylor scaling and squaring.
-
-    a = scale * m is halved s times until its 1-norm is at most 1/2, the
-    Taylor series of exp(a / 2**s) is summed to degree 18, where the
-    truncation error is below 0.5**19 / 19! * e**0.5 < 1e-20, and the sum is
-    squared s times (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] > MAX_DIM:
-        raise ResourceError(f"matrix dimension {m.shape[0]} exceeds {MAX_DIM}")
-    a = scale * check_finite_square(m, "matrix")
-    norm = np.linalg.norm(a, 1)
-    squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
-    a = a / 2.0**squarings
-    term = result = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 19):
-        term = term @ a / k
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def num_qubits_for_dim(dim: int) -> int:
     """Number of qubits L with 2**L == dim; rejects non-power-of-two sizes."""
     num_qubits = int(dim).bit_length() - 1
@@ -320,6 +297,14 @@ def check_state_vector(psi: np.ndarray) -> np.ndarray:
     if abs(norm - 1.0) > _NORM_TOL:
         raise DomainError(f"state vector norm {norm!r} deviates from 1 beyond {_NORM_TOL:.1e}")
     return psi
+
+
+def check_density_matrix(rho, dim: int) -> np.ndarray:
+    """rho as a finite complex dim x dim matrix (check_finite_square); DomainError otherwise."""
+    rho = check_finite_square(rho, "density matrix")
+    if rho.shape != (dim, dim):
+        raise DomainError(f"density matrix shape {rho.shape} does not match dimension {dim}")
+    return rho
 
 
 def pure_state_projector(psi: np.ndarray) -> np.ndarray:

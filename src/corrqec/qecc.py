@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DomainError, SimulationError
 from .operators import (
     basis_state,
+    check_density_matrix,
     divide_rows,
     normalized,
     pauli_stack,
@@ -230,9 +231,7 @@ def correction_channel(rho: np.ndarray, code: StabilizerCode) -> np.ndarray:
     Returns sum_s R_{m(s)} P_s rho P_s R_{m(s)}^dag; trace preservation is
     verified to 1e-10.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (code.dim, code.dim):
-        raise DomainError(f"density matrix shape {rho.shape} does not match code")
+    rho = check_density_matrix(rho, code.dim)
     out = np.zeros_like(rho)
     for rp, rp_conj in code.recovery_products:
         out += rp @ rho @ rp_conj.T

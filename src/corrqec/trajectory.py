@@ -20,7 +20,8 @@ GEMM row in the last bit, while the rows of a GEMM do not depend on how many
 rows it has (checked with OpenBLAS at dim 2..32 for 2..8192 rows).
 
 The same interval, frozen against a reference state, defines the first-order
-error channel {Q_n, p_n}: Q_0 = exp(-i H_eff delta_t)/sqrt(p_0) is the
+error channel {Q_n, p_n}: one BatchStepper supplies the propagator K, the
+weights xi_n delta_t and the jump operators, Q_0 = K/sqrt(p_0) is the
 effective-evolution error and Q_n = sqrt(xi_n delta_t / p_n) s_n the jump
 errors, complete to O(delta_t) with probabilities summing to one.
 
@@ -49,12 +50,12 @@ import numpy as np
 from .errors import DomainError, SimulationError, StepSizeError
 from .noise import JumpChannelSet
 from .operators import (
+    check_density_matrix,
     check_state_vector,
     divide_rows,
     is_integer,
     is_nonnegative,
     is_positive,
-    matrix_exponential,
     row_norms,
 )
 
@@ -90,9 +91,10 @@ class FirstOrderChannel:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if p.min(initial=0.0) < 0.0:
-            raise DomainError(f"negative channel probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-9 * len(p):
+        # Written as "not >=" and "not <=" so that a NaN fails them too.
+        if not p.min(initial=0.0) >= 0.0:
+            raise DomainError(f"channel probability {p.min():.3e} is negative or not finite")
+        if not abs(p.sum() - 1.0) <= 1e-9 * len(p):
             raise DomainError(f"channel probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "operators", np.asarray(self.operators, dtype=complex))
@@ -104,15 +106,15 @@ def apply_first_order_channel(rho0: np.ndarray, channel: FirstOrderChannel) -> n
     The output matches lindblad.evolve_exact over the same interval up to
     O(delta_t^2).
     """
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = check_density_matrix(rho0, channel.operators.shape[-1])
     out = np.zeros_like(rho0)
     for p, q in zip(channel.probabilities, channel.operators):
         if p <= 0.0:
             continue
         out += p * (q @ rho0 @ q.conj().T)
     tr = float(out.trace().real)
-    if tr <= 0.0:
-        raise DomainError("first-order channel output has nonpositive trace")
+    if not tr > 0.0:  # a NaN trace fails too
+        raise DomainError("first-order channel output has nonpositive or non-finite trace")
     return out / tr
 
 
@@ -172,20 +174,6 @@ def total_jump_probability(psi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     v = psi @ gamma.T
     # Re<psi|v> as a real dot product over the interleaved Re/Im parts.
     return np.einsum("...k,...k->...", psi.view(float), v.view(float))
-
-
-def jump_probabilities(psi: np.ndarray, ch: JumpChannelSet, delta_t: float) -> np.ndarray:
-    """p_n = xi_n delta_t ||s_n psi||^2 for every channel, in flat order.
-
-    Raises StepSizeError when the total exceeds the first-order gate 0.1.
-    """
-    weights = _channel_weights(ch, delta_t)
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (ch.dim,):
-        raise DomainError(f"state shape {psi.shape} does not match dimension {ch.dim}")
-    _, p = _jump_images(psi[None], ch.jump_ops, weights)
-    _check_gate(p.sum(), delta_t)
-    return p[0]
 
 
 class BatchStepper:
@@ -427,18 +415,24 @@ def build_first_order_channel(
 ) -> FirstOrderChannel:
     """Freeze the interval's error set {Q_n, p_n} against a reference state.
 
+    The interval is BatchStepper(ch, delta_t)'s: p_n = w_n ||s_n psi_ref||^2
+    from its weights and jump operators, gated like a step, Q_0 = K/sqrt(p_0)
+    from its propagator K = 1 - i delta_t H_eff and Q_n = sqrt(w_n / p_n) s_n.
     p_0 is fixed as 1 - sum of jump probabilities, making the probabilities
-    an exact distribution; Q_0 uses the exact exponential of H_eff.
+    an exact distribution.
     """
     psi_ref = check_state_vector(psi_ref)
-    p_jump = jump_probabilities(psi_ref, ch, delta_t)
+    if psi_ref.shape != (ch.dim,):
+        raise DomainError(f"state shape {psi_ref.shape} does not match dimension {ch.dim}")
+    stepper = BatchStepper(ch, delta_t)
+    _, p = _jump_images(psi_ref[None], stepper.jump_ops, stepper.weights)
+    p_jump = p[0]
+    _check_gate(p_jump.sum(), delta_t)
     p0 = 1.0 - p_jump.sum()
 
-    dim = ch.dim
-    ops = np.zeros((ch.num_channels + 1, dim, dim), dtype=complex)
-    ops[0] = matrix_exponential(ch.H_eff, -1j * delta_t) / np.sqrt(p0)
-    for n in range(ch.num_channels):
-        if p_jump[n] > 0.0:
-            ops[n + 1] = np.sqrt(ch.eigenvalues[n] * delta_t / p_jump[n]) * ch.jump_ops[n]
+    ops = np.zeros((ch.num_channels + 1, ch.dim, ch.dim), dtype=complex)
+    ops[0] = stepper.prop / np.sqrt(p0)
+    for n in np.flatnonzero(p_jump > 0.0):
+        ops[n + 1] = np.sqrt(stepper.weights[n] / p_jump[n]) * stepper.jump_ops[n]
     probs = np.concatenate(([p0], p_jump))
     return FirstOrderChannel(delta_t=delta_t, operators=ops, probabilities=probs)

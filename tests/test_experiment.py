@@ -737,6 +737,23 @@ def test_validation_probability_gate_binds_trajectory_engine_only():
         assert ("not binding" in gate.detail) is passed
 
 
+def test_validation_channel_order_passes_on_a_stationary_state():
+    # |0000> does not evolve under collective z dephasing, so both errors are
+    # roundoff and their ratio (about 2) used to FAIL the check
+    noise = collective_axis_kernel(4, axis=3, amplitude=0.2)
+    check = run_validation_suite(ExperimentConfig(noise=noise)).checks[-1]
+    assert check.name == "first_order_channel_convergence"
+    assert check.passed, check.detail
+    assert check.detail.startswith(
+        "stationary state, channel and integrator agree to roundoff: errors "
+    )
+    # a state the dephasing acts on is still held to the 4 +/- 0.5 ratio
+    moving = ExperimentConfig(noise=noise, logical_state=(0.6, 0.8))
+    check = run_validation_suite(moving).checks[-1]
+    assert check.passed and check.detail.startswith("errors ")
+    assert 3.5 <= float(check.measured) <= 4.5
+
+
 # ---------------------------------------------------------------------------
 # CSV rendering
 

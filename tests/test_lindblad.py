@@ -28,7 +28,7 @@ from corrqec.noise import (
     noise_spec_direct,
     rescale_to_unit_max_rate,
 )
-from corrqec.operators import matrix_exponential, trace_distance
+from corrqec.operators import trace_distance
 from corrqec.qecc import correction_channel, five_qubit_code
 from corrqec.trajectory import apply_first_order_channel, build_first_order_channel
 
@@ -373,7 +373,9 @@ def test_pure_shift_unitary_evolution():
     rho0 = _plus_state(1)
     t = 1.0
     out = evolve_exact(rho0, ch, EvolutionConfig(dt_integrator=1e-3, t_final=t))
-    u = matrix_exponential(ch.H_eff, -1j * t)
+    # H_eff is Hermitian here (no jumps), so exp(-i H_eff t) comes from its eigenbasis
+    w, v = np.linalg.eigh(ch.H_eff)
+    u = (v * np.exp(-1j * w * t)) @ v.conj().T
     np.testing.assert_allclose(out, u @ rho0 @ u.conj().T, atol=1e-9)
 
 
@@ -385,6 +387,42 @@ def test_rhs_shape_mismatch_raises():
         evolve_exact(
             np.eye(2, dtype=complex) / 2.0, ch, EvolutionConfig(dt_integrator=0.1, t_final=0.1)
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_density_matrices_are_refused(bad):
+    # evolve_exact used to return all-NaN, correction_channel NaN, and
+    # apply_first_order_channel NaN with a RuntimeWarning
+    ch = build_channels(integrate_kernel(exponential_kernel(1)))
+    rho = _plus_state(1)
+    rho[0, 1] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        evolve_exact(rho, ch, EvolutionConfig(dt_integrator=0.1, t_final=0.1))
+    with pytest.raises(DomainError, match="non-finite"):
+        lindblad_rhs(rho, ch)
+    psi = np.array([1, 1], dtype=complex) / np.sqrt(2)
+    with pytest.raises(DomainError, match="non-finite"):
+        apply_first_order_channel(rho, build_first_order_channel(psi, ch, 0.01))
+    code = five_qubit_code()
+    rho_code = _plus_state(5)
+    rho_code[3, 3] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        correction_channel(rho_code, code)
+
+
+def test_apply_first_order_channel_checks_dimension():
+    ch = build_channels(integrate_kernel(exponential_kernel(1)))
+    channel = build_first_order_channel(np.array([1, 0], dtype=complex), ch, 0.01)
+    with pytest.raises(DomainError, match="does not match dimension 2"):
+        apply_first_order_channel(_plus_state(2), channel)
+
+
+def test_trace_drift_gate_fails_on_nan(monkeypatch):
+    # a NaN trace used to pass the drift gate (NaN >= 1e-7 is False)
+    ch = build_channels(integrate_kernel(exponential_kernel(1)))
+    monkeypatch.setattr(lindblad, "_rhs", lambda ch: lambda rho: np.full_like(rho, math.nan))
+    with pytest.raises(IntegrationError, match="trace drift nan"):
+        evolve_exact(_plus_state(1), ch, EvolutionConfig(dt_integrator=0.1, t_final=0.1))
 
 
 def test_evolution_config_validation():
@@ -513,7 +551,7 @@ def test_first_order_channel_dephasing_linear_decay():
 
 
 def test_first_order_channel_second_order_accuracy():
-    # halving dt should shrink the channel-vs-integrator distance ~4x; measured 3.76
+    # halving dt should shrink the channel-vs-integrator distance ~4x; measured 3.84
     spec = rescale_to_unit_max_rate(integrate_kernel(exponential_kernel(2, correlation_length=1.0)))
     ch = build_channels(spec)
     psi = np.zeros(4, dtype=complex)

@@ -1,7 +1,7 @@
-"""Pauli algebra, eigensolver, and matrix exponential checks.
+"""Pauli algebra, eigensolver, input rules and state-block kernel checks.
 
-Expected values come from closed forms or independent oracles (50-term
-Taylor series, direct multiplication), never from the functions under test.
+Expected values come from closed forms or independent oracles (direct
+multiplication, numpy's own reductions), never from the functions under test.
 """
 
 import math
@@ -22,7 +22,6 @@ from corrqec.operators import (
     AXIS_Y,
     AXIS_Z,
     IDENTITY_2,
-    MAX_DIM,
     MAX_QUBITS,
     PAULI_X,
     PAULI_Y,
@@ -30,6 +29,7 @@ from corrqec.operators import (
     _eigensystem,
     basis_state,
     channel_qubit_axis,
+    check_density_matrix,
     check_state_vector,
     divide_rows,
     is_boolean,
@@ -38,7 +38,6 @@ from corrqec.operators import (
     is_number,
     is_positive,
     is_real_number,
-    matrix_exponential,
     normalized,
     pauli_operator,
     pauli_stack,
@@ -48,16 +47,6 @@ from corrqec.operators import (
     row_norms,
     trace_distance,
 )
-
-
-def _taylor_expm(m, terms=50):
-    # independent series oracle: sum m^k / k!
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, terms):
-        term = term @ m / k
-        out = out + term
-    return out
 
 
 def test_pauli_definitions():
@@ -202,12 +191,6 @@ def test_eigensystem_rejects_non_finite(bad, where):
         _eigensystem(m, "matrix")
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), (0, 1)])
-def test_matrix_exponential_rejects_non_square(shape):
-    with pytest.raises(DomainError, match="square"):
-        matrix_exponential(np.zeros(shape))
-
-
 @pytest.mark.parametrize(
     "x, positive, nonnegative",
     [
@@ -265,70 +248,6 @@ def test_boolean_rule(x, boolean):
         assert not is_integer(x)
 
 
-def test_matrix_exponential_zero_scale():
-    m = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
-    np.testing.assert_allclose(matrix_exponential(m, 0.0), np.eye(2), atol=1e-15)
-
-
-def test_matrix_exponential_diagonal():
-    theta = 0.7
-    out = matrix_exponential(PAULI_Z, -1j * theta)
-    expected = np.diag([np.exp(-1j * theta), np.exp(1j * theta)])
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_matrix_exponential_series_oracle():
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        s = complex(rng.normal(scale=0.5), rng.normal(scale=0.5))
-        resid = np.linalg.norm(matrix_exponential(m, s) - _taylor_expm(s * m))
-        assert resid < 1e-10
-
-
-def test_matrix_exponential_unitarity():
-    rng = np.random.default_rng(22)
-    raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = raw + raw.conj().T
-    u = matrix_exponential(h, -1j * 0.3)
-    assert np.linalg.norm(u.conj().T @ u - np.eye(8)) < 1e-9
-
-
-def test_matrix_exponential_semigroup():
-    m = np.array([[0.2, 0.5], [0.5, -0.1]], dtype=complex)
-    lhs = matrix_exponential(m, 0.3 + 0.1j) @ matrix_exponential(m, 0.4 - 0.2j)
-    rhs = matrix_exponential(m, 0.7 - 0.1j)
-    assert np.linalg.norm(lhs - rhs) < 1e-8
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
-def test_matrix_exponential_matches_scipy_past_the_squaring_threshold(dim):
-    # 1-norms above 1/2 take the squaring branch; scipy's Pade expm is the oracle
-    pytest.importorskip("scipy")
-    from scipy.linalg import expm
-
-    rng = np.random.default_rng(30 + dim)
-    for norm in (0.51, 0.75, 3.0, 20.0, 90.0):
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        jumps = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        # -i H_eff as in Q_0, with H_eff = H - (i/2) Gamma, and a general matrix
-        h_eff = raw + raw.conj().T - 0.5j * jumps @ jumps.conj().T
-        for m in (-1j * h_eff, raw):
-            m = m * (norm / np.linalg.norm(m, 1))
-            expected = expm(m)
-            rel = np.linalg.norm(matrix_exponential(m) - expected) / np.linalg.norm(expected)
-            assert rel < 1e-12, (norm, rel)
-
-
-def test_matrix_exponential_rejects_non_finite_and_oversized():
-    with pytest.raises(DomainError):
-        matrix_exponential(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
-    with pytest.raises(DomainError):
-        matrix_exponential(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
-    with pytest.raises(ResourceError):
-        matrix_exponential(np.zeros((MAX_DIM + 1, 1), dtype=complex))
-
-
 def test_scipy_is_off_the_import_path():
     src = str(Path(corrqec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -358,6 +277,24 @@ def test_state_helpers():
         normalized(np.zeros(2, dtype=complex))
     with pytest.raises(DomainError):
         check_state_vector(np.array([1.0, 1.0], dtype=complex))
+
+
+def test_density_matrix_check():
+    rho = np.diag([0.25, 0.75])
+    out = check_density_matrix(rho, 2)
+    assert out.dtype == complex and np.array_equal(out, rho)
+    complex_rho = rho.astype(complex)
+    assert check_density_matrix(complex_rho, 2) is complex_rho
+    for shape in [(2, 3), (2,), (2, 2, 2)]:
+        with pytest.raises(DomainError, match="square"):
+            check_density_matrix(np.zeros(shape), 2)
+    with pytest.raises(DomainError, match="does not match dimension 4"):
+        check_density_matrix(rho, 4)
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        nonfinite = complex_rho.copy()
+        nonfinite[0, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            check_density_matrix(nonfinite, 2)
 
 
 def test_fidelity_and_trace_distance():

@@ -31,7 +31,6 @@ from corrqec.trajectory import (
     FirstOrderChannel,
     build_first_order_channel,
     ensemble_density,
-    jump_probabilities,
     jump_rate_operator,
     sample_ensemble,
     step_count,
@@ -54,11 +53,11 @@ def _random_state(rng, dim):
 def test_jump_probabilities_dephasing():
     # sigma_z is unitary, so <s^dag s> = 1 for every state: p = xi * dt
     ch = _dephasing()
-    p = jump_probabilities(PLUS, ch, 0.01)
+    p = build_first_order_channel(PLUS, ch, 0.01).probabilities[1:]
     assert p.sum() == pytest.approx(0.01, abs=1e-14)
     assert np.count_nonzero(p) == 1
     rng = np.random.default_rng(3)
-    p2 = jump_probabilities(_random_state(rng, 2), ch, 0.01)
+    p2 = build_first_order_channel(_random_state(rng, 2), ch, 0.01).probabilities[1:]
     assert p2.sum() == pytest.approx(0.01, abs=1e-14)
 
 
@@ -66,9 +65,11 @@ def test_jump_probabilities_lowering_ground_state():
     ch = build_channels(integrate_kernel(lowering_kernel(1)))
     ground = np.array([1, 0], dtype=complex)
     excited = np.array([0, 1], dtype=complex)
-    assert jump_probabilities(ground, ch, 0.01).sum() == pytest.approx(0.0, abs=1e-14)
+    p_ground = build_first_order_channel(ground, ch, 0.01).probabilities[1:]
+    assert p_ground.sum() == pytest.approx(0.0, abs=1e-14)
     # s = sqrt(2)|0><1| gives <s^dag s> = 2 on the excited state
-    assert jump_probabilities(excited, ch, 0.01).sum() == pytest.approx(0.02, abs=1e-14)
+    p_excited = build_first_order_channel(excited, ch, 0.01).probabilities[1:]
+    assert p_excited.sum() == pytest.approx(0.02, abs=1e-14)
 
 
 def test_jump_probabilities_collective_z_plus_states():
@@ -76,7 +77,7 @@ def test_jump_probabilities_collective_z_plus_states():
     # out and <s^dag s> = 1, so the total is 0.6 * 0.01 * 1 = 0.006
     ch = build_channels(integrate_kernel(collective_axis_kernel(3, axis=3, amplitude=0.2)))
     plus3 = np.full(8, 8.0**-0.5, dtype=complex)
-    p = jump_probabilities(plus3, ch, 0.01)
+    p = build_first_order_channel(plus3, ch, 0.01).probabilities[1:]
     # brute-force oracle: p_n = xi_n dt <psi|s_n^dag s_n|psi>
     expected = np.zeros(ch.num_channels)
     for n in range(ch.num_channels):
@@ -90,17 +91,17 @@ def test_jump_probabilities_collective_z_plus_states():
 def test_jump_probabilities_gate():
     ch = _dephasing()
     with pytest.raises(StepSizeError):
-        jump_probabilities(PLUS, ch, 2 * SUM_P_GATE)
+        build_first_order_channel(PLUS, ch, 2 * SUM_P_GATE)
     # just under the gate passes
-    jump_probabilities(PLUS, ch, 0.99 * SUM_P_GATE)
+    build_first_order_channel(PLUS, ch, 0.99 * SUM_P_GATE)
 
 
 def test_jump_probabilities_shape_and_sign_errors():
     ch = _dephasing()
     with pytest.raises(DomainError):
-        jump_probabilities(np.ones(4, dtype=complex) / 2, ch, 0.01)
+        build_first_order_channel(np.ones(4, dtype=complex) / 2, ch, 0.01)
     with pytest.raises(DomainError):
-        jump_probabilities(PLUS, ch, -0.01)
+        build_first_order_channel(PLUS, ch, -0.01)
 
 
 def test_apply_jump_dephasing_flips_coherence():
@@ -251,7 +252,7 @@ def _sequential_reference(psi0, ch, n_steps, delta_t, base_seed, index):
     prop = np.eye(ch.dim) - 1j * delta_t * ch.H_eff
     psi, log = psi0.copy(), []
     for step in range(n_steps):
-        p = jump_probabilities(psi, ch, delta_t)
+        p = build_first_order_channel(psi, ch, delta_t).probabilities[1:]
         u = rng.random()
         if u < p.sum():
             active = np.flatnonzero(p > 0.0)
@@ -470,7 +471,7 @@ def test_samplers_leave_caller_arrays_untouched():
     psi0 = _random_state(np.random.default_rng(12), ch.dim)
     before = psi0.copy()
     sample_ensemble(psi0, ch, 0.1, 0.005, 3, 5)
-    jump_probabilities(psi0, ch, 0.005)
+    build_first_order_channel(psi0, ch, 0.005)
     assert np.array_equal(psi0, before)
 
 
@@ -571,7 +572,7 @@ def test_gamma_total_matches_channel_sum():
         block = np.stack([_random_state(rng, ch.dim) for _ in range(16)])
         totals = total_jump_probability(block, gamma)
         for psi, total in zip(block, totals):
-            expected = jump_probabilities(psi, ch, dt).sum()
+            expected = build_first_order_channel(psi, ch, dt).probabilities[1:].sum()
             assert expected > 0.0
             assert abs(total - expected) <= 1e-14 * expected
             assert abs(total_jump_probability(psi, gamma) - expected) <= 1e-14 * expected
@@ -586,7 +587,7 @@ def test_batch_step_zero_uniform_skips_zero_probability_channels():
     a = 0.5 * np.outer(lower.conj(), lower) + 1.0 * np.outer(raise_.conj(), raise_)
     ch = build_channels(noise_spec_direct(a))
     ground = np.array([1.0, 0.0], dtype=complex)
-    p = jump_probabilities(ground, ch, 0.01)
+    p = build_first_order_channel(ground, ch, 0.01).probabilities[1:]
     assert p[0] == 0.0 and p[1] == 0.0 and p[2] > 0.0
     assert not ch.inert[1]
     psi, jumped, channel = BatchStepper(ch, 0.01).step(
@@ -647,7 +648,6 @@ TIME_STEP_ENTRY_POINTS = {
     "step_count_total": lambda ch, dt: step_count(dt, 0.1),
     "sample_ensemble": lambda ch, dt: sample_ensemble(PLUS, ch, 1.0, dt, 7, 4),
     "jump_rate_operator": jump_rate_operator,
-    "jump_probabilities": lambda ch, dt: jump_probabilities(PLUS, ch, dt),
     "BatchStepper": BatchStepper,
     "build_first_order_channel": lambda ch, dt: build_first_order_channel(PLUS, ch, dt),
 }
@@ -689,7 +689,7 @@ def test_first_order_channel_dephasing():
 
 
 def test_first_order_channel_completeness():
-    # sum p Q^dag Q = I + O(dt^2): halving dt shrinks the defect ~4x (measured 3.94)
+    # sum p Q^dag Q = I + dt^2 H_eff^dag H_eff: halving dt shrinks the defect 4x (measured 4.00)
     spec = rescale_to_unit_max_rate(integrate_kernel(exponential_kernel(2, correlation_length=1.0)))
     ch = build_channels(spec)
     psi = _random_state(np.random.default_rng(8), 4)
@@ -710,6 +710,43 @@ def test_first_order_channel_validation():
         FirstOrderChannel(delta_t=0.01, operators=ops, probabilities=[1.1, -0.1])
     with pytest.raises(DomainError):
         FirstOrderChannel(delta_t=0.01, operators=ops, probabilities=[0.7, 0.2])
+    # NaN used to pass both probability checks (comparisons with NaN are False)
+    for probs in ([math.nan, math.nan], [math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0]):
+        with pytest.raises(DomainError):
+            FirstOrderChannel(delta_t=0.01, operators=ops, probabilities=probs)
+
+
+def test_apply_first_order_channel_refuses_a_nan_output():
+    ops = np.stack([np.full((2, 2), math.nan, dtype=complex), np.eye(2, dtype=complex)])
+    channel = FirstOrderChannel(delta_t=0.01, operators=ops, probabilities=[0.5, 0.5])
+    with pytest.raises(DomainError, match="non-finite trace"):
+        trajectory.apply_first_order_channel(np.outer(PLUS, PLUS.conj()), channel)
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNELS))
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_first_order_channel_is_the_steppers_interval(kind, num_qubits):
+    # Q_0 is the stepper's propagator K over sqrt(p_0), and p_n the bytes of
+    # the step's own jump images, gated like a step.
+    ch = _grid_channels(kind, num_qubits)
+    psi = _random_state(np.random.default_rng(num_qubits), ch.dim)
+    dt = 0.005
+    fo = build_first_order_channel(psi, ch, dt)
+    stepper = BatchStepper(ch, dt)
+    q0 = stepper.prop / np.sqrt(fo.probabilities[0])
+    assert fo.operators[0].tobytes() == q0.tobytes()
+    _, p = trajectory._jump_images(psi[None], stepper.jump_ops, stepper.weights)
+    assert fo.probabilities[1:].tobytes() == p[0].tobytes()
+    assert fo.probabilities[0] == 1.0 - p[0].sum()
+
+
+def test_first_order_channel_reference_state_errors():
+    ch = _dephasing()
+    with pytest.raises(DomainError, match="non-finite"):
+        build_first_order_channel(np.array([math.nan, 0.0], dtype=complex), ch, 0.01)
+    plus2 = np.full(4, 0.5, dtype=complex)
+    with pytest.raises(DomainError, match="does not match dimension 2"):
+        build_first_order_channel(plus2, ch, 0.01)
 
 
 def test_degenerate_jump_basis_invariance():

@@ -14,7 +14,9 @@ fails `validate` with exit 3 and `cycle` with exit 2) run `validate` and
 `cycle` from L=5 configs written to a temporary directory and passed to both
 trees by absolute path.  An L=4 collective z config, a second shape of the
 density engine's skipped zero prefix, runs `validate` and `cycle` the same
-way on both engines.  With the packaged configs that is 38 runs per tree.
+way on both engines, and the same noise from logical state |0>, which it
+leaves alone (validate's stationary case), runs `validate`.  With the
+packaged configs that is 39 runs per tree.
 Stdout bytes and exit codes are compared; each mismatch prints its first
 differing line.  Exits 1 on any mismatch, 0 when every output is identical.
 The checkout is removed afterwards.
@@ -77,6 +79,10 @@ GENERATED_L4 = {
     "noise": {"kind": "collective_axis", "num_qubits": 4, "amplitude": 0.2, "axis": "z"},
     "logical_state": [[0.6, 0.0], [0.8, 0.0]],
 }
+# The same noise from the default logical state |0>: |0000> does not evolve
+# under collective z, so validate's first-order convergence errors are both
+# roundoff.
+GENERATED_STATIONARY = {"noise": GENERATED_L4["noise"]}
 
 
 def _jobs(configs: Path, generated: Path) -> list:
@@ -100,6 +106,9 @@ def _jobs(configs: Path, generated: Path) -> list:
     path.write_text(yaml.safe_dump({**GENERATED_BASE, **GENERATED_L4}))
     for extra in ((), ("--engine", "trajectory")):
         jobs += [(command, str(path), extra) for command in GENERATED_COMMANDS]
+    path = generated / "collective_z_l4_stationary.yaml"
+    path.write_text(yaml.safe_dump({**GENERATED_BASE, **GENERATED_STATIONARY}))
+    jobs.append(("validate", str(path), ()))
     return jobs
 
 
