@@ -45,8 +45,8 @@ from .noise import (
     rescale_to_unit_max_rate,
 )
 from .operators import (
-    _NORM_TOL,
     _PSD_FLOOR,
+    check_state_vector,
     is_boolean,
     is_integer,
     is_number,
@@ -122,17 +122,17 @@ class ExperimentConfig:
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         state = self.logical_state
-        # The unit-norm test below is false for NaN.
         if not (
-            isinstance(state, (tuple, list))
-            and len(state) == 2
-            and all(map(is_number, state))
-            and np.all(np.isfinite(state))
+            isinstance(state, (tuple, list)) and len(state) == 2 and all(map(is_number, state))
         ):
-            raise ConfigError(f"logical_state must be two finite numbers, got {state!r}")
+            raise ConfigError(f"logical_state must be two numbers, got {state!r}")
+        try:
+            check_state_vector(state, 2)
+        except DomainError as err:
+            raise ConfigError(
+                f"logical_state amplitudes must be finite with unit norm, got {state!r}: {err}"
+            ) from None
         alpha, beta = state
-        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > _NORM_TOL:
-            raise ConfigError("logical_state amplitudes must have unit norm")
         if not is_positive(self.t_total):
             raise ConfigError(f"t_total must be a positive finite number, got {self.t_total!r}")
         dts = self.delta_t_values

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .noise import JumpChannelSet
-from .operators import check_density_matrix, is_nonnegative, is_positive
+from .operators import check_finite_square, is_nonnegative, is_positive
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +87,7 @@ def default_dt_integrator(ch: JumpChannelSet) -> float:
 
 def lindblad_rhs(rho: np.ndarray, ch: JumpChannelSet) -> np.ndarray:
     """Right-hand side -i H_eff rho + i rho H_eff^dag + sum_n xi_n s_n rho s_n^dag."""
-    return _rhs(ch)(check_density_matrix(rho, ch.dim))
+    return _rhs(ch)(check_finite_square(rho, "density matrix", ch.dim))
 
 
 @cache
@@ -201,7 +201,7 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
     Returns the final density matrix; trace drift beyond 1e-9 is repaired by
     renormalization (and logged), beyond 1e-7 it raises IntegrationError.
     """
-    rho = check_density_matrix(np.array(rho0, dtype=complex), ch.dim)
+    rho = check_finite_square(np.array(rho0, dtype=complex), "density matrix", ch.dim)
     rhs = _rhs(ch)
 
     n_full, remainder = divmod(cfg.t_final, cfg.dt_integrator)

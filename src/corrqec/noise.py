@@ -30,6 +30,7 @@ from .errors import DomainError, SimulationError
 from .operators import (
     AXES,
     axis_block,
+    check_finite_square,
     check_hermitian,
     is_integer,
     is_nonnegative,
@@ -73,10 +74,7 @@ class CorrelationKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "num_qubits", _check_qubit_count(self.num_qubits))
-        dim = 3 * self.num_qubits
-        spatial = check_hermitian(self.spatial, "spatial table")
-        if spatial.shape != (dim, dim):
-            raise DomainError(f"spatial table must be 3L x 3L = {dim}x{dim}, got {spatial.shape}")
+        spatial = check_hermitian(self.spatial, "spatial table", 3 * self.num_qubits)
         if not is_positive(self.tau_c):
             raise DomainError(f"tau_c must be positive and finite, got {self.tau_c}")
         if not is_nonnegative(self.g1):
@@ -157,9 +155,7 @@ def cross_axis_kernel(
     The block mixes Pauli axes on each site, e.g. :data:`LOWERING_BLOCK`
     yields one lowering channel per qubit.
     """
-    block = np.asarray(axis_block, dtype=complex)
-    if block.shape != (3, 3):
-        raise DomainError(f"axis_block must be 3x3, got {block.shape}")
+    block = check_finite_square(axis_block, "axis_block", 3)
     spatial = _separable_table(num_qubits, np.eye, block)
     return CorrelationKernel(num_qubits, spatial, tau_c, g1, kind="cross_axis")
 
@@ -192,10 +188,10 @@ class NoiseSpec:
 def noise_spec_direct(A, B=None, num_qubits: int | None = None) -> NoiseSpec:
     """Build a NoiseSpec from explicit matrices, bypassing any kernel.
 
-    A and B pass the matrix gate (square, finite, Hermitian within HERM_TOL)
-    and A the PSD floor: eigenvalues in [-1e-10, 0) are clamped to zero (A is
-    reconstructed from the clamped spectrum), anything lower is rejected.
-    B defaults to zero.
+    A and B pass the matrix gate (square, finite, Hermitian within HERM_TOL),
+    B with A's size, and A the PSD floor: eigenvalues in [-1e-10, 0) are
+    clamped to zero (A is reconstructed from the clamped spectrum), anything
+    lower is rejected.  B defaults to zero.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 3 != 0:
@@ -207,9 +203,7 @@ def noise_spec_direct(A, B=None, num_qubits: int | None = None) -> NoiseSpec:
         )
     num_qubits = _check_qubit_count(A.shape[0] // 3)
     w, v = psd_eigensystem(A, "A")
-    B = check_hermitian(np.zeros_like(A) if B is None else B, "B")
-    if B.shape != A.shape:
-        raise DomainError(f"B shape {B.shape} does not match A shape {A.shape}")
+    B = check_hermitian(np.zeros_like(A) if B is None else B, "B", A.shape[0])
     if w.min(initial=0.0) < 0.0:
         w = np.clip(w, 0.0, None)
         A = (v * w) @ v.conj().T

@@ -12,15 +12,18 @@ It also holds the one implementation of each input rule the package checks:
 a boolean (a Python or numpy bool), an integer (a Python or numpy integer,
 not a bool), a real number (not a bool) or a complex one, a positive or
 nonnegative finite scalar, the matrix gate (square, finite, Hermitian within
-HERM_TOL), the density-matrix check (square, finite, of the expected
-dimension), the PSD floor and the unit-norm tolerance.  Callers of the
-scalar rules raise their own error type with a message naming the value;
-the matrix gate, the density-matrix check and the PSD floor raise
-DomainError naming the matrix.  The counts, indices and seeds the library
-takes (qubit count, qubit and basis index, trajectory count, base seed) pass
-the integer rule: numpy integers are accepted like Python ints, and a bool,
-a float or a string is a DomainError.  A flag passes the boolean rule, which
-accepts numpy bools like Python bools.
+HERM_TOL), the size rule (a matrix dim x dim, a state vector of shape
+(dim,), for the dimension the caller expects), the PSD floor and the
+state rule (finite, unit norm: | ||psi||^2 - 1 | <= _NORM_TOL).  Callers
+of the scalar rules raise their own error type with a message naming the
+value; the matrix gate, the size rule, the state rule and the PSD floor
+raise DomainError naming the matrix or the state; every entry point that
+takes a state vector or a density matrix applies them with the dimension it
+expects.  The counts, indices
+and seeds the library takes (qubit count, qubit and basis index, trajectory
+count, base seed) pass the integer rule: numpy integers are accepted like
+Python ints, and a bool, a float or a string is a DomainError.  A flag
+passes the boolean rule, which accepts numpy bools like Python bools.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ MAX_QUBITS = 12
 HERM_TOL = 1e-10
 # Lowest eigenvalue a positive semidefinite input may carry (then clipped to 0).
 _PSD_FLOOR = -1e-10
-# Largest deviation of a state's norm (or of |alpha|^2 + |beta|^2) from 1.
+# Largest deviation of a state's squared norm from 1.
 _NORM_TOL = 1e-10
 
 AXIS_X, AXIS_Y, AXIS_Z = AXES = 1, 2, 3
@@ -81,19 +84,24 @@ def is_nonnegative(x) -> bool:
     return is_real_number(x) and math.isfinite(x) and x >= 0
 
 
-def check_finite_square(m, name: str) -> np.ndarray:
-    """m as a complex square matrix with finite entries; DomainError naming it otherwise."""
+def check_finite_square(m, name: str, dim: int | None = None) -> np.ndarray:
+    """m as a complex square matrix with finite entries; DomainError naming it otherwise.
+
+    With dim given, m must also be dim x dim (the size rule).
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"{name} must be square, got shape {m.shape}")
+    if dim is not None and m.shape[0] != dim:
+        raise DomainError(f"{name} shape {m.shape} does not match dimension {dim}")
     if not np.isfinite(m).all():
         raise DomainError(f"{name} contains non-finite entries")
     return m
 
 
-def check_hermitian(m, name: str) -> np.ndarray:
-    """The matrix gate: check_finite_square, then max |m - m^dag| within HERM_TOL."""
-    m = check_finite_square(m, name)
+def check_hermitian(m, name: str, dim: int | None = None) -> np.ndarray:
+    """The matrix gate: check_finite_square (with dim), then max |m - m^dag| within HERM_TOL."""
+    m = check_finite_square(m, name, dim)
     asym = np.max(np.abs(m - m.conj().T), initial=0.0)
     if asym > HERM_TOL:
         raise DomainError(f"{name} is not Hermitian: max |m - m^dag| = {asym:.3e} > {HERM_TOL:.1e}")
@@ -211,15 +219,6 @@ def psd_eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def num_qubits_for_dim(dim: int) -> int:
-    """Number of qubits L with 2**L == dim; rejects non-power-of-two sizes."""
-    num_qubits = int(dim).bit_length() - 1
-    if dim <= 0 or 2**num_qubits != dim:
-        raise DomainError(f"dimension {dim} is not a power of two")
-    _check_qubit_count(num_qubits)
-    return num_qubits
-
-
 def normalized(psi: np.ndarray) -> np.ndarray:
     """psi / ||psi||, rejecting numerically zero vectors."""
     psi = np.asarray(psi, dtype=complex)
@@ -285,26 +284,22 @@ def basis_state(index: int, num_qubits: int) -> np.ndarray:
     return psi
 
 
-def check_state_vector(psi: np.ndarray) -> np.ndarray:
-    """Validate amplitudes: power-of-two length, finite, unit norm."""
+def check_state_vector(psi, dim: int) -> np.ndarray:
+    """psi as a complex vector of shape (dim,) with finite entries and unit norm.
+
+    Unit norm is | ||psi||^2 - 1 | <= _NORM_TOL.  DomainError otherwise.
+    """
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise DomainError(f"state vector must be one-dimensional, got {psi.ndim}")
-    num_qubits_for_dim(psi.shape[0])
-    if not np.all(np.isfinite(psi.view(float))):
+    if psi.shape != (dim,):
+        raise DomainError(f"state vector shape {psi.shape} does not match dimension {dim}")
+    if not np.isfinite(psi).all():
         raise DomainError("state vector contains non-finite amplitudes")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise DomainError(f"state vector norm {norm!r} deviates from 1 beyond {_NORM_TOL:.1e}")
+    norm_sq = float(np.vdot(psi, psi).real)
+    if not abs(norm_sq - 1.0) <= _NORM_TOL:
+        raise DomainError(
+            f"state vector squared norm {norm_sq!r} deviates from 1 beyond {_NORM_TOL:.1e}"
+        )
     return psi
-
-
-def check_density_matrix(rho, dim: int) -> np.ndarray:
-    """rho as a finite complex dim x dim matrix (check_finite_square); DomainError otherwise."""
-    rho = check_finite_square(rho, "density matrix")
-    if rho.shape != (dim, dim):
-        raise DomainError(f"density matrix shape {rho.shape} does not match dimension {dim}")
-    return rho
 
 
 def pure_state_projector(psi: np.ndarray) -> np.ndarray:

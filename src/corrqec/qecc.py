@@ -19,16 +19,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, SimulationError
+from .errors import SimulationError
 from .operators import (
     basis_state,
-    check_density_matrix,
+    check_finite_square,
+    check_state_vector,
     divide_rows,
     normalized,
     pauli_stack,
     pauli_string_matrix,
     row_norms,
-    _NORM_TOL,
     _frozen_array,
 )
 
@@ -148,12 +148,13 @@ def five_qubit_code() -> StabilizerCode:
     )
     table = {s: m for m, s in enumerate(syndrome_of_error)}
 
+    # P_s is the ordered product of P+_i (bit i of s is 0) or I - P+_i (bit 1),
+    # the projectors _batch_measure measures with.
     projectors = np.empty((2 ** len(gens), dim, dim), dtype=complex)
-    for s in range(2 ** len(gens)):
+    for s in range(len(projectors)):
         p = eye.copy()
-        for i, g in enumerate(gens):
-            sign = -1.0 if (s >> i) & 1 else 1.0
-            p = (0.5 * (eye + sign * g)) @ p
+        for i, plus in enumerate(plus_projectors):
+            p = (eye - plus if (s >> i) & 1 else plus) @ p
         projectors[s] = p
 
     code = StabilizerCode(
@@ -172,10 +173,8 @@ def five_qubit_code() -> StabilizerCode:
 
 
 def encode(alpha: complex, beta: complex, code: StabilizerCode) -> np.ndarray:
-    """Logical state alpha |0_L> + beta |1_L>; (alpha, beta) must be unit norm."""
-    norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm_sq - 1.0) > _NORM_TOL:
-        raise DomainError(f"|alpha|^2 + |beta|^2 = {norm_sq!r}, expected 1")
+    """Logical state alpha |0_L> + beta |1_L>; (alpha, beta) passes check_state_vector."""
+    check_state_vector((alpha, beta), 2)
     return alpha * code.logical_zero + beta * code.logical_one
 
 
@@ -231,7 +230,7 @@ def correction_channel(rho: np.ndarray, code: StabilizerCode) -> np.ndarray:
     Returns sum_s R_{m(s)} P_s rho P_s R_{m(s)}^dag; trace preservation is
     verified to 1e-10.
     """
-    rho = check_density_matrix(rho, code.dim)
+    rho = check_finite_square(rho, "density matrix", code.dim)
     out = np.zeros_like(rho)
     for rp, rp_conj in code.recovery_products:
         out += rp @ rho @ rp_conj.T

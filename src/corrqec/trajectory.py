@@ -50,7 +50,7 @@ import numpy as np
 from .errors import DomainError, SimulationError, StepSizeError
 from .noise import JumpChannelSet
 from .operators import (
-    check_density_matrix,
+    check_finite_square,
     check_state_vector,
     divide_rows,
     is_integer,
@@ -106,7 +106,7 @@ def apply_first_order_channel(rho0: np.ndarray, channel: FirstOrderChannel) -> n
     The output matches lindblad.evolve_exact over the same interval up to
     O(delta_t^2).
     """
-    rho0 = check_density_matrix(rho0, channel.operators.shape[-1])
+    rho0 = check_finite_square(rho0, "density matrix", channel.operators.shape[-1])
     out = np.zeros_like(rho0)
     for p, q in zip(channel.probabilities, channel.operators):
         if p <= 0.0:
@@ -141,7 +141,7 @@ def _channel_weights(ch: JumpChannelSet, delta_t: float) -> np.ndarray:
 
 
 def _check_gate(total: float, delta_t: float) -> None:
-    if total > SUM_P_GATE:
+    if not total <= SUM_P_GATE:  # a NaN total fails too
         raise StepSizeError(
             f"total jump probability {total:.4f} exceeds the first-order gate "
             f"{SUM_P_GATE}; reduce delta_t below {delta_t:.3g}"
@@ -375,7 +375,7 @@ def sample_ensemble(
     if not is_integer(num_trajectories) or num_trajectories < 1:
         raise DomainError(f"num_trajectories must be a positive integer, got {num_trajectories!r}")
     n_steps = step_count(t_total, delta_t)
-    psi0 = check_state_vector(psi0)
+    psi0 = check_state_vector(psi0, ch.dim)
     stepper = BatchStepper(ch, delta_t)
 
     states = np.empty((num_trajectories, ch.dim), dtype=complex)
@@ -421,9 +421,7 @@ def build_first_order_channel(
     p_0 is fixed as 1 - sum of jump probabilities, making the probabilities
     an exact distribution.
     """
-    psi_ref = check_state_vector(psi_ref)
-    if psi_ref.shape != (ch.dim,):
-        raise DomainError(f"state shape {psi_ref.shape} does not match dimension {ch.dim}")
+    psi_ref = check_state_vector(psi_ref, ch.dim)
     stepper = BatchStepper(ch, delta_t)
     _, p = _jump_images(psi_ref[None], stepper.jump_ops, stepper.weights)
     p_jump = p[0]

@@ -104,6 +104,9 @@ def test_kernel_rejects_bad_parameters():
         independent_kernel(2, tau_c=-1.0)
     with pytest.raises(DomainError):
         cross_axis_kernel(2, np.eye(2))  # block must be 3x3
+    # refused by the factory itself, not later as a non-finite spatial table
+    with pytest.raises(DomainError, match="axis_block contains non-finite"):
+        cross_axis_kernel(2, np.full((3, 3), np.nan))
 
 
 def test_axis_is_checked_alike_by_every_factory():

@@ -16,7 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corrqec
-from corrqec.errors import DomainError, ResourceError
+from corrqec.errors import ConfigError, DomainError, ResourceError
+from corrqec.experiment import ExperimentConfig
+from corrqec.lindblad import EvolutionConfig, evolve_exact, lindblad_rhs
+from corrqec.noise import (
+    CorrelationKernel,
+    build_channels,
+    collective_axis_kernel,
+    cross_axis_kernel,
+    integrate_kernel,
+    noise_spec_direct,
+)
 from corrqec.operators import (
     AXIS_X,
     AXIS_Y,
@@ -29,7 +39,7 @@ from corrqec.operators import (
     _eigensystem,
     basis_state,
     channel_qubit_axis,
-    check_density_matrix,
+    check_finite_square,
     check_state_vector,
     divide_rows,
     is_boolean,
@@ -46,6 +56,12 @@ from corrqec.operators import (
     pure_state_projector,
     row_norms,
     trace_distance,
+)
+from corrqec.qecc import correction_channel, encode, five_qubit_code
+from corrqec.trajectory import (
+    apply_first_order_channel,
+    build_first_order_channel,
+    sample_ensemble,
 )
 
 
@@ -276,25 +292,88 @@ def test_state_helpers():
     with pytest.raises(DomainError):
         normalized(np.zeros(2, dtype=complex))
     with pytest.raises(DomainError):
-        check_state_vector(np.array([1.0, 1.0], dtype=complex))
+        check_state_vector(np.array([1.0, 1.0], dtype=complex), 2)
 
 
 def test_density_matrix_check():
     rho = np.diag([0.25, 0.75])
-    out = check_density_matrix(rho, 2)
+    out = check_finite_square(rho, "density matrix", 2)
     assert out.dtype == complex and np.array_equal(out, rho)
     complex_rho = rho.astype(complex)
-    assert check_density_matrix(complex_rho, 2) is complex_rho
+    assert check_finite_square(complex_rho, "density matrix", 2) is complex_rho
     for shape in [(2, 3), (2,), (2, 2, 2)]:
         with pytest.raises(DomainError, match="square"):
-            check_density_matrix(np.zeros(shape), 2)
+            check_finite_square(np.zeros(shape), "density matrix", 2)
     with pytest.raises(DomainError, match="does not match dimension 4"):
-        check_density_matrix(rho, 4)
+        check_finite_square(rho, "density matrix", 4)
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
         nonfinite = complex_rho.copy()
         nonfinite[0, 1] = bad
         with pytest.raises(DomainError, match="non-finite"):
-            check_density_matrix(nonfinite, 2)
+            check_finite_square(nonfinite, "density matrix", 2)
+
+
+def _one_qubit_channels():
+    return build_channels(integrate_kernel(collective_axis_kernel(1, axis=3)))
+
+
+_PLUS = np.full(2, np.sqrt(0.5), dtype=complex)
+_RHO4 = np.eye(4, dtype=complex) / 4
+
+# Every entry point that takes a state vector or a square matrix, called with
+# one of the wrong size; the channels are one-qubit ones (dimension 2).
+SIZE_ENTRY_POINTS = {
+    "sample_ensemble": lambda: sample_ensemble(
+        np.full(4, 0.5), _one_qubit_channels(), 0.1, 0.01, 7, 4
+    ),
+    "build_first_order_channel": lambda: build_first_order_channel(
+        np.full(4, 0.5), _one_qubit_channels(), 0.01
+    ),
+    "encode": lambda: encode(np.full(2, 0.5), np.full(2, 0.5), five_qubit_code()),
+    "evolve_exact": lambda: evolve_exact(
+        _RHO4, _one_qubit_channels(), EvolutionConfig(dt_integrator=1e-3, t_final=0.01)
+    ),
+    "lindblad_rhs": lambda: lindblad_rhs(_RHO4, _one_qubit_channels()),
+    "correction_channel": lambda: correction_channel(_RHO4, five_qubit_code()),
+    "apply_first_order_channel": lambda: apply_first_order_channel(
+        _RHO4, build_first_order_channel(_PLUS, _one_qubit_channels(), 0.01)
+    ),
+    "CorrelationKernel": lambda: CorrelationKernel(1, np.eye(6), 0.5, 1.0),
+    "cross_axis_kernel": lambda: cross_axis_kernel(1, np.eye(2)),
+    "noise_spec_direct": lambda: noise_spec_direct(np.eye(3), np.eye(6)),
+}
+
+
+@pytest.mark.parametrize("entry", SIZE_ENTRY_POINTS)
+def test_sizes_must_match(entry):
+    # sample_ensemble used to die in numpy's matmul with a ValueError
+    with pytest.raises(DomainError, match="does not match dimension"):
+        SIZE_ENTRY_POINTS[entry]()
+
+
+@pytest.mark.parametrize("excess", [-1.1e-10, -0.9e-10, 0.0, 0.9e-10, 1.1e-10])
+def test_unit_norm_rule_at_its_boundary(excess):
+    # One rule, | ||psi||^2 - 1 | <= 1e-10, for a state vector, an encoded
+    # pair and a config's logical_state; check_state_vector used to take
+    # | ||psi|| - 1 | <= 1e-10, which let 1 + 1.1e-10 through.
+    alpha = math.sqrt(1.0 + excess)
+    calls = (
+        (lambda: check_state_vector(np.array([alpha, 0.0]), 2), DomainError, "deviates from 1"),
+        (lambda: encode(alpha, 0.0, five_qubit_code()), DomainError, "deviates from 1"),
+        (
+            lambda: ExperimentConfig(
+                noise=collective_axis_kernel(5, axis=3), logical_state=(alpha, 0.0)
+            ),
+            ConfigError,
+            "logical_state .* unit norm",
+        ),
+    )
+    for call, error, message in calls:
+        if abs(excess) < 1e-10:
+            call()
+        else:
+            with pytest.raises(error, match=message):
+                call()
 
 
 def test_fidelity_and_trace_distance():

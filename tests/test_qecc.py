@@ -169,6 +169,22 @@ def test_syndrome_projectors_resolve_identity():
         np.testing.assert_allclose(p, p.conj().T, atol=1e-10)
 
 
+def test_syndrome_projectors_are_the_measured_projectors():
+    # P_s is the ordered product, generator 0 first, of the projectors that
+    # _batch_measure applies: P+_i for bit i of s equal to 0, I - P+_i for 1.
+    code = five_qubit_code()
+    eye = np.eye(code.dim, dtype=complex)
+    for s, p in enumerate(code.syndrome_projectors):
+        expected = eye
+        for i, plus in enumerate(code.plus_projectors):
+            expected = (eye - plus if (s >> i) & 1 else plus) @ expected
+        assert p.tobytes() == expected.tobytes()
+        signed = eye
+        for i, g in enumerate(code.generators):
+            signed = 0.5 * (eye + (-1) ** ((s >> i) & 1) * g) @ signed
+        np.testing.assert_allclose(p, signed, atol=1e-15)
+
+
 def test_batch_measure_codeword_is_trivial():
     code = five_qubit_code()
     uniforms = np.random.default_rng(0).random((1, len(code.generators)))

@@ -608,6 +608,14 @@ def test_batch_step_gate():
     BatchStepper(ch, 0.99 * SUM_P_GATE).step(block, np.array([0.5, 0.5]))
 
 
+def test_first_order_gate_fails_on_nan():
+    # NaN > SUM_P_GATE is False, so a NaN total used to pass the gate.
+    for total in (math.nan, 2 * SUM_P_GATE):
+        with pytest.raises(StepSizeError, match="first-order gate"):
+            trajectory._check_gate(total, 0.01)
+    trajectory._check_gate(SUM_P_GATE, 0.01)
+
+
 def test_batch_step_rejects_a_non_finite_row():
     # A NaN norm used to pass the collapse gate (NaN <= 1e-12 is False), and
     # the step handed the NaN row back.

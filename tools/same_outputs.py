@@ -15,8 +15,10 @@ fails `validate` with exit 3 and `cycle` with exit 2) run `validate` and
 trees by absolute path.  An L=4 collective z config, a second shape of the
 density engine's skipped zero prefix, runs `validate` and `cycle` the same
 way on both engines, and the same noise from logical state |0>, which it
-leaves alone (validate's stationary case), runs `validate`.  With the
-packaged configs that is 39 runs per tree.
+leaves alone (validate's stationary case), runs `validate`.  An L=5 config
+whose logical_state has squared norm 1 + 1.5e-10, outside the unit-norm
+rule, runs `validate` and `cycle` (both exit 1).  With the packaged configs
+that is 41 runs per tree.
 Stdout bytes and exit codes are compared; each mismatch prints its first
 differing line.  Exits 1 on any mismatch, 0 when every output is identical.
 The checkout is removed afterwards.
@@ -83,6 +85,13 @@ GENERATED_L4 = {
 # under collective z, so validate's first-order convergence errors are both
 # roundoff.
 GENERATED_STATIONARY = {"noise": GENERATED_L4["noise"]}
+# A logical state whose squared norm misses 1 by 1.5e-10: the unit-norm rule
+# | ||psi||^2 - 1 | <= 1e-10 refuses it, where a 1e-10 bound on the norm
+# itself (off by 0.75e-10) would let it through.
+GENERATED_NON_UNIT = {
+    "noise": GENERATED_NOISE["independent"],
+    "logical_state": [[(1.0 + 1.5e-10) ** 0.5, 0.0], [0.0, 0.0]],
+}
 
 
 def _jobs(configs: Path, generated: Path) -> list:
@@ -109,6 +118,9 @@ def _jobs(configs: Path, generated: Path) -> list:
     path = generated / "collective_z_l4_stationary.yaml"
     path.write_text(yaml.safe_dump({**GENERATED_BASE, **GENERATED_STATIONARY}))
     jobs.append(("validate", str(path), ()))
+    path = generated / "non_unit_state.yaml"
+    path.write_text(yaml.safe_dump({**GENERATED_BASE, **GENERATED_NON_UNIT}))
+    jobs += [(command, str(path), ()) for command in GENERATED_COMMANDS]
     return jobs
 
 
