@@ -46,6 +46,7 @@ from .noise import (
 )
 from .operators import (
     _PSD_FLOOR,
+    StateBlock,
     check_state_vector,
     is_boolean,
     is_integer,
@@ -270,7 +271,7 @@ def _qec_block(psi0, ch, code, cycles, delta_t, substeps, correction):
     correcting.
     """
     stepper = BatchStepper(ch, delta_t / substeps)
-    psi = np.tile(psi0, (cycles.shape[0], 1))
+    psi = StateBlock.shared(psi0, cycles.shape[0])
     for c in range(cycles.shape[1]):
         for k in range(substeps):
             psi, _, _ = stepper.step(psi, cycles[:, c, k])
@@ -310,7 +311,7 @@ def _trajectory_overlaps(cfg, ch, code, psi0, correction, delta_ts, n_cycles):
             except StepSizeError as err:
                 live, failure = i, (i, err)
                 break
-            overlaps[i, rows] = psi @ psi0.conj()
+            overlaps[i, rows] = psi.rows() @ psi0.conj()
             del psi  # not held while the next point steps its own block
         del table, cycles  # free this block's draws before the next block's are made
         if not live:
@@ -598,7 +599,7 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
         images = np.concatenate([errors @ psi for psi in states])
         recovered = _batch_syndrome_recover(images, np.concatenate(uniforms), code)
         psi = np.repeat(states, len(errors), axis=0)
-        overlaps = np.einsum("bi,bi->b", psi.conj(), recovered)
+        overlaps = np.einsum("bi,bi->b", psi.conj(), recovered.rows())
         worst = max(0.0, float(np.max(1.0 - np.abs(overlaps) ** 2)))
         return f"{worst:.3e}", worst <= 1e-9, "15 errors x 10 states"
 

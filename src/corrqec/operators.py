@@ -24,6 +24,12 @@ and seeds the library takes (qubit count, qubit and basis index, trajectory
 count, base seed) pass the integer rule: numpy integers are accepted like
 Python ints, and a bool, a float or a string is a DomainError.  A flag
 passes the boolean rule, which accepts numpy bools like Python bools.
+
+Blocks of state rows, as the trajectory engine and the syndrome step keep
+them, live here too: StateBlock holds M rows as their distinct states, and
+gemm_operand and matmul_rows give each distinct state the bytes its rows
+get in a product over the whole block; row_norms and divide_rows normalize
+a block with numpy's values.
 """
 
 from __future__ import annotations
@@ -233,7 +239,11 @@ def row_norms(psi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
     Runs numpy's own sequence (conjugate, multiply, real-part row sums, sqrt)
     with `scratch`, an array of psi's shape and dtype, in place of its two
-    temporaries; scratch is overwritten.
+    temporaries; scratch is overwritten.  A block of one element is
+    squared into a fresh array instead: numpy 2.4's in-place multiply of a
+    lone complex element rounds differently from the fresh product that
+    np.linalg.norm takes for some values (1,485 of 20,000 draws near
+    1e-150); from two elements on the two agree.
 
     A row of 1 <= d < 16 squares is summed column by column, over strided
     views of scratch.real, in the order of numpy's pairwise sum:
@@ -247,8 +257,7 @@ def row_norms(psi: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     is used as it is.
     """
     np.conjugate(psi, out=scratch)
-    np.multiply(scratch, psi, out=scratch)
-    squares = scratch.real
+    squares = np.multiply(scratch, psi, out=scratch if psi.size > 1 else None).real
     d = squares.shape[1]
     if not 0 < d < 16:
         return np.sqrt(np.add.reduce(squares, axis=1))
@@ -272,6 +281,95 @@ def divide_rows(psi: np.ndarray, norms: np.ndarray) -> None:
     gives the same values; only an exact zero part may differ, in its sign.
     """
     np.multiply(psi.view(float), (1.0 / norms)[:, None], out=psi.view(float))
+
+
+class StateBlock:
+    """M state rows held as their distinct states, one slot per state.
+
+    The block has `size` slots.  Row b's state is states[index[b]], and
+    counts[k] >= 1 rows sit on slot k < size.  `states` is the first size
+    rows of `buffer`, whose further rows are room for slots to come, and
+    counts has room for M slots, so that adding slots allocates nothing
+    that grows with them.  The block reports the shape of its rows,
+    (M, dim), and np.asarray (or `rows`) expands them.
+    """
+
+    def __init__(self, buffer: np.ndarray, index: np.ndarray, counts: np.ndarray, size: int):
+        self.buffer, self.index, self.counts, self.size = buffer, index, counts, size
+        self.states = buffer[:size]
+
+    @classmethod
+    def shared(cls, psi: np.ndarray, num_rows: int) -> StateBlock:
+        """num_rows rows of the one state psi, which is copied."""
+        counts = np.zeros(num_rows, dtype=np.intp)
+        counts[0] = num_rows
+        return cls(np.array(psi, dtype=complex)[None], np.zeros(num_rows, np.intp), counts, 1)
+
+    @classmethod
+    def of(cls, rows) -> StateBlock:
+        """A block as it is, or an (M, dim) array taken over as M slots of one row each."""
+        if isinstance(rows, cls):
+            return rows
+        psi = np.require(rows, complex, "CW")
+        m = psi.shape[0]
+        return cls(psi, np.arange(m), np.ones(m, np.intp), m)
+
+    @property
+    def shape(self) -> tuple:
+        return self.index.size, self.buffer.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of its rows as an (M, dim) array."""
+        return self.index.size * self.buffer.shape[1] * self.buffer.itemsize
+
+    def rows(self, out=None) -> np.ndarray:
+        """The (M, dim) rows, written into out when it is given, else into a new array."""
+        # Every index is in range; under "clip" np.take writes straight into
+        # out, where the default mode would fill a temporary first.
+        return np.take(self.states, self.index, axis=0, out=out, mode="clip")
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a StateBlock's rows are always a copy")
+        return self.rows() if dtype is None else self.rows().astype(dtype)
+
+
+def room_for(buffer, rows: int, num_rows: int, dim: int) -> np.ndarray:
+    """buffer when it has room for `rows` state rows, else a new one.
+
+    A new buffer has room for twice as many rows, at most num_rows (a
+    block never has more slots than rows), so a block whose slots keep
+    growing is given a new buffer only now and then.
+    """
+    if buffer is not None and buffer.shape[0] >= rows:
+        return buffer
+    return np.empty((min(num_rows, 2 * rows), dim), dtype=complex)
+
+
+def gemm_operand(x: np.ndarray, num_rows: int) -> np.ndarray:
+    """The left factor of a product for distinct states x that stand for num_rows block rows.
+
+    Each row of the product must get the bytes it has in the product of the
+    num_rows rows themselves.  The rows of a GEMM do not depend on the
+    other rows, so any product of two or more rows will do, and a lone
+    state is repeated to make two; the caller keeps the first x.shape[0]
+    rows of the result.  numpy runs a product of one row through gemv,
+    which can differ in the last bit, so a lone state that stands for one
+    row is returned as it is.
+    """
+    return np.repeat(x, 2, axis=0) if x.shape[0] == 1 < num_rows else x
+
+
+def matmul_rows(x: np.ndarray, matrix: np.ndarray, num_rows: int, out=None) -> np.ndarray:
+    """x @ matrix for distinct states x that stand for num_rows block rows (gemm_operand)."""
+    if x.shape[0] == 1 < num_rows:
+        product = gemm_operand(x, num_rows) @ matrix
+        if out is None:
+            return product[:1]
+        out[...] = product[:1]
+        return out
+    return np.matmul(x, matrix, out=out)
 
 
 def basis_state(index: int, num_qubits: int) -> np.ndarray:
@@ -309,13 +407,23 @@ def pure_state_projector(psi: np.ndarray) -> np.ndarray:
 
 
 def pure_state_fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
-    """<psi| rho |psi> for a pure reference state."""
-    psi = np.asarray(psi, dtype=complex)
-    return float(np.real(psi.conj() @ np.asarray(rho, dtype=complex) @ psi))
+    """<psi| rho |psi> for a pure reference state.
+
+    psi passes the state rule (check_state_vector) and rho the size rule
+    for psi's dimension (check_finite_square).
+    """
+    psi = check_state_vector(psi, np.size(psi))
+    rho = check_finite_square(rho, "density matrix", psi.size)
+    return float(np.real(psi.conj() @ rho @ psi))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(1/2) * trace norm of rho - sigma (both Hermitian)."""
+    """(1/2) * trace norm of rho - sigma (both Hermitian).
+
+    Both are finite square matrices of one size (check_finite_square).
+    """
+    rho = check_finite_square(rho, "rho")
+    sigma = check_finite_square(sigma, "sigma", rho.shape[0])
     delta = 0.5 * (rho - sigma)
     delta = 0.5 * (delta + delta.conj().T)
     return float(np.sum(np.abs(np.linalg.eigvalsh(delta))))

@@ -21,13 +21,16 @@ import numpy as np
 
 from .errors import SimulationError
 from .operators import (
+    StateBlock,
     basis_state,
     check_finite_square,
     check_state_vector,
     divide_rows,
+    matmul_rows,
     normalized,
     pauli_stack,
     pauli_string_matrix,
+    room_for,
     row_norms,
     _frozen_array,
 )
@@ -178,50 +181,75 @@ def encode(alpha: complex, beta: complex, code: StabilizerCode) -> np.ndarray:
     return alpha * code.logical_zero + beta * code.logical_one
 
 
-def _batch_measure(psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode):
+def _batch_measure(psi, uniforms: np.ndarray, code: StabilizerCode):
     """Projectively measure all generators in order on a block of pure states.
 
-    uniforms has one column per generator; u < p_plus selects the +1 branch
-    (bit 0).  Returns the collapsed (M, dim) states and the packed syndrome
-    of each row.  psi is overwritten and may come back as the collapsed block.
+    psi is a StateBlock or an (M, dim) array, and is taken over.  uniforms
+    has one column per generator; u < p_plus selects the +1 branch (bit 0).
+    Returns the collapsed StateBlock and the packed syndrome of each row.
+    Each distinct state is measured once; the rows of a state that take
+    both branches leave its -1 branch on a new slot, so the rows of a slot
+    always share their syndrome.
     """
-    psi = np.require(psi, complex, "CW")
-    v, scratch = np.empty_like(psi), np.empty_like(psi)
-    syndrome = np.zeros(psi.shape[0], dtype=np.int64)
+    block = StateBlock.of(psi)
+    m, dim = block.shape
+    held, index, counts, k = block.buffer, block.index, block.counts, block.size
+    spare = scratch = None
+    syndrome = np.zeros(m, dtype=np.int64)
     for i, p_plus in enumerate(code.plus_projectors):
-        np.matmul(psi, p_plus.T, out=v)
-        q = np.einsum("bi,bi->b", np.conjugate(v, out=scratch), v).real
+        states = held[:k]
+        out = room_for(spare, k, m, dim)
+        v = matmul_rows(states, p_plus.T, m, out=out[:k])
+        scratch = room_for(scratch, k, m, dim)
+        q = np.einsum("bi,bi->b", np.conjugate(v, out=scratch[:k]), v).real
         lo, hi = float(q.min()), float(q.max())
         if not -1e-10 <= lo <= hi <= 1.0 + 1e-10:
             raise SimulationError(f"branch probabilities [{lo!r}, {hi!r}] outside [0, 1]")
-        take_plus = uniforms[:, i] < q
-        # v becomes the collapsed block: psi - v_plus on the -1 rows only.
-        np.subtract(psi, v, out=v, where=~take_plus[:, None])
-        divide_rows(v, row_norms(v, scratch))
-        syndrome += (~take_plus).astype(np.int64) << i
-        psi, v = v, psi
-    return psi, syndrome
+        minus = ~(uniforms[:, i] < q[index])
+        minus_rows = np.bincount(index[minus], minlength=k)
+        split = np.flatnonzero((minus_rows > 0) & (minus_rows < counts[:k]))
+        size = k + split.size
+        if out.shape[0] < size:
+            out = room_for(None, size, m, dim)
+            out[:k] = v
+            v = out[:k]
+        # The collapsed states: v_plus, or psi - v_plus on the slots whose
+        # rows all take -1; the -1 branch of a split slot goes on a new slot.
+        np.subtract(states[split], v[split], out=out[k:size])
+        np.subtract(states, v, out=v, where=(minus_rows == counts[:k])[:, None])
+        scratch = room_for(scratch, size, m, dim)
+        divide_rows(out[:size], row_norms(out[:size], scratch[:size]))
+        if split.size:
+            to = np.arange(k)
+            to[split] = np.arange(k, size)
+            index[minus] = to[index[minus]]
+            counts[split] -= minus_rows[split]
+            counts[k:size] = minus_rows[split]
+        syndrome += minus.astype(np.int64) << i
+        held, spare, k = out, held, size
+    return StateBlock(held, index, counts, k), syndrome
 
 
-def _batch_syndrome_recover(
-    psi: np.ndarray, uniforms: np.ndarray, code: StabilizerCode
-) -> np.ndarray:
-    """Measure-and-recover for a block of pure states; returns the (M, dim) result.
+def _batch_syndrome_recover(psi, uniforms: np.ndarray, code: StabilizerCode) -> StateBlock:
+    """Measure-and-recover for a block of pure states; returns the recovered StateBlock.
 
-    Each row's syndrome names the error to undo (Pauli recoveries are
-    involutive); rows whose error is R_0 = I are left as they are.  Takes
-    ownership of psi: the block is overwritten, and the result may be
-    written into it, so a caller that still needs psi passes a copy.
+    psi is a StateBlock or an (M, dim) array, and is taken over.  Each row's
+    syndrome names the error to undo (Pauli recoveries are involutive); rows
+    whose error is R_0 = I are left as they are.  Each distinct state is
+    recovered once, in a product that stands for its syndrome's rows.
     """
-    psi, syndrome = _batch_measure(psi, uniforms, code)
-    for s in np.unique(syndrome):
+    block, syndrome = _batch_measure(psi, uniforms, code)
+    states, counts = block.states, block.counts
+    slot_syndrome = np.empty(block.size, dtype=np.int64)
+    slot_syndrome[block.index] = syndrome
+    for s in np.flatnonzero(np.bincount(slot_syndrome)):
         m = code.syndrome_table[int(s)]
         if m == 0:
             continue
-        rows = syndrome == s
-        psi[rows] = psi[rows] @ code.error_basis[m].T
-    divide_rows(psi, row_norms(psi, np.empty_like(psi)))
-    return psi
+        slots = np.flatnonzero(slot_syndrome == s)
+        states[slots] = matmul_rows(states[slots], code.error_basis[m].T, counts[slots].sum())
+    divide_rows(states, row_norms(states, np.empty_like(states)))
+    return block
 
 
 def correction_channel(rho: np.ndarray, code: StabilizerCode) -> np.ndarray:

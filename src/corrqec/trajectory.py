@@ -12,12 +12,36 @@ per-channel probabilities and the jump images s_n psi are built only for the
 states that jump.  For a unit state the total is at most lambda_max(Gamma),
 so when that bound is within the first-order gate only the rows whose
 uniform falls under it have their totals computed; the others cannot jump.
-Above the gate every row is such a candidate, so the gate sees every total.
-The candidates' totals come from a product of at least min(2, M) rows of the
-(M, dim) block, so each is the total the whole block's product gives, bit
-for bit: numpy runs a one-row product through gemv, which can differ from a
-GEMM row in the last bit, while the rows of a GEMM do not depend on how many
-rows it has (checked with OpenBLAS at dim 2..32 for 2..8192 rows).
+Above the gate every row is a candidate, so the gate sees every total.
+
+Shared states.  Over a short interval almost no trajectory jumps, and every
+trajectory that has not jumped holds the same no-jump state (Dalibard,
+Castin & Molmer, PRL 68, 580 (1992)).  A block of M trajectories is
+therefore held as a StateBlock: its distinct states, one slot each, a
+row-to-slot index and a row count per slot.  The step propagates,
+normalizes and gates each distinct state once, computes the totals and
+jump images of each distinct candidate or jumped state once, and decides
+per row from the row's own uniform.  A jumped row whose state is its own
+overwrites its slot in place; the jumped rows of a shared state move to one
+new slot per (state, channel) pair, and a state that all its rows leave
+hands its slot to the first pair.  Rows expand to an (M, dim) array only
+where a caller needs them (overlaps, ensemble_density, the returned
+states).  When nearly every row has a state of its own, so that the states
+shared would save fewer entries, (M - size) * dim, than the block has
+rows, the block is spread to one slot per row, and the step keeps no
+bookkeeping for it.
+
+Every row gets the bytes it would get in a product over the (M, dim) rows.
+The rows of a GEMM do not depend on the other rows once it has two or more
+rows (checked with OpenBLAS at dim 2..32 for 2..8192 rows), and norms and
+divisions work element by element.  numpy runs a one-row product through
+gemv, which can differ from a GEMM row in the last bit.  So a product that
+stands for two or more rows gets at least two: a lone distinct state is
+repeated (operators.gemm_operand).  A product that stands for exactly one
+row keeps one row: M == 1, exactly one jumped row, a one-row syndrome
+group.  One more element-wise fact: numpy's in-place multiply of a lone
+complex element rounds differently from a fresh product, so
+operators.row_norms squares a one-element block into a fresh array.
 
 The same interval, frozen against a reference state, defines the first-order
 error channel {Q_n, p_n}: one BatchStepper supplies the propagator K, the
@@ -35,10 +59,16 @@ The uniform table is built without a generator per row: the SeedSequence
 hash of every row's entropy runs at once in vectorized uint32 arithmetic,
 then one reused PCG64, set to each row's state, draws that row.
 
-Buffers: BatchStepper.step takes ownership of the block it advances, uses it
-as scratch and writes the following step's result into it, so a block
-lives in two arrays; per step only the candidate rows are gathered, and
-that is all M rows only when the bound is above the gate.
+Buffers: BatchStepper.step takes ownership of the block it advances, uses
+its buffer as scratch and writes the following step's states into it, so a
+block lives in two buffers.  A buffer holds the distinct states with room
+to spare and is replaced, with twice the slots needed and at most M, only
+when a step needs more slots than it holds; the slot counts have room for M
+slots from the start.  Per step only the candidate and jumped states are
+gathered, and the per-row work is index arithmetic over M.  The step's
+temporaries indexed by slot are sized M, not by the slot count: arrays
+that grew by a few entries every step fragmented the heap and raised the
+unraveling grid's peak RSS from 64 to as much as 72 MB.
 """
 
 from __future__ import annotations
@@ -50,12 +80,16 @@ import numpy as np
 from .errors import DomainError, SimulationError, StepSizeError
 from .noise import JumpChannelSet
 from .operators import (
+    StateBlock,
     check_finite_square,
     check_state_vector,
     divide_rows,
+    gemm_operand,
     is_integer,
     is_nonnegative,
     is_positive,
+    matmul_rows,
+    room_for,
     row_norms,
 )
 
@@ -156,6 +190,13 @@ def _jump_images(psi: np.ndarray, jump_ops: np.ndarray, weights: np.ndarray):
     return s_psi, np.clip(weights * np.einsum("bnk,bnk->bn", v, v), 0.0, None)
 
 
+def _distinct_slots(slots: np.ndarray, num_slots: int) -> np.ndarray:
+    """The distinct values of slots, indices below num_slots, ascending, without a sort."""
+    seen = np.zeros(num_slots, dtype=bool)
+    seen[slots] = True
+    return np.flatnonzero(seen)
+
+
 def jump_rate_operator(ch: JumpChannelSet, delta_t: float) -> np.ndarray:
     """Gamma = sum_n xi_n delta_t s_n^dag s_n, inert channels weighted 0.
 
@@ -181,14 +222,15 @@ class BatchStepper:
 
     Precomputes Gamma = sum_n xi_n delta_t s_n^dag s_n, its largest
     eigenvalue as `bound` and the no-jump propagator once.  `step` advances
-    a (M, dim) block of unit states with one uniform per row.  A row whose
+    a block of M unit states, a StateBlock or an (M, dim) array, with one
+    uniform per row, and steps each distinct state once.  A row whose
     uniform is at or above `bound` cannot jump; when `bound` is within the
     first-order gate, no row can fail the gate either, and only the other
-    rows get their total jump probability <psi|Gamma|psi>, from a product
-    of at least min(2, M) rows.  Otherwise every row is a candidate and
-    every total is gated.  Only the rows that jump get per-channel probabilities and jump
-    images.  A step takes ownership of the block it is given, and the
-    stepper writes its next step's result into it.
+    rows' states get their total jump probability <psi|Gamma|psi>.
+    Otherwise every row is a candidate and every total is gated.  Only the
+    states of rows that jump get per-channel probabilities and jump images.
+    A step takes ownership of the block it is given, and the stepper writes
+    its next step's result into it.
     """
 
     def __init__(self, ch: JumpChannelSet, delta_t: float):
@@ -202,59 +244,107 @@ class BatchStepper:
         self.prop = np.eye(ch.dim, dtype=complex) - 1j * delta_t * ch.H_eff
         self._spare = None  # the block consumed by the last step
 
-    def step(self, psi: np.ndarray, u: np.ndarray):
-        """Advance the block one interval.
+    def step(self, block, u: np.ndarray):
+        """Advance the block, a StateBlock or an (M, dim) array, one interval.
 
-        Returns (psi_next, jumped, channel) where jumped is a boolean row
-        mask and channel holds the flat channel index for jumped rows
-        (unspecified elsewhere).  psi is overwritten, and psi_next is
-        written into the block the previous step consumed, so a (M, dim)
-        trajectory block lives in two arrays; a caller that still needs psi
-        passes a copy.
+        Returns (block_next, jumped, channel): block_next is a StateBlock,
+        jumped a boolean row mask and channel the flat channel index of each
+        jumped row (unspecified elsewhere).  Each distinct state is stepped
+        once.  The step takes the block over and writes block_next into the
+        buffer the previous step consumed, so a trajectory block lives in
+        two buffers; a caller that still needs the block passes a copy.
         """
-        psi = np.require(psi, complex, "CW")
-        phi = self._spare
-        if phi is None or phi.shape != psi.shape or np.may_share_memory(phi, psi):
-            phi = np.empty_like(psi)
+        block = StateBlock.of(block)
+        m, dim = block.shape
+        if block.size < m and (m - block.size) * dim < m:
+            # The shared states would save less than their bookkeeping costs.
+            block = StateBlock.of(block.rows())
+        psi, index, counts, k = block.states, block.index, block.counts, block.size
         # A row with u >= bound cannot jump.  Above the gate every row is a
         # candidate, so that the gate sees every total.
         screen = self.bound if self.bound <= SUM_P_GATE else np.inf
         candidates = np.flatnonzero(u < screen)
-        # A lone candidate in a block of several rows goes in a two-row
-        # product, so that its total is the block product's to the bit.
-        if candidates.size == 1 < psi.shape[0]:
-            block = psi[np.repeat(candidates, 2)]
-        else:
-            block = psi[candidates]
-        total = total_jump_probability(block, self.gamma)[: candidates.size]
+        slots = index[candidates]
+        # With k == m every row has a slot of its own: nothing is shared.
+        shared = k < m
+        if shared:
+            slots = _distinct_slots(slots, m)
+        total = total_jump_probability(gemm_operand(psi[slots], m), self.gamma)[: slots.size]
         _check_gate(total.max(initial=0.0), self.delta_t)
-        jumped = np.zeros(psi.shape[0], dtype=bool)
-        jumped[candidates] = u[candidates] < total
-        channel = np.zeros(psi.shape[0], dtype=np.intp)
-        np.matmul(psi, self.prop.T, out=phi)
-        rows = np.flatnonzero(jumped)
+        if shared:
+            by_slot = np.empty(m)
+            by_slot[slots] = total
+            total = by_slot[index[candidates]]
+        rows = candidates[u[candidates] < total]
+        jumped = np.zeros(m, dtype=bool)
+        jumped[rows] = True
+        channel = np.zeros(m, dtype=np.intp)
+        src = index[rows]
+        # Rows that jump out of a shared state move to new slots below; their
+        # sources are gathered once each.
+        leaving = counts[src] > 1
+        moving = shared and bool(leaving.any())
+        if moving:
+            sources = _distinct_slots(src, m)
+            pos = np.searchsorted(sources, src)
+        else:
+            sources, pos = src, np.arange(rows.size)
         if rows.size:
             # Inverse CDF over the jumped rows' channel probabilities.  A u in
             # the roundoff gap between the Gamma total and the summed p_n is
             # clamped to the last channel; a pick with zero probability (the
             # clamped one, or a leading one under u == 0.0) goes to the first
             # active channel.
-            s_psi, p = _jump_images(psi[rows], self.jump_ops, self.weights)
+            s_psi, p = _jump_images(gemm_operand(psi[sources], rows.size), self.jump_ops, self.weights)
+            if moving:
+                p = p[pos]
             cum = np.cumsum(p, axis=1)
             pick = np.minimum((cum < u[rows, None]).sum(axis=1), p.shape[1] - 1)
-            k = np.arange(rows.size)
-            bad = p[k, pick] <= 0.0
+            bad = p[np.arange(rows.size), pick] <= 0.0
             if np.any(bad):
                 pick[bad] = np.argmax(p[bad] > 0.0, axis=1)
             channel[rows] = pick
-            phi[rows] = s_psi[k, pick]
-        norms = row_norms(phi, scratch=psi)
+            image = s_psi[pos, pick]
+        dest, size = src, k
+        if moving:
+            # One new slot per (source, channel) cell that rows move to,
+            # except that a source every row leaves hands its own slot to its
+            # first cell.
+            num_channels = p.shape[1]
+            cell = pos[leaving] * num_channels + pick[leaving]
+            taken = np.zeros(sources.size * num_channels, dtype=bool)
+            taken[cell] = True
+            counts[sources] -= np.bincount(pos[leaving], minlength=sources.size)
+            emptied = np.flatnonzero(counts[sources] == 0)
+            first = emptied * num_channels + taken.reshape(-1, num_channels)[emptied].argmax(axis=1)
+            taken[first] = False
+            fresh = np.flatnonzero(taken)
+            target = np.empty(taken.size, dtype=np.intp)
+            target[fresh] = k + np.arange(fresh.size)
+            target[first] = sources[emptied]
+            dest = src.copy()
+            dest[leaving] = target[cell]
+            index[rows] = dest
+            size = k + fresh.size
+            counts[k:size] = 0
+            np.add.at(counts, dest[leaving], 1)
+        out = self._spare
+        if out is not None and np.may_share_memory(out, block.buffer):
+            out = None
+        out = room_for(out, size, m, dim)
+        phi = out[:size]
+        matmul_rows(psi, self.prop.T, m, out=phi[:k])
+        if rows.size:
+            phi[dest] = image
+        spare = block.buffer
+        scratch = spare[:size] if spare.shape[0] >= size else np.empty_like(phi)
+        norms = row_norms(phi, scratch=scratch)
         # Written as "not > " so that a NaN norm fails the gate too.
         if not norms.min(initial=1.0) > 1e-12:
             raise SimulationError("trajectory state norm collapsed or is not finite during a step")
         divide_rows(phi, norms)
-        self._spare = psi
-        return phi, jumped, channel
+        self._spare = spare
+        return StateBlock(out, index, counts, size), jumped, channel
 
 
 def _seed_words(base_seed: int) -> list:
@@ -384,14 +474,15 @@ def sample_ensemble(
 
     for start, uniforms in uniform_blocks(base_seed, num_trajectories, n_steps):
         rows = slice(start, start + uniforms.shape[0])
-        psi = np.tile(psi0, (uniforms.shape[0], 1))
+        psi = StateBlock.shared(psi0, uniforms.shape[0])
         for step in range(n_steps):
             psi, jumped, channel = stepper.step(psi, uniforms[:, step])
             jump_counts[rows] += jumped
             if collect_logs:
                 for b in np.flatnonzero(jumped):
                     logs.append((start + int(b), step * delta_t, int(channel[b])))
-        states[rows] = psi
+        psi.rows(out=states[rows])
+        del psi, uniforms  # freed before the next block's draws are made
 
     if collect_logs:
         logs.sort(key=lambda row: (row[0], row[1]))

@@ -341,6 +341,8 @@ SIZE_ENTRY_POINTS = {
     "CorrelationKernel": lambda: CorrelationKernel(1, np.eye(6), 0.5, 1.0),
     "cross_axis_kernel": lambda: cross_axis_kernel(1, np.eye(2)),
     "noise_spec_direct": lambda: noise_spec_direct(np.eye(3), np.eye(6)),
+    "pure_state_fidelity": lambda: pure_state_fidelity(np.ones(2) / 2**0.5, np.eye(4) / 4),
+    "trace_distance": lambda: trace_distance(np.eye(2) / 2, np.eye(4) / 4),
 }
 
 
@@ -374,6 +376,20 @@ def test_unit_norm_rule_at_its_boundary(excess):
         else:
             with pytest.raises(error, match=message):
                 call()
+
+
+def test_fidelity_and_trace_distance_refuse_non_finite_inputs():
+    # A NaN state used to give a NaN fidelity, and a NaN matrix a NaN
+    # distance, with no DomainError.
+    nan_state = np.array([np.nan, 0.0])
+    with pytest.raises(DomainError, match="non-finite"):
+        pure_state_fidelity(nan_state, np.eye(2) / 2)
+    with pytest.raises(DomainError, match="non-finite"):
+        pure_state_fidelity(basis_state(0, 1), np.full((2, 2), np.nan))
+    with pytest.raises(DomainError, match="non-finite"):
+        trace_distance(np.eye(2) / 2, np.outer(nan_state, nan_state))
+    with pytest.raises(DomainError, match="deviates from 1"):
+        pure_state_fidelity(np.ones(2), np.eye(2) / 2)
 
 
 def test_fidelity_and_trace_distance():
@@ -415,6 +431,9 @@ def _awkward_parts(rng, size, pools):
 )
 @example(seed=0, num_rows=0, pools={0})
 @example(seed=1, num_rows=8193, pools={0, 1, 2, 3, 4})
+# One element near 1e-150: numpy's in-place multiply of a lone complex
+# element rounds its square differently from a fresh product.
+@example(seed=31761099, num_rows=1, pools={4})
 def test_row_norms_are_numpy_bytes(dim, seed, num_rows, pools):
     # row_norms sums short rows column by column in numpy's own order; its
     # bytes equal numpy's row reduction and np.linalg.norm, overflowed,

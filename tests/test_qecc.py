@@ -4,11 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrqec.errors import DomainError, SimulationError
-from corrqec.operators import pauli_string_matrix, trace_distance
+from corrqec.operators import StateBlock, pauli_string_matrix, trace_distance
 from corrqec.qecc import (
     FIVE_QUBIT_GENERATORS,
     _batch_measure,
@@ -190,7 +190,7 @@ def test_batch_measure_codeword_is_trivial():
     uniforms = np.random.default_rng(0).random((1, len(code.generators)))
     collapsed, syndrome = _batch_measure(code.logical_zero[None], uniforms, code)
     assert syndrome[0] == 0
-    assert abs(np.vdot(collapsed[0], code.logical_zero)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(collapsed.rows()[0], code.logical_zero)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_exhaustive_single_error_recovery():
@@ -257,7 +257,7 @@ def test_batch_syndrome_recover_matches_row_by_row(seed, images):
     streams = [int(s) for s in rng.integers(2**63, size=len(rows))]
     n_gen = len(code.generators)
     uniforms = np.array([np.random.default_rng(s).random(n_gen) for s in streams])
-    batched = _batch_syndrome_recover(psi.copy(), uniforms, code)
+    batched = _batch_syndrome_recover(psi.copy(), uniforms, code).rows()
     _, syndromes = _batch_measure(psi.copy(), uniforms, code)
     assert batched.shape == psi.shape
     for i, (m, s, out) in enumerate(zip(errors, syndromes, batched)):
@@ -331,6 +331,64 @@ def test_batch_syndrome_recover_matches_reference_bit_for_bit(seed, kinds):
     assert np.array_equal(_batch_syndrome_recover(psi.copy(), uniforms, code), recovered)
 
 
+def _code_state(rng, code, kind):
+    # A codeword, a single-error image of one (deterministic syndrome), a
+    # superposition of two images (a random branch) or an arbitrary state.
+    psi = _random_encoded(rng, code)
+    m, n = rng.integers(len(code.error_basis), size=2)
+    if kind == "image":
+        return code.error_basis[m] @ psi
+    if kind == "pair":
+        theta = rng.uniform(0.0, np.pi / 2)
+        psi = np.cos(theta) * code.error_basis[m] @ psi + np.sin(theta) * code.error_basis[n] @ psi
+        return psi / np.linalg.norm(psi)
+    if kind == "random":
+        psi = rng.standard_normal(code.dim) + 1j * rng.standard_normal(code.dim)
+        return psi / np.linalg.norm(psi)
+    return psi
+
+
+def _shared_block(states, index):
+    # A StateBlock whose rows are states[index]; index uses every state.
+    counts = np.zeros(index.size, dtype=np.intp)
+    counts[: len(states)] = np.bincount(index, minlength=len(states))
+    return StateBlock(np.array(states, dtype=complex), index.copy(), counts, len(states))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["codeword", "image", "pair", "random"]), min_size=1, max_size=6),
+    num_rows=st.integers(1, 48),
+)
+# M == 1; one-row syndrome groups beside a shared state's groups.
+@example(seed=0, kinds=["pair"], num_rows=1)
+@example(seed=1, kinds=["image", "pair"], num_rows=3)
+@example(seed=2, kinds=["pair", "random", "image"], num_rows=40)
+def test_shared_block_recover_matches_reference_bit_for_bit(seed, kinds, num_rows):
+    # A block of few distinct states over many rows, each row with its own
+    # uniforms (a quarter exactly 0.0), so that the rows of a state split
+    # between branches.  Measured and recovered one distinct state at a
+    # time, it gives the row-wise reference's collapsed and recovered
+    # states and syndromes.
+    code = five_qubit_code()
+    rng = np.random.default_rng(seed)
+    distinct = min(len(kinds), num_rows)
+    states = [_code_state(rng, code, kind) for kind in kinds[:distinct]]
+    index = np.concatenate([np.arange(distinct), rng.integers(distinct, size=num_rows - distinct)])
+    index = rng.permutation(index)
+    uniforms = rng.random((num_rows, len(code.generators)))
+    uniforms[rng.random(uniforms.shape) < 0.25] = 0.0
+    rows = np.array(states)[index]
+    recovered, collapsed, syndromes = _reference_syndrome_recover(rows, uniforms, code)
+    block, got_syndromes = _batch_measure(_shared_block(states, index), uniforms, code)
+    assert block.shape == rows.shape and np.all(block.counts[: block.size] >= 1)
+    assert np.array_equal(block.rows(), collapsed)
+    assert np.array_equal(got_syndromes, syndromes)
+    fixed = _batch_syndrome_recover(_shared_block(states, index), uniforms, code)
+    assert np.array_equal(fixed.rows(), recovered)
+
+
 def test_branch_probability_gate():
     # an unnormalized row, or a NaN one, fails the whole block loudly
     code = five_qubit_code()
@@ -347,7 +405,7 @@ def test_recover_round_trip_z2():
     z2 = pauli_string_matrix("IZIII")
     uniforms = np.random.default_rng(3).random((1, len(code.generators)))
     fixed = _batch_syndrome_recover((z2 @ psi)[None], uniforms, code)
-    assert abs(np.vdot(psi, fixed[0])) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(psi, fixed.rows()[0])) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_correction_channel_fixes_single_errors():
@@ -411,7 +469,7 @@ def test_correction_channel_matches_sampled_measurement():
     m = 4000
     meas_rng = np.random.default_rng(78)
     uniforms = meas_rng.random((m, len(code.generators)))
-    fixed = _batch_syndrome_recover(np.tile(psi, (m, 1)), uniforms, code)
+    fixed = _batch_syndrome_recover(np.tile(psi, (m, 1)), uniforms, code).rows()
     # sum over rows of outer(fixed, fixed.conj())
     acc = fixed.T @ fixed.conj()
     assert trace_distance(acc / m, expected) < 0.06

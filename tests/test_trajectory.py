@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrqec import trajectory
@@ -24,7 +24,7 @@ from corrqec.noise import (
     noise_spec_direct,
     rescale_to_unit_max_rate,
 )
-from corrqec.operators import trace_distance
+from corrqec.operators import StateBlock, trace_distance
 from corrqec.trajectory import (
     SUM_P_GATE,
     BatchStepper,
@@ -127,7 +127,7 @@ def test_no_jump_step_noiseless_is_identity():
     stepper = BatchStepper(ch, 0.05)
     psi, jumped, _ = stepper.step(PLUS[None].copy(), np.ones(1))
     assert not jumped[0]
-    np.testing.assert_allclose(psi[0], PLUS, atol=1e-14)
+    np.testing.assert_allclose(psi.rows()[0], PLUS, atol=1e-14)
     assert np.linalg.norm(stepper.prop @ PLUS) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
@@ -140,7 +140,7 @@ def test_no_jump_step_dephasing_survival():
     assert p0 == pytest.approx((1 - dt / 2) ** 2, abs=1e-14)
     psi, jumped, _ = stepper.step(PLUS[None].copy(), np.ones(1))
     assert not jumped[0]
-    np.testing.assert_allclose(psi[0], PLUS, atol=1e-14)
+    np.testing.assert_allclose(psi.rows()[0], PLUS, atol=1e-14)
 
 
 def test_sample_trajectory_requires_integer_intervals():
@@ -331,7 +331,7 @@ def test_step_matches_reference_bit_for_bit(seed, kind, num_qubits, num_rows, ga
         draw = rng.integers(3, size=num_rows)
         u = np.select([draw == 0, draw == 1], [rng.random(num_rows), 0.0], rng.random(num_rows) * total)
         try:
-            expected = _reference_step(stepper, psi, u)
+            expected = _reference_step(stepper, np.asarray(psi), u)
         except SimulationError:
             # A forced jump out of a state whose total is roundoff annihilates
             # it; both steps must say so.
@@ -415,6 +415,82 @@ def test_step_above_the_gate_bound_matches_reference(seed, kind, num_qubits, num
     _assert_step_matches_reference(stepper, psi, u)
 
 
+def _shared_block(states, index):
+    # A StateBlock whose rows are states[index]; index uses every state.
+    counts = np.zeros(index.size, dtype=np.intp)
+    counts[: len(states)] = np.bincount(index, minlength=len(states))
+    return StateBlock(np.array(states, dtype=complex), index.copy(), counts, len(states))
+
+
+def _shared_index(rng, distinct, num_rows):
+    # num_rows slots of `distinct` states in random order, each state used.
+    index = np.concatenate([np.arange(distinct), rng.integers(distinct, size=num_rows - distinct)])
+    return rng.permutation(index)
+
+
+def _uniforms_by_mode(rng, modes, stepper, total):
+    # One uniform per row: at or above the bound (not a candidate), 0.0,
+    # under the row's total (a forced jump), at the total or one ulp off it
+    # (a decision that a total one bit off flips), or a random draw.
+    u = rng.random(len(modes))
+    edges = (total, np.nextafter(total, 0.0), np.nextafter(total, 1.0))
+    edge = np.choose(rng.integers(3, size=len(modes)), edges)
+    choices = {
+        "high": stepper.bound + u * (1.0 - stepper.bound),
+        "zero": np.zeros(len(modes)),
+        "under": u * total,
+        "edge": edge,
+        "random": u,
+    }
+    return np.array([choices[mode][b] for b, mode in enumerate(modes)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(_KERNELS)),
+    num_qubits=st.integers(1, 5),
+    modes=st.lists(st.sampled_from(["high", "zero", "under", "edge", "random"]), min_size=1, max_size=40),
+    distinct=st.integers(1, 6),
+    gate_fraction=st.floats(0.05, 0.95),
+    steps=st.integers(1, 4),
+)
+# M == 1; a lone candidate; a lone jump out of a shared state; two jumps out
+# of one shared state; every row of a shared state jumping.
+@example(seed=1, kind="exponential", num_qubits=3, modes=["zero"], distinct=1, gate_fraction=0.5, steps=2)
+@example(seed=2, kind="exponential", num_qubits=5, modes=["edge", "high", "high"], distinct=1, gate_fraction=0.9, steps=1)
+@example(seed=3, kind="lowering", num_qubits=2, modes=["under", "high", "high", "high"], distinct=1, gate_fraction=0.9, steps=3)
+@example(seed=4, kind="independent", num_qubits=4, modes=["under", "under", "high"], distinct=1, gate_fraction=0.9, steps=2)
+@example(seed=5, kind="collective_z", num_qubits=2, modes=["zero", "zero", "random"], distinct=2, gate_fraction=0.9, steps=2)
+def test_shared_block_step_matches_reference_bit_for_bit(
+    seed, kind, num_qubits, modes, distinct, gate_fraction, steps
+):
+    # A block of few distinct states over many rows is stepped one distinct
+    # state at a time; the row-wise reference step on its rows gives the
+    # same states, jump masks and channels, step after step.
+    ch = _grid_channels(kind, num_qubits)
+    rng = np.random.default_rng(seed)
+    rate = np.linalg.eigvalsh(jump_rate_operator(ch, 1.0))[-1]
+    stepper = BatchStepper(ch, gate_fraction * SUM_P_GATE / rate)
+    distinct = min(distinct, len(modes))
+    block = _shared_block(_mixed_block(rng, ch.dim, distinct), _shared_index(rng, distinct, len(modes)))
+    for _ in range(steps):
+        rows = block.rows()
+        u = _uniforms_by_mode(rng, modes, stepper, _reference_totals(stepper, rows))
+        try:
+            expected = _reference_step(stepper, rows, u)
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                stepper.step(block, u)
+            return
+        block, jumped, channel = stepper.step(block, u)
+        assert block.shape == rows.shape
+        assert np.all(block.counts[: block.size] >= 1)
+        assert np.array_equal(block.rows(), expected[0])
+        assert np.array_equal(jumped, expected[1])
+        assert np.array_equal(channel, expected[2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -464,6 +540,34 @@ def test_step_allocates_no_block():
         if not tracing:
             tracemalloc.stop()
     assert peak - baseline < 0.5 * psi.nbytes
+
+
+def test_shared_block_steps_allocate_less_than_half_a_block():
+    # 4096 rows of one state on the trajectory_cycle config's noise: the
+    # step holds the few distinct states, not the (M, dim) rows, so ten
+    # steps from the shared block peak under half of one (M, dim) block.
+    kernel = exponential_kernel(5, correlation_length=2.0, axis=3)
+    ch = build_channels(rescale_to_unit_max_rate(integrate_kernel(kernel)))
+    rng = np.random.default_rng(6)
+    m = 4096
+    uniforms = rng.random((10, m))
+    stepper = BatchStepper(ch, 0.1 / 16)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        block, jumps = StateBlock.shared(_random_state(rng, ch.dim), m), 0
+        for u in uniforms:
+            block, jumped, _ = stepper.step(block, u)
+            jumps += np.count_nonzero(jumped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert jumps > 0 and 1 < block.size < m
+    assert peak - baseline < 0.5 * m * ch.dim * 16
 
 
 def test_samplers_leave_caller_arrays_untouched():
@@ -590,9 +694,10 @@ def test_batch_step_zero_uniform_skips_zero_probability_channels():
     p = build_first_order_channel(ground, ch, 0.01).probabilities[1:]
     assert p[0] == 0.0 and p[1] == 0.0 and p[2] > 0.0
     assert not ch.inert[1]
-    psi, jumped, channel = BatchStepper(ch, 0.01).step(
+    block, jumped, channel = BatchStepper(ch, 0.01).step(
         np.stack([ground, ground]), np.array([0.0, 0.5])
     )
+    psi = block.rows()
     assert jumped.tolist() == [True, False]
     assert channel[0] == 2
     np.testing.assert_allclose(psi[0], apply_jump(ground, ch, 2), atol=1e-15)
