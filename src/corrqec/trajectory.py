@@ -62,13 +62,14 @@ then one reused PCG64, set to each row's state, draws that row.
 Buffers: BatchStepper.step takes ownership of the block it advances, uses
 its buffer as scratch and writes the following step's states into it, so a
 block lives in two buffers.  A buffer holds the distinct states with room
-to spare and is replaced, with twice the slots needed and at most M, only
-when a step needs more slots than it holds; the slot counts have room for M
-slots from the start.  Per step only the candidate and jumped states are
-gathered, and the per-row work is index arithmetic over M.  The step's
-temporaries indexed by slot are sized M, not by the slot count: arrays
-that grew by a few entries every step fragmented the heap and raised the
-unraveling grid's peak RSS from 64 to as much as 72 MB.
+to spare and is replaced (operators.room_for) only when a step needs more
+slots than it holds; the slot counts have room for M slots from the start,
+and spreading a block to one slot per row writes its rows into the spare
+buffer.  Per step only the candidate and jumped states are gathered, and
+the per-row work is index arithmetic over M.  The step's temporaries
+indexed by slot are sized M, not by the slot count: arrays that grew by a
+few entries every step fragmented the heap and raised the unraveling
+grid's peak RSS from 64 to as much as 72 MB.
 """
 
 from __future__ import annotations
@@ -244,6 +245,11 @@ class BatchStepper:
         self.prop = np.eye(ch.dim, dtype=complex) - 1j * delta_t * ch.H_eff
         self._spare = None  # the block consumed by the last step
 
+    def _spare_for(self, block):
+        """The buffer the last step consumed, unless it holds block's states."""
+        spare = self._spare
+        return None if spare is None or np.may_share_memory(spare, block.buffer) else spare
+
     def step(self, block, u: np.ndarray):
         """Advance the block, a StateBlock or an (M, dim) array, one interval.
 
@@ -256,10 +262,17 @@ class BatchStepper:
         """
         block = StateBlock.of(block)
         m, dim = block.shape
-        if block.size < m and (m - block.size) * dim < m:
-            # The shared states would save less than their bookkeeping costs.
-            block = StateBlock.of(block.rows())
         psi, index, counts, k = block.states, block.index, block.counts, block.size
+        if k < m and (m - k) * dim < m:
+            # The shared states would save less than their bookkeeping costs:
+            # the block is spread to one slot per row, in the spare buffer.
+            spread = room_for(self._spare_for(block), m, m, dim)
+            block.rows(out=spread[:m])
+            self._spare = block.buffer
+            index[...] = np.arange(m)
+            counts[...] = 1
+            block = StateBlock(spread, index, counts, m)
+            psi, k = block.states, m
         # A row with u >= bound cannot jump.  Above the gate every row is a
         # candidate, so that the gate sees every total.
         screen = self.bound if self.bound <= SUM_P_GATE else np.inf
@@ -328,17 +341,13 @@ class BatchStepper:
             size = k + fresh.size
             counts[k:size] = 0
             np.add.at(counts, dest[leaving], 1)
-        out = self._spare
-        if out is not None and np.may_share_memory(out, block.buffer):
-            out = None
-        out = room_for(out, size, m, dim)
+        out = room_for(self._spare_for(block), size, m, dim)
         phi = out[:size]
         matmul_rows(psi, self.prop.T, m, out=phi[:k])
         if rows.size:
             phi[dest] = image
-        spare = block.buffer
-        scratch = spare[:size] if spare.shape[0] >= size else np.empty_like(phi)
-        norms = row_norms(phi, scratch=scratch)
+        spare = room_for(block.buffer, size, m, dim)
+        norms = row_norms(phi, scratch=spare[:size])
         # Written as "not > " so that a NaN norm fails the gate too.
         if not norms.min(initial=1.0) > 1e-12:
             raise SimulationError("trajectory state norm collapsed or is not finite during a step")

@@ -1,7 +1,9 @@
 """Stochastic unraveling tests: jump statistics, determinism, batch equivalence."""
 
+import contextlib
 import functools
 import math
+import mmap
 import tracemalloc
 from unittest import mock
 
@@ -513,6 +515,20 @@ def test_total_jump_probability_under_the_bound(seed, kind, num_qubits, delta_t)
         assert total_jump_probability(psi, stepper.gamma) <= stepper.bound
 
 
+@contextlib.contextmanager
+def _mapped_buffers():
+    # State buffers of 64 KB and more are mapped pages, which tracemalloc
+    # does not see; this yields the sizes mapped while it is open.
+    sizes, real = [], mmap.mmap
+
+    def counting(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    with mock.patch("mmap.mmap", counting):
+        yield sizes
+
+
 def test_step_allocates_no_block():
     # Once warm, a step at L=5 writes into the block it consumed the step
     # before: ten steps of the trajectory_cycle config's noise peak at 0.36
@@ -533,13 +549,15 @@ def test_step_allocates_no_block():
     try:
         tracemalloc.reset_peak()
         baseline = tracemalloc.get_traced_memory()[0]
-        for u in uniforms[3:]:
-            psi, _, _ = stepper.step(psi, u)
+        with _mapped_buffers() as mapped:
+            for u in uniforms[3:]:
+                psi, _, _ = stepper.step(psi, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if not tracing:
             tracemalloc.stop()
     assert peak - baseline < 0.5 * psi.nbytes
+    assert mapped == []
 
 
 def test_shared_block_steps_allocate_less_than_half_a_block():
@@ -559,15 +577,16 @@ def test_shared_block_steps_allocate_less_than_half_a_block():
         tracemalloc.reset_peak()
         baseline = tracemalloc.get_traced_memory()[0]
         block, jumps = StateBlock.shared(_random_state(rng, ch.dim), m), 0
-        for u in uniforms:
-            block, jumped, _ = stepper.step(block, u)
-            jumps += np.count_nonzero(jumped)
+        with _mapped_buffers() as mapped:
+            for u in uniforms:
+                block, jumped, _ = stepper.step(block, u)
+                jumps += np.count_nonzero(jumped)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if not tracing:
             tracemalloc.stop()
     assert jumps > 0 and 1 < block.size < m
-    assert peak - baseline < 0.5 * m * ch.dim * 16
+    assert peak - baseline + sum(mapped) < 0.5 * m * ch.dim * 16
 
 
 def test_samplers_leave_caller_arrays_untouched():
