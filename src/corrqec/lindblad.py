@@ -11,21 +11,26 @@ channel are validated against it.
 The dissipator is two matrix products over the stacked jump operators: the
 (n*d, d) stack of sqrt(xi_n) s_n times rho, laid side by side as a (d, n*d)
 block row, times the (n*d, d) stack of sqrt(xi_n) s_n^dag.  The stacks are
-built once per JumpChannelSet (its `jump_stacks`).  The block row is a
-zeroed (d, n, d) array allocated once per `evolve_exact` call and reused by
-every stage of every step: the first product writes each live block's
-s_n rho straight into its place in it, through a transposed view, and
-never touches the blocks that are exactly zero (zero-rate channels, clipped
-from roundoff, come first in build_channels' ascending order; the span of
-live blocks is cached on the channel set).  The second product reads the
-block row as (d, n*d) and drops the leading exactly-zero columns of that
-row, with the matching rows of the right stack, only up to the largest
-block-aligned skip that this BLAS gives the same bytes as the full product
+built once per JumpChannelSet (its `jump_stacks`).  The second product drops
+the leading exactly-zero columns of the block row (zero-rate channels,
+clipped from roundoff, come first in build_channels' ascending order), with
+the matching rows of the right stack, only up to the largest block-aligned
+skip that this BLAS gives the same bytes as the full product
 (largest_exact_skip).  A shorter inner dimension in general changes how the
 product accumulates and moves the last digit; dropping a zero prefix that
 ends on one of the BLAS's K-panel boundaries does not.  Where no skip is
 byte-equal the helper returns 0 and the product keeps its full n*d inner
 dimension.
+
+So the block row holds only the blocks the second product reads, from the
+skip on: a zeroed (d, n - skip/d, d) array.  Each `evolve_exact` call
+allocates its own and reuses it for every stage of every step: the first
+product writes each live block's s_n rho straight into its place in it,
+through a transposed view, and never touches the zero blocks that the skip
+keeps (the span of live blocks is cached on the channel set).  No block row
+and no right-hand-side closure is shared between calls, so evolve_exact
+calls on one channel set may run concurrently on several threads once the
+channel set's cached stacks and the skip for its shape exist.
 """
 
 from __future__ import annotations
@@ -165,14 +170,18 @@ def _rhs(ch: JumpChannelSet):
     """The right-hand side as `rhs(rho)`, writing into one block row it owns.
 
     sum_n s_n rho s_n^dag = [s_1 rho | ... | s_n rho] @ [s_1^dag; ...; s_n^dag].
-    Each call overwrites the live blocks of the block row and reads the whole
-    row past its skipped prefix, so the returned function must not run
-    concurrently with itself.  Every block has d >= 2 rows, so each block's
-    product is a GEMM whose rows equal those of the whole stack's product.
     The second product drops the largest_exact_skip(d, n, zero_blocks)
     leading columns of the row and rows of the right stack, where
     zero_blocks counts the exactly-zero blocks ahead of the live span; that
     skip is 0, the full product, wherever the BLAS gives no byte-equal one.
+    So the block row is allocated from the skip on, and the live blocks go
+    at their offset from it.  Each call overwrites the live blocks and reads
+    the whole row, so the returned function must not run concurrently with
+    itself: every evolve_exact call builds its own.  Building one reads the
+    channel set's cached stacks and probes the skip for its shape on first
+    use; neither is built under a lock.  Every block has d >= 2 rows, so each
+    block's product is a GEMM whose rows equal those of the whole stack's
+    product.
     """
     h_eff = ch.H_eff
     h_dag = h_eff.conj().T
@@ -180,16 +189,21 @@ def _rhs(ch: JumpChannelSet):
     d, n = ch.dim, ch.num_channels
     blocks = ch._live_blocks
     s_live = s_left.reshape(n, d, d)[blocks]
-    block_row = np.zeros((d, n, d), dtype=complex)
-    live_out = block_row.transpose(1, 0, 2)[blocks]
     skip = largest_exact_skip(d, n, blocks.start)
-    flat = block_row.reshape(d, n * d)[:, skip:]
+    first = skip // d
+    block_row = np.zeros((d, n - first, d), dtype=complex)
+    live_out = block_row.transpose(1, 0, 2)[blocks.start - first : blocks.stop - first]
+    flat = block_row.reshape(d, -1)
     s_tail = s_right[skip:]
 
     def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (h_eff @ rho - rho @ h_dag)
+        # -1j * (h_eff @ rho - rho @ h_dag) + flat @ s_tail, with the same
+        # operations, holding two (d, d) temporaries instead of four.
+        part = h_eff @ rho
+        np.subtract(part, rho @ h_dag, out=part)
+        out = -1j * part
         np.matmul(s_live, rho, out=live_out)
-        out += flat @ s_tail
+        out += np.matmul(flat, s_tail, out=part)
         return out
 
     return rhs
@@ -213,11 +227,17 @@ def evolve_exact(rho0: np.ndarray, ch: JumpChannelSet, cfg: EvolutionConfig) -> 
     renorm_count = 0
     for step in range(n_full + (1 if remainder else 0)):
         dt = cfg.dt_integrator if step < n_full else remainder
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # k1 + 2 k2 + 2 k3 + k4, summed in that order as the slopes are
+        # made, so that no more than two slopes are held at once.
+        k = rhs(rho)
+        total = k
+        k = rhs(rho + 0.5 * dt * k)
+        total = total + 2.0 * k
+        k = rhs(rho + 0.5 * dt * k)
+        total += 2.0 * k
+        k = rhs(rho + dt * k)
+        total += k
+        rho = rho + (dt / 6.0) * total
         rho = 0.5 * (rho + rho.conj().T)
         t = (step + 1) * cfg.dt_integrator if step < n_full else cfg.t_final
 

@@ -77,16 +77,15 @@ class StabilizerCode:
 
     @cached_property
     def recovery_products(self) -> tuple:
-        """The pairs (R_{m(s)} P_s, its complex conjugate) for every syndrome s, read-only.
+        """The products R_{m(s)} P_s for every syndrome s, read-only.
 
         The correction channel is a sum over them, so they are built once
         per code.
         """
-        pairs = []
-        for s, p in enumerate(self.syndrome_projectors):
-            rp = _frozen_array(self.error_basis[self.syndrome_table[s]] @ p)
-            pairs.append((rp, _frozen_array(rp.conj())))
-        return tuple(pairs)
+        return tuple(
+            _frozen_array(self.error_basis[self.syndrome_table[s]] @ p)
+            for s, p in enumerate(self.syndrome_projectors)
+        )
 
 
 def _commutation_bit(g: np.ndarray, r: np.ndarray) -> int:
@@ -260,8 +259,8 @@ def correction_channel(rho: np.ndarray, code: StabilizerCode) -> np.ndarray:
     """
     rho = check_finite_square(rho, "density matrix", code.dim)
     out = np.zeros_like(rho)
-    for rp, rp_conj in code.recovery_products:
-        out += rp @ rho @ rp_conj.T
+    for rp in code.recovery_products:
+        out += rp @ rho @ rp.conj().T
     if abs(out.trace() - rho.trace()) > 1e-10:
         raise SimulationError("correction channel failed to preserve the trace")
     return out

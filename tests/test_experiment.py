@@ -4,16 +4,23 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from corrqec import trajectory
+from corrqec import experiment, trajectory
 from corrqec.cli import main
 from corrqec.config import load_config, parse_config
-from corrqec.errors import ConfigError, DomainError, SimulationError, StepSizeError
+from corrqec.errors import (
+    ConfigError,
+    DomainError,
+    IntegrationError,
+    SimulationError,
+    StepSizeError,
+)
 from corrqec.experiment import (
     ExperimentConfig,
     FidelityResult,
@@ -43,7 +50,14 @@ from corrqec.noise import (
     max_rate,
     noise_spec_direct,
 )
-from corrqec.operators import basis_state, pauli_operator, pauli_stack
+from corrqec.lindblad import default_dt_integrator
+from corrqec.operators import (
+    basis_state,
+    pauli_operator,
+    pauli_stack,
+    pure_state_fidelity,
+    pure_state_projector,
+)
 from corrqec.qecc import _batch_syndrome_recover
 from corrqec.trajectory import sample_ensemble, uniform_blocks
 
@@ -452,6 +466,144 @@ def test_density_fidelity_improves_with_more_cycles():
     assert f[0] < f[1] < f[2]
     assert result.sweep == "N"
     assert result.trajectories == 0  # density runs carry no ensemble size
+
+
+# A density sweep whose points each take a few RK4 steps.
+SHORT_DENSITY = ExperimentConfig(
+    noise=ZKERNEL,
+    t_total=0.02,
+    n_values=(1, 2, 3, 4, 5),
+    delta_t_values=(0.002, 0.004, 0.006, 0.008, 0.01),
+    engine="density",
+)
+
+
+def _sequential_fidelities(cfg, correction, delta_ts, n_cycles):
+    # The loop the threaded density sweep replaces: one point after another.
+    spec = resolve_spec(cfg)
+    ch = build_channels(spec)
+    code, psi0 = _code_and_state(cfg, spec)
+    rho0 = pure_state_projector(psi0)
+    dt_int = default_dt_integrator(ch)
+    return [
+        pure_state_fidelity(
+            psi0, experiment._density_qec_run(rho0, ch, code, dt, n, dt_int, correction)
+        )
+        for dt, n in zip(delta_ts, n_cycles)
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("correction", [True, False])
+def test_threaded_density_sweeps_equal_a_sequential_loop(monkeypatch, threads, correction):
+    # Whatever the number of threads, each point's fidelity has the bytes of
+    # a lone run, in sweep order.
+    monkeypatch.setattr(experiment, "_point_threads", lambda: threads)
+    cfg = SHORT_DENSITY
+    cycle = run_cycle_fidelity(cfg, correction)
+    dts = cfg.delta_t_values
+    expected = _sequential_fidelities(cfg, correction, dts, (1,) * len(dts))
+    assert np.array(cycle.fidelities).tobytes() == np.array(expected).tobytes()
+    scaling = run_repetition_scaling(cfg, correction)
+    dts = [cfg.t_total / n for n in cfg.n_values]
+    expected = _sequential_fidelities(cfg, correction, dts, cfg.n_values)
+    assert np.array(scaling.fidelities).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "settings, threads",
+    [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"MKL_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OMP_NUM_THREADS": "4,2"}, 1),
+    ],
+)
+def test_point_threads_are_the_cores_the_blas_leaves_free(monkeypatch, settings, threads):
+    # On four usable cores: a BLAS on every core (no count set) leaves one
+    # thread for the points, a one-thread BLAS leaves four.  The first
+    # variable with a positive count wins, in OpenBLAS's order.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for name in experiment._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in settings.items():
+        monkeypatch.setenv(name, value)
+    assert experiment._point_threads() == threads
+
+
+def test_threaded_density_sweep_takes_each_point_once_under_stress(monkeypatch):
+    # More threads than cores and a thread switch every microsecond: a lost
+    # update of the shared point index would run a point twice or skip one.
+    monkeypatch.setattr(experiment, "_point_threads", lambda: 8)
+    run = experiment._density_qec_run
+    taken = []
+
+    def counting(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction):
+        taken.append(delta_t)
+        return run(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction)
+
+    monkeypatch.setattr(experiment, "_density_qec_run", counting)
+    dts = tuple(0.0005 * k for k in range(1, 17))
+    cfg = ExperimentConfig(noise=ZKERNEL, delta_t_values=dts, engine="density")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_cycle_fidelity(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == sorted(dts)
+    expected = _sequential_fidelities(cfg, True, dts, (1,) * len(dts))
+    assert np.array(result.fidelities).tobytes() == np.array(expected).tobytes()
+
+
+def test_threaded_density_sweep_raises_the_earliest_failure(monkeypatch, tmp_path, caplog):
+    # Points 1 and 3 fail, on three threads point 1 only after point 3 has.
+    # Point 1's error is raised once every thread is done, no thread
+    # outlives the sweep, and no point runs twice.  With one core the
+    # calling thread runs the points in order and stops at point 1, as the
+    # sequential loop did.
+    run = experiment._density_qec_run
+    started, point_3_failed, threaded = [], threading.Event(), [True]
+
+    def failing(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction):
+        index = SHORT_DENSITY.delta_t_values.index(delta_t)
+        started.append(index)
+        if index == 1 and threaded[0]:
+            assert point_3_failed.wait(timeout=60)
+        if index in (1, 3):
+            if index == 3:
+                point_3_failed.set()
+            raise IntegrationError(f"point {index} failed")
+        return run(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction)
+
+    monkeypatch.setattr(experiment, "_density_qec_run", failing)
+    before = threading.active_count()
+    for threads, expected in ((3, [0, 1, 2, 3]), (1, [0, 1])):
+        monkeypatch.setattr(experiment, "_point_threads", lambda: threads)
+        threaded[0] = threads > 1
+        started.clear()
+        with pytest.raises(IntegrationError, match="point 1 failed"):
+            run_cycle_fidelity(SHORT_DENSITY)
+        assert threading.active_count() == before
+        # Point 4 may start before point 3's failure is known, never twice.
+        assert sorted(set(started)) == sorted(started)
+        assert [i for i in sorted(started) if i != 4] == expected
+    # The CLI reports it as a numerical gate, exit 2.
+    monkeypatch.setattr(experiment, "_point_threads", lambda: 3)
+    config = _write(
+        tmp_path,
+        "short.yaml",
+        GOOD_YAML.replace("engine: trajectory", "engine: density")
+        .replace("t_total: 0.5", "t_total: 0.02")
+        .replace("[0.02, 0.05]", "[0.002, 0.004, 0.006, 0.008, 0.01]"),
+    )
+    assert main(["cycle", "--config", config]) == 2
+    assert "point 1 failed" in caplog.text
+    assert threading.active_count() == before
 
 
 def test_correction_beats_no_correction():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrqec import lindblad
+from corrqec import experiment, lindblad
 from corrqec.errors import DomainError, IntegrationError
+from corrqec.experiment import ExperimentConfig, run_repetition_scaling
 from corrqec.lindblad import (
     EvolutionConfig,
     default_dt_integrator,
@@ -176,11 +178,12 @@ def test_largest_exact_skip_keeps_product_bytes(
 def test_exact_skip_probed_once_per_channel_shape(monkeypatch):
     # The probe runs at the first right-hand side built for a shape, not when
     # the channels are built, and a second one reuses its answer.
-    probes = []
+    probes, threads = [], []
     probe = lindblad._skip_is_exact
 
     def counting(*args):
         probes.append(args)
+        threads.append(threading.current_thread())
         return probe(*args)
 
     monkeypatch.setattr(lindblad, "_skip_is_exact", counting)
@@ -195,6 +198,21 @@ def test_exact_skip_probed_once_per_channel_shape(monkeypatch):
     second = lindblad_rhs(rho, ch)
     assert len(probes) == count
     assert first.tobytes() == second.tobytes() == _full_product_rhs(rho, ch).tobytes()
+    # A density sweep on several threads probes its shape once too, on the
+    # calling thread, before any helper builds a right-hand side.
+    monkeypatch.setattr(experiment, "_point_threads", lambda: 4)
+    largest_exact_skip.cache_clear()
+    probes.clear()
+    threads.clear()
+    cfg = ExperimentConfig(
+        noise=exponential_kernel(5, correlation_length=2.0, axis=3, tau_c=0.05, g1=1.0),
+        t_total=0.02,
+        n_values=(1, 2, 3, 4),
+        engine="density",
+    )
+    run_repetition_scaling(cfg)
+    assert probes and len(set(probes)) == len(probes)
+    assert set(threads) == {threading.current_thread()}
 
 
 @pytest.mark.parametrize("num_qubits", [1, 3, 5])
