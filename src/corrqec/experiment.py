@@ -423,8 +423,11 @@ def _run_sweep(
     sweep runs on the calling thread: it draws each block's uniforms once
     for all points, and each point reads a prefix of every row's stream, so
     the randomness contract is unchanged.  A StepSizeError names the
-    earliest failing point in sweep order.
+    earliest failing point in sweep order.  correction passes the boolean
+    rule (is_boolean); anything else is a DomainError.
     """
+    if not is_boolean(correction):
+        raise DomainError(f"correction must be a boolean, got {correction!r}")
     t0 = time.perf_counter()
     spec = resolve_spec(cfg)
     ch = build_channels(spec)

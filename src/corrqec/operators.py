@@ -27,9 +27,11 @@ passes the boolean rule, which accepts numpy bools like Python bools.
 
 Blocks of state rows, as the trajectory engine and the syndrome step keep
 them, live here too: StateBlock holds M rows as their distinct states, and
-gemm_operand and matmul_rows give each distinct state the bytes its rows
-get in a product over the whole block; row_norms and divide_rows normalize
-a block with numpy's values.
+its move is the one rule by which rows that leave their states regroup
+(the jump step's channels, the measurement's -1 branch); gemm_operand and
+matmul_rows give each distinct state the bytes its rows get in a product
+over the whole block; row_norms and divide_rows normalize a block with
+numpy's values.
 """
 
 from __future__ import annotations
@@ -325,6 +327,71 @@ class StateBlock:
     def nbytes(self) -> int:
         """The bytes of its rows as an (M, dim) array."""
         return self.index.size * self.buffer.shape[1] * self.buffer.itemsize
+
+    def sources(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slots of the given rows, each once, and each row's position among them.
+
+        The slots come in ascending order, so a product over states[slots]
+        steps each distinct state once and row rows[i] reads position pos[i]
+        of it.  When every row has a slot of its own (size == M) they are the
+        rows' own slots in row order, and pos is arange.
+        """
+        slots = self.index[rows]
+        if self.size == self.index.size:
+            return slots, np.arange(rows.size)
+        # Sized M, not by the slot count; a scatter, several times faster
+        # than a searchsorted over the distinct slots.
+        seen = np.zeros(self.index.size, dtype=bool)
+        seen[slots] = True
+        distinct = np.flatnonzero(seen)
+        at = np.empty(self.index.size, dtype=np.intp)
+        at[distinct] = np.arange(distinct.size)
+        return distinct, at[slots]
+
+    def move(self, rows, sources, pos, cell, num_cells: int):
+        """The one regrouping rule: rows that leave their states for an outcome regroup.
+
+        sources and pos are sources(rows); cell is each row's outcome, an
+        integer below num_cells (an array over rows, or one value for all).
+        Rows that leave one slot for one cell form a (slot, cell) pair, and
+        each pair's rows share one slot afterwards:
+        - a slot that every one of its rows leaves hands itself to its
+          lowest cell's pair;
+        - every other pair takes a new slot, numbered from the old size in
+          (slot, cell) order;
+        - the rows that stay keep their slot, and slots are never merged,
+          so rows share a slot afterwards only if they shared one before
+          and then both stayed or both moved to the same cell.
+        When every row has a slot of its own (size == M), each pair is one
+        row, in row order, which keeps its slot, and no bookkeeping runs.
+
+        index and counts are updated in place; size is not, the caller
+        builds the next block.  Returns (size, pairs, cells, targets): the
+        new slot count and, for each pair in (slot, cell) order, its
+        position in sources, its cell and the slot its rows now sit on, so
+        that the caller writes out[targets] = new_states[pairs, cells].
+        """
+        index, counts, k = self.index, self.counts, self.size
+        if k == index.size:
+            return k, pos, np.broadcast_to(cell, pos.shape), sources[pos]
+        pair = pos * num_cells + cell
+        moved = np.bincount(pair, minlength=sources.size * num_cells)
+        pairs = np.flatnonzero(moved)
+        of = pairs // num_cells  # each pair's position in sources
+        counts[sources] -= np.bincount(pos, minlength=sources.size)
+        emptied = np.flatnonzero(counts[sources] == 0)
+        kept = np.searchsorted(of, emptied)  # the lowest cell's pair of each
+        fresh = np.ones(pairs.size, dtype=bool)
+        fresh[kept] = False
+        size = k + pairs.size - kept.size
+        targets = np.empty(pairs.size, dtype=np.intp)
+        targets[kept] = sources[emptied]
+        targets[fresh] = np.arange(k, size)
+        counts[targets] = moved[pairs]
+        target = np.empty(moved.size, dtype=np.intp)
+        target[pairs] = targets
+        index[rows] = target[pair]
+        return size, of, pairs % num_cells, targets
 
     def rows(self, out=None) -> np.ndarray:
         """The (M, dim) rows, written into out when it is given, else into a new array."""

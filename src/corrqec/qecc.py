@@ -186,17 +186,16 @@ def _batch_measure(psi, uniforms: np.ndarray, code: StabilizerCode):
     psi is a StateBlock or an (M, dim) array, and is taken over.  uniforms
     has one column per generator; u < p_plus selects the +1 branch (bit 0).
     Returns the collapsed StateBlock and the packed syndrome of each row.
-    Each distinct state is measured once; the rows of a state that take
-    both branches leave its -1 branch on a new slot, so the rows of a slot
+    Each distinct state is measured once, and after each generator the -1
+    rows regroup as one outcome (StateBlock.move), so the rows of a slot
     always share their syndrome.
     """
     block = StateBlock.of(psi)
     m, dim = block.shape
-    held, index, counts, k = block.buffer, block.index, block.counts, block.size
     spare = scratch = None
     syndrome = np.zeros(m, dtype=np.int64)
     for i, p_plus in enumerate(code.plus_projectors):
-        states = held[:k]
+        states, k = block.states, block.size
         out = room_for(spare, k, m, dim)
         v = matmul_rows(states, p_plus.T, m, out=out[:k])
         scratch = room_for(scratch, k, m, dim)
@@ -204,29 +203,21 @@ def _batch_measure(psi, uniforms: np.ndarray, code: StabilizerCode):
         lo, hi = float(q.min()), float(q.max())
         if not -1e-10 <= lo <= hi <= 1.0 + 1e-10:
             raise SimulationError(f"branch probabilities [{lo!r}, {hi!r}] outside [0, 1]")
-        minus = ~(uniforms[:, i] < q[index])
-        minus_rows = np.bincount(index[minus], minlength=k)
-        split = np.flatnonzero((minus_rows > 0) & (minus_rows < counts[:k]))
-        size = k + split.size
+        minus = ~(uniforms[:, i] < q[block.index])
+        # With one outcome each source is one pair, whose target slot gets
+        # the -1 branch psi - v_plus; every other slot keeps v_plus.
+        rows = np.flatnonzero(minus)
+        sources, pos = block.sources(rows)
+        size, _, _, targets = block.move(rows, sources, pos, 0, 1)
         if out.shape[0] < size:
             out = room_for(None, size, m, dim)
             out[:k] = v
-            v = out[:k]
-        # The collapsed states: v_plus, or psi - v_plus on the slots whose
-        # rows all take -1; the -1 branch of a split slot goes on a new slot.
-        np.subtract(states[split], v[split], out=out[k:size])
-        np.subtract(states, v, out=v, where=(minus_rows == counts[:k])[:, None])
+        out[targets] = states[sources] - v[sources]
         scratch = room_for(scratch, size, m, dim)
         divide_rows(out[:size], row_norms(out[:size], scratch[:size]))
-        if split.size:
-            to = np.arange(k)
-            to[split] = np.arange(k, size)
-            index[minus] = to[index[minus]]
-            counts[split] -= minus_rows[split]
-            counts[k:size] = minus_rows[split]
         syndrome += minus.astype(np.int64) << i
-        held, spare, k = out, held, size
-    return StateBlock(held, index, counts, k), syndrome
+        spare, block = block.buffer, StateBlock(out, block.index, block.counts, size)
+    return block, syndrome
 
 
 def _batch_syndrome_recover(psi, uniforms: np.ndarray, code: StabilizerCode) -> StateBlock:

@@ -21,15 +21,14 @@ therefore held as a StateBlock: its distinct states, one slot each, a
 row-to-slot index and a row count per slot.  The step propagates,
 normalizes and gates each distinct state once, computes the totals and
 jump images of each distinct candidate or jumped state once, and decides
-per row from the row's own uniform.  A jumped row whose state is its own
-overwrites its slot in place; the jumped rows of a shared state move to one
-new slot per (state, channel) pair, and a state that all its rows leave
-hands its slot to the first pair.  Rows expand to an (M, dim) array only
+per row from the row's own uniform.  The jumped rows regroup by (state,
+channel) under StateBlock.move, the one rule that the syndrome
+measurement's -1 rows follow too.  Rows expand to an (M, dim) array only
 where a caller needs them (overlaps, ensemble_density, the returned
 states).  When nearly every row has a state of its own, so that the states
 shared would save fewer entries, (M - size) * dim, than the block has
-rows, the block is spread to one slot per row, and the step keeps no
-bookkeeping for it.
+rows, the block is spread to one slot per row, and StateBlock.sources and
+move keep no bookkeeping for it.
 
 Every row gets the bytes it would get in a product over the (M, dim) rows.
 The rows of a GEMM do not depend on the other rows once it has two or more
@@ -86,6 +85,7 @@ from .operators import (
     check_state_vector,
     divide_rows,
     gemm_operand,
+    is_boolean,
     is_integer,
     is_nonnegative,
     is_positive,
@@ -191,13 +191,6 @@ def _jump_images(psi: np.ndarray, jump_ops: np.ndarray, weights: np.ndarray):
     return s_psi, np.clip(weights * np.einsum("bnk,bnk->bn", v, v), 0.0, None)
 
 
-def _distinct_slots(slots: np.ndarray, num_slots: int) -> np.ndarray:
-    """The distinct values of slots, indices below num_slots, ascending, without a sort."""
-    seen = np.zeros(num_slots, dtype=bool)
-    seen[slots] = True
-    return np.flatnonzero(seen)
-
-
 def jump_rate_operator(ch: JumpChannelSet, delta_t: float) -> np.ndarray:
     """Gamma = sum_n xi_n delta_t s_n^dag s_n, inert channels weighted 0.
 
@@ -256,96 +249,58 @@ class BatchStepper:
         Returns (block_next, jumped, channel): block_next is a StateBlock,
         jumped a boolean row mask and channel the flat channel index of each
         jumped row (unspecified elsewhere).  Each distinct state is stepped
-        once.  The step takes the block over and writes block_next into the
-        buffer the previous step consumed, so a trajectory block lives in
-        two buffers; a caller that still needs the block passes a copy.
+        once, and the jumped rows regroup by (state, channel) as
+        StateBlock.move says.  The step takes the block over and writes
+        block_next into the buffer the previous step consumed, so a
+        trajectory block lives in two buffers; a caller that still needs the
+        block passes a copy.
         """
         block = StateBlock.of(block)
         m, dim = block.shape
-        psi, index, counts, k = block.states, block.index, block.counts, block.size
-        if k < m and (m - k) * dim < m:
+        if block.size < m and (m - block.size) * dim < m:
             # The shared states would save less than their bookkeeping costs:
             # the block is spread to one slot per row, in the spare buffer.
             spread = room_for(self._spare_for(block), m, m, dim)
             block.rows(out=spread[:m])
             self._spare = block.buffer
-            index[...] = np.arange(m)
-            counts[...] = 1
-            block = StateBlock(spread, index, counts, m)
-            psi, k = block.states, m
+            block.index[...] = np.arange(m)
+            block.counts[...] = 1
+            block = StateBlock(spread, block.index, block.counts, m)
+        psi, k = block.states, block.size
         # A row with u >= bound cannot jump.  Above the gate every row is a
         # candidate, so that the gate sees every total.
         screen = self.bound if self.bound <= SUM_P_GATE else np.inf
         candidates = np.flatnonzero(u < screen)
-        slots = index[candidates]
-        # With k == m every row has a slot of its own: nothing is shared.
-        shared = k < m
-        if shared:
-            slots = _distinct_slots(slots, m)
+        slots, at = block.sources(candidates)
         total = total_jump_probability(gemm_operand(psi[slots], m), self.gamma)[: slots.size]
         _check_gate(total.max(initial=0.0), self.delta_t)
-        if shared:
-            by_slot = np.empty(m)
-            by_slot[slots] = total
-            total = by_slot[index[candidates]]
-        rows = candidates[u[candidates] < total]
+        rows = candidates[u[candidates] < total[at]]
         jumped = np.zeros(m, dtype=bool)
         jumped[rows] = True
         channel = np.zeros(m, dtype=np.intp)
-        src = index[rows]
-        # Rows that jump out of a shared state move to new slots below; their
-        # sources are gathered once each.
-        leaving = counts[src] > 1
-        moving = shared and bool(leaving.any())
-        if moving:
-            sources = _distinct_slots(src, m)
-            pos = np.searchsorted(sources, src)
-        else:
-            sources, pos = src, np.arange(rows.size)
+        size = k
         if rows.size:
+            sources, pos = block.sources(rows)
+            s_psi, p = _jump_images(gemm_operand(psi[sources], rows.size), self.jump_ops, self.weights)
+            p = p[pos]
             # Inverse CDF over the jumped rows' channel probabilities.  A u in
             # the roundoff gap between the Gamma total and the summed p_n is
             # clamped to the last channel; a pick with zero probability (the
             # clamped one, or a leading one under u == 0.0) goes to the first
             # active channel.
-            s_psi, p = _jump_images(gemm_operand(psi[sources], rows.size), self.jump_ops, self.weights)
-            if moving:
-                p = p[pos]
             cum = np.cumsum(p, axis=1)
             pick = np.minimum((cum < u[rows, None]).sum(axis=1), p.shape[1] - 1)
             bad = p[np.arange(rows.size), pick] <= 0.0
             if np.any(bad):
                 pick[bad] = np.argmax(p[bad] > 0.0, axis=1)
             channel[rows] = pick
-            image = s_psi[pos, pick]
-        dest, size = src, k
-        if moving:
-            # One new slot per (source, channel) cell that rows move to,
-            # except that a source every row leaves hands its own slot to its
-            # first cell.
-            num_channels = p.shape[1]
-            cell = pos[leaving] * num_channels + pick[leaving]
-            taken = np.zeros(sources.size * num_channels, dtype=bool)
-            taken[cell] = True
-            counts[sources] -= np.bincount(pos[leaving], minlength=sources.size)
-            emptied = np.flatnonzero(counts[sources] == 0)
-            first = emptied * num_channels + taken.reshape(-1, num_channels)[emptied].argmax(axis=1)
-            taken[first] = False
-            fresh = np.flatnonzero(taken)
-            target = np.empty(taken.size, dtype=np.intp)
-            target[fresh] = k + np.arange(fresh.size)
-            target[first] = sources[emptied]
-            dest = src.copy()
-            dest[leaving] = target[cell]
-            index[rows] = dest
-            size = k + fresh.size
-            counts[k:size] = 0
-            np.add.at(counts, dest[leaving], 1)
+            # The jumped rows regroup by (state, channel): StateBlock.move.
+            size, pairs, cells, targets = block.move(rows, sources, pos, pick, p.shape[1])
         out = room_for(self._spare_for(block), size, m, dim)
         phi = out[:size]
         matmul_rows(psi, self.prop.T, m, out=phi[:k])
         if rows.size:
-            phi[dest] = image
+            phi[targets] = s_psi[pairs, cells]
         spare = room_for(block.buffer, size, m, dim)
         norms = row_norms(phi, scratch=spare[:size])
         # Written as "not > " so that a NaN norm fails the gate too.
@@ -353,7 +308,7 @@ class BatchStepper:
             raise SimulationError("trajectory state norm collapsed or is not finite during a step")
         divide_rows(phi, norms)
         self._spare = spare
-        return StateBlock(out, index, counts, size), jumped, channel
+        return StateBlock(out, block.index, block.counts, size), jumped, channel
 
 
 def _seed_words(base_seed: int) -> list:
@@ -470,9 +425,12 @@ def sample_ensemble(
     t the start of the interval in which the jump fired.  num_trajectories
     must be a positive integer and base_seed a nonnegative one (checked
     where the streams are seeded, _seed_words); numpy integers are accepted.
+    collect_logs passes the boolean rule (is_boolean).
     """
     if not is_integer(num_trajectories) or num_trajectories < 1:
         raise DomainError(f"num_trajectories must be a positive integer, got {num_trajectories!r}")
+    if not is_boolean(collect_logs):
+        raise DomainError(f"collect_logs must be a boolean, got {collect_logs!r}")
     n_steps = step_count(t_total, delta_t)
     psi0 = check_state_vector(psi0, ch.dim)
     stepper = BatchStepper(ch, delta_t)

@@ -50,7 +50,7 @@ from corrqec.noise import (
     max_rate,
     noise_spec_direct,
 )
-from corrqec.lindblad import default_dt_integrator
+from corrqec.lindblad import _rhs, default_dt_integrator
 from corrqec.operators import (
     basis_state,
     pauli_operator,
@@ -58,7 +58,7 @@ from corrqec.operators import (
     pure_state_fidelity,
     pure_state_projector,
 )
-from corrqec.qecc import _batch_syndrome_recover
+from corrqec.qecc import _batch_syndrome_recover, correction_channel
 from corrqec.trajectory import sample_ensemble, uniform_blocks
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -145,6 +145,46 @@ def test_normalize_rates_takes_numpy_bools_only_as_booleans():
     for bad in (1, "yes"):
         with pytest.raises(ConfigError, match="normalize_rates"):
             ExperimentConfig(noise=ZKERNEL, normalize_rates=bad)
+
+
+_ONE_CYCLE = ExperimentConfig(noise=ZKERNEL, t_total=0.02, n_values=(1,), delta_t_values=(0.02,))
+_L2_CHANNELS = build_channels(
+    resolve_spec(ExperimentConfig(noise=exponential_kernel(2, correlation_length=1.0)))
+)
+
+
+def _sweep_with(run):
+    def call(correction):
+        result = run(_ONE_CYCLE, correction=correction)
+        return result.fidelities, result.corrected
+
+    return call
+
+
+# The library's flags, each as a call that takes the flag's value.
+FLAG_ENTRY_POINTS = {
+    "run_cycle_fidelity.correction": _sweep_with(run_cycle_fidelity),
+    "run_repetition_scaling.correction": _sweep_with(run_repetition_scaling),
+    "sample_ensemble.collect_logs": lambda flag: len(
+        sample_ensemble(basis_state(0, 2), _L2_CHANNELS, 0.02, 0.005, 3, 4, collect_logs=flag)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", FLAG_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [1, "no", None], ids=repr)
+def test_flags_refuse_non_booleans(entry, value):
+    # The boolean rule: correction="no" used to run the corrected sweep and
+    # collect_logs="no" to return logs.
+    with pytest.raises(DomainError, match=entry.split(".")[1]):
+        FLAG_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", FLAG_ENTRY_POINTS)
+@pytest.mark.parametrize("flag", [True, False])
+def test_flags_take_numpy_bools_as_booleans(entry, flag):
+    call = FLAG_ENTRY_POINTS[entry]
+    assert call(np.bool_(flag)) == call(flag)
 
 
 def test_experiment_config_validation():
@@ -612,6 +652,39 @@ def test_correction_beats_no_correction():
     control = run_cycle_fidelity(cfg, correction=False)
     assert corrected.fidelities[0] > control.fidelities[0]
     assert corrected.corrected and not control.corrected
+
+
+def _cycle_series(cfg, correction, terms=5):
+    # f_k = <psi|C(L^k rho0)|psi> / k! for k = 1..terms, with L the
+    # density engine's right-hand side and C the correction channel (or
+    # none), so that the one-cycle fidelity is 1 + sum_k f_k dt^k.
+    spec = resolve_spec(cfg)
+    ch = build_channels(spec)
+    code, psi = _code_and_state(cfg, spec)
+    rhs, rho = _rhs(ch), pure_state_projector(psi)
+    series = []
+    for k in range(1, terms + 1):
+        rho = rhs(rho)
+        image = correction_channel(rho, code) if correction else rho
+        series.append(pure_state_fidelity(psi, image) / math.factorial(k))
+    return series
+
+
+@pytest.mark.parametrize("name", ["exponential_scaling", "collective_z"])
+def test_corrected_cycle_series_has_no_first_order(name):
+    # The paper's claim with no fit and no sweep: after correction the
+    # first-order term of the one-cycle fidelity is roundoff (-1.7e-16 and
+    # -1.4e-16 measured), while without it the term is the noise's own
+    # (-1.8679 and -1.0).  Five terms reproduce every density `cycle`
+    # infidelity (worst relative error 9.0e-7 and 1.03e-6, at dt = 0.02).
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+    corrected = _cycle_series(cfg, correction=True)
+    assert abs(corrected[0]) <= 1e-12
+    assert _cycle_series(cfg, correction=False)[0] < -0.5
+    result = run_cycle_fidelity(cfg)
+    for dt, infidelity in zip(result.delta_ts, result.infidelities):
+        series = -sum(f * dt**k for k, f in enumerate(corrected, start=1))
+        assert series == pytest.approx(infidelity, rel=1e-5, abs=0.0)
 
 
 def test_engines_agree_on_corrected_fidelity():

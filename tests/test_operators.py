@@ -36,6 +36,7 @@ from corrqec.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    StateBlock,
     _eigensystem,
     basis_state,
     channel_qubit_axis,
@@ -481,3 +482,95 @@ def test_divide_rows_matches_numpy_division(seed, dim, num_rows, pools, norm_sca
     differ = got.view(np.int64) != want.view(np.int64)
     both_nan = np.isnan(got) & np.isnan(want)
     assert np.all(~differ | both_nan | ((got == 0.0) & (want == 0.0)))
+
+
+def _brute_regroup(index, size, rows, cells):
+    # The regrouping rule, one (slot, cell) pair at a time in (slot, cell)
+    # order: the rows of a pair share one slot, which is the old slot when
+    # no row stays on it and the cell is its lowest, else the next new one.
+    moving = dict(zip(rows.tolist(), cells.tolist()))
+    pairs = sorted(set((int(index[r]), c) for r, c in moving.items()))
+    new_index, next_slot, targets = index.copy(), size, []
+    for slot, cell in pairs:
+        stays = any(index[b] == slot and b not in moving for b in range(index.size))
+        lowest = cell == min(c for s, c in pairs if s == slot)
+        if not stays and lowest:
+            target = slot
+        else:
+            target, next_slot = next_slot, next_slot + 1
+        targets.append(target)
+        for r, c in moving.items():
+            if index[r] == slot and c == cell:
+                new_index[r] = target
+    return new_index, next_slot, pairs, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_rows=st.integers(1, 24),
+    size=st.integers(1, 24),
+    num_cells=st.integers(1, 5),
+    leave=st.floats(0.0, 1.0),
+    one_cell=st.booleans(),
+    ordered=st.booleans(),
+)
+# An unshared block whose index is arange; every row of one shared slot leaving.
+@example(seed=1, num_rows=6, size=6, num_cells=3, leave=0.5, one_cell=False, ordered=True)
+@example(seed=2, num_rows=5, size=1, num_cells=4, leave=1.0, one_cell=False, ordered=True)
+def test_state_block_move_is_the_brute_force_regrouping(
+    seed, num_rows, size, num_cells, leave, one_cell, ordered
+):
+    rng = np.random.default_rng(seed)
+    size = min(size, num_rows)
+    index = np.concatenate([np.arange(size), rng.integers(size, size=num_rows - size)])
+    if not ordered:
+        index = rng.permutation(index)
+    counts = np.full(num_rows, 7, dtype=np.intp)  # entries from size on are junk
+    counts[:size] = np.bincount(index, minlength=size)
+    block = StateBlock(np.zeros((size, 2), dtype=complex), index.copy(), counts, size)
+    rows = np.flatnonzero(rng.random(num_rows) < leave)
+    cell = 0 if one_cell else rng.integers(num_cells, size=rows.size)
+    cells = np.broadcast_to(cell, rows.shape)
+
+    sources, pos = block.sources(rows)
+    assert np.array_equal(sources[pos], index[rows])
+    assert np.unique(sources).size == sources.size
+    if size < num_rows:
+        assert np.all(np.diff(sources) > 0)
+    new_size, pair_pos, pair_cells, targets = block.move(rows, sources, pos, cell, num_cells)
+    after = block.index
+
+    expected_index, expected_size, pairs, expected_targets = _brute_regroup(index, size, rows, cells)
+    assert new_size == expected_size
+    assert np.array_equal(after, expected_index)
+    got = [(int(sources[p]), int(c), int(t)) for p, c, t in zip(pair_pos, pair_cells, targets)]
+    if size == num_rows:
+        got.sort()  # one pair per row, in row order
+    assert got == [(*pair, t) for pair, t in zip(pairs, expected_targets)]
+
+    assert np.array_equal(block.counts[:new_size], np.bincount(after, minlength=new_size))
+    moved = np.zeros(num_rows, dtype=bool)
+    moved[rows] = True
+    cell_of = np.full(num_rows, -1)
+    cell_of[rows] = cells
+    # Rows share a slot afterwards only if they shared one before and then
+    # both stayed or both moved to the same cell.
+    together = after[:, None] == after[None, :]
+    before = (index[:, None] == index[None, :]) & (cell_of[:, None] == cell_of[None, :])
+    assert np.array_equal(together, before)
+    assert np.array_equal(after[~moved], index[~moved])
+    for slot in np.unique(index[rows]):
+        own = index == slot
+        if np.all(moved[own]):  # emptied: the slot goes to its lowest cell
+            lowest = own & (cell_of == cell_of[own].min())
+            assert np.all(after[lowest] == slot)
+    # New slots are numbered from the old size in (slot, cell) order.
+    fresh = targets[targets >= size]
+    assert np.array_equal(fresh, np.arange(size, new_size))
+    if size == num_rows:
+        assert new_size == num_rows
+        assert np.array_equal(after, index)
+        assert np.all(block.counts == 1)
+        if ordered:
+            assert np.array_equal(after, np.arange(num_rows))
