@@ -79,7 +79,10 @@ def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        write_text(out_path, text)
+        try:
+            write_text(out_path, text)
+        except OSError as err:
+            raise ConfigError(f"cannot write {out_path}: {err.strerror or err}") from err
         logger.info("wrote %s", out_path)
 
 

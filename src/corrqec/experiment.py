@@ -189,9 +189,7 @@ def fit_loglog(x, y):
     slope = float(dx @ (ly - ly.mean()) / sxx)
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (slope * lx + intercept)
-    stderr = (
-        float(np.sqrt((resid @ resid) / (n - 2) / sxx)) if n > 2 else float("nan")
-    )
+    stderr = float(np.sqrt((resid @ resid) / (n - 2) / sxx))  # n >= _MIN_FIT_POINTS > 2
     return FitResult(slope=slope, intercept=intercept, stderr=stderr, points=n)
 
 

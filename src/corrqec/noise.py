@@ -35,6 +35,7 @@ from .operators import (
     is_integer,
     is_nonnegative,
     is_positive,
+    is_real_number,
     pauli_stack,
     psd_eigensystem,
     _check_qubit_count,
@@ -82,19 +83,22 @@ class CorrelationKernel:
         object.__setattr__(self, "spatial", _frozen_array(spatial))
 
 
-def _separable_table(num_qubits: int, qubit_table, block: np.ndarray) -> np.ndarray:
-    """Spatial table kron(qubit_table(L), block) of an L x L qubit table and a 3x3 axis block.
+def _separable_table(num_qubits: int, qubit_table, block: np.ndarray, amplitude=1.0) -> np.ndarray:
+    """Spatial table kron(amplitude * qubit_table(L), block) for a 3x3 axis block.
 
-    The qubit count is checked before anything of size L is built.
+    The amplitude, a finite real number (is_real_number), and the qubit
+    count are checked before anything of size L is built.
     """
-    return np.kron(qubit_table(_check_qubit_count(num_qubits)), block)
+    if not (is_real_number(amplitude) and np.isfinite(amplitude)):
+        raise DomainError(f"amplitude must be a finite real number, got {amplitude!r}")
+    return np.kron(amplitude * qubit_table(_check_qubit_count(num_qubits)), block)
 
 
 def independent_kernel(
     num_qubits: int, amplitude: float = 1.0, tau_c: float = 0.5, g1: float = 1.0
 ) -> CorrelationKernel:
     """Uncorrelated noise: C = amplitude * identity over (qubit, axis)."""
-    spatial = _separable_table(num_qubits, lambda n: amplitude * np.eye(n), axis_block(*AXES))
+    spatial = _separable_table(num_qubits, np.eye, axis_block(*AXES), amplitude)
     return CorrelationKernel(num_qubits, spatial, tau_c, g1, kind="independent")
 
 
@@ -106,7 +110,7 @@ def collective_axis_kernel(
     g1: float = 1.0,
 ) -> CorrelationKernel:
     """Maximally correlated noise on one axis: every qubit pair couples alike."""
-    spatial = _separable_table(num_qubits, lambda n: amplitude * np.ones((n, n)), axis_block(axis))
+    spatial = _separable_table(num_qubits, lambda n: np.ones((n, n)), axis_block(axis), amplitude)
     return CorrelationKernel(num_qubits, spatial, tau_c, g1, kind="collective_axis")
 
 
@@ -128,19 +132,17 @@ def exponential_kernel(
     axes active the summed rate at unit max eigenvalue is large enough that
     the smallest repetition counts leave the perturbative regime.
     """
-    # +inf passes: exp(-k / inf) = 1 is the uniform-profile limit.
-    if not correlation_length > 0:
-        raise DomainError(
-            f"correlation_length must be positive, got {correlation_length}"
-        )
+    # +inf passes: exp(-k / inf) = 1 is the uniform-profile limit; NaN fails.
+    if not (is_real_number(correlation_length) and correlation_length > 0):
+        raise DomainError(f"correlation_length must be positive, got {correlation_length!r}")
 
     def profile(n):
         # one Python division per distance |l - l'|: a tiny length gives -inf without a warning
-        decay = np.array([amplitude * np.exp(-k / correlation_length) for k in range(n)])
+        decay = np.array([np.exp(-k / correlation_length) for k in range(n)])
         return decay[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
 
     block = axis_block(*(AXES if axis is None else (axis,)))
-    spatial = _separable_table(num_qubits, profile, block)
+    spatial = _separable_table(num_qubits, profile, block, amplitude)
     return CorrelationKernel(num_qubits, spatial, tau_c, g1, kind="exponential")
 
 

@@ -26,12 +26,13 @@ Python ints, and a bool, a float or a string is a DomainError.  A flag
 passes the boolean rule, which accepts numpy bools like Python bools.
 
 Blocks of state rows, as the trajectory engine and the syndrome step keep
-them, live here too: StateBlock holds M rows as their distinct states, and
-its move is the one rule by which rows that leave their states regroup
-(the jump step's channels, the measurement's -1 branch); gemm_operand and
-matmul_rows give each distinct state the bytes its rows get in a product
-over the whole block; row_norms and divide_rows normalize a block with
-numpy's values.
+them, live here too: StateBlock holds M rows as their distinct states, its
+move is the one rule by which rows that leave their states regroup (the
+jump step's channels, the measurement's -1 branch), and its spare rule says
+which buffer the next block's states go into (room_for sizes it);
+gemm_operand and matmul_rows give each distinct state the bytes its rows
+get in a product over the whole block; row_norms and divide_rows normalize
+a block with numpy's values.
 """
 
 from __future__ import annotations
@@ -297,11 +298,22 @@ class StateBlock:
     counts has room for M slots, so that adding slots allocates nothing
     that grows with them.  The block reports the shape of its rows,
     (M, dim), and np.asarray (or `rows`) expands them.
+
+    The spare rule: `spare` (None, or a buffer that shares no memory with
+    `buffer`) is where the block's next states go.  Whatever produces the
+    next block from this one (a jump step, a spread, a syndrome
+    measurement) writes it into room_for(spare, ...), may use `buffer` as
+    scratch once the states are read, and hands `buffer` on as the next
+    block's spare.  A block therefore lives in two buffers that trade
+    places, and its producer takes it over: a caller that still needs a
+    block passes a copy.
     """
 
-    def __init__(self, buffer: np.ndarray, index: np.ndarray, counts: np.ndarray, size: int):
+    def __init__(
+        self, buffer: np.ndarray, index: np.ndarray, counts: np.ndarray, size: int, spare=None
+    ):
         self.buffer, self.index, self.counts, self.size = buffer, index, counts, size
-        self.states = buffer[:size]
+        self.states, self.spare = buffer[:size], spare
 
     @classmethod
     def shared(cls, psi: np.ndarray, num_rows: int) -> StateBlock:
@@ -407,6 +419,8 @@ class StateBlock:
 
 def room_for(buffer, rows: int, num_rows: int, dim: int) -> np.ndarray:
     """buffer when it has room for `rows` state rows, else a new one.
+
+    Producers of a block's next states size its spare with it (StateBlock).
 
     A new buffer has room for twice as many rows, or for all num_rows rows
     of the block once rows passes a quarter of them (a block never has more

@@ -188,15 +188,17 @@ def _batch_measure(psi, uniforms: np.ndarray, code: StabilizerCode):
     Returns the collapsed StateBlock and the packed syndrome of each row.
     Each distinct state is measured once, and after each generator the -1
     rows regroup as one outcome (StateBlock.move), so the rows of a slot
-    always share their syndrome.
+    always share their syndrome.  Each generator's block goes into the
+    spare of the one before (StateBlock's spare rule), sized for two slots
+    per slot, as a generator splits a slot into at most two.
     """
     block = StateBlock.of(psi)
     m, dim = block.shape
-    spare = scratch = None
+    scratch = None
     syndrome = np.zeros(m, dtype=np.int64)
     for i, p_plus in enumerate(code.plus_projectors):
         states, k = block.states, block.size
-        out = room_for(spare, k, m, dim)
+        out = room_for(block.spare, min(2 * k, m), m, dim)
         v = matmul_rows(states, p_plus.T, m, out=out[:k])
         scratch = room_for(scratch, k, m, dim)
         q = np.einsum("bi,bi->b", np.conjugate(v, out=scratch[:k]), v).real
@@ -209,14 +211,11 @@ def _batch_measure(psi, uniforms: np.ndarray, code: StabilizerCode):
         rows = np.flatnonzero(minus)
         sources, pos = block.sources(rows)
         size, _, _, targets = block.move(rows, sources, pos, 0, 1)
-        if out.shape[0] < size:
-            out = room_for(None, size, m, dim)
-            out[:k] = v
         out[targets] = states[sources] - v[sources]
         scratch = room_for(scratch, size, m, dim)
         divide_rows(out[:size], row_norms(out[:size], scratch[:size]))
         syndrome += minus.astype(np.int64) << i
-        spare, block = block.buffer, StateBlock(out, block.index, block.counts, size)
+        block = StateBlock(out, block.index, block.counts, size, block.buffer)
     return block, syndrome
 
 
@@ -226,11 +225,12 @@ def _batch_syndrome_recover(psi, uniforms: np.ndarray, code: StabilizerCode) -> 
     psi is a StateBlock or an (M, dim) array, and is taken over.  Each row's
     syndrome names the error to undo (Pauli recoveries are involutive); rows
     whose error is R_0 = I are left as they are.  Each distinct state is
-    recovered once, in a product that stands for its syndrome's rows.
+    recovered once, in a product that stands for its syndrome's rows, and
+    the block's spare is the scratch of the final normalization.
     """
     block, syndrome = _batch_measure(psi, uniforms, code)
-    states, counts = block.states, block.counts
-    slot_syndrome = np.empty(block.size, dtype=np.int64)
+    states, counts, k = block.states, block.counts, block.size
+    slot_syndrome = np.empty(k, dtype=np.int64)
     slot_syndrome[block.index] = syndrome
     for s in np.flatnonzero(np.bincount(slot_syndrome)):
         m = code.syndrome_table[int(s)]
@@ -238,7 +238,8 @@ def _batch_syndrome_recover(psi, uniforms: np.ndarray, code: StabilizerCode) -> 
             continue
         slots = np.flatnonzero(slot_syndrome == s)
         states[slots] = matmul_rows(states[slots], code.error_basis[m].T, counts[slots].sum())
-    divide_rows(states, row_norms(states, np.empty_like(states)))
+    block.spare = room_for(block.spare, k, *block.shape)
+    divide_rows(states, row_norms(states, block.spare[:k]))
     return block
 
 

@@ -58,17 +58,16 @@ The uniform table is built without a generator per row: the SeedSequence
 hash of every row's entropy runs at once in vectorized uint32 arithmetic,
 then one reused PCG64, set to each row's state, draws that row.
 
-Buffers: BatchStepper.step takes ownership of the block it advances, uses
-its buffer as scratch and writes the following step's states into it, so a
-block lives in two buffers.  A buffer holds the distinct states with room
-to spare and is replaced (operators.room_for) only when a step needs more
-slots than it holds; the slot counts have room for M slots from the start,
-and spreading a block to one slot per row writes its rows into the spare
-buffer.  Per step only the candidate and jumped states are gathered, and
-the per-row work is index arithmetic over M.  The step's temporaries
-indexed by slot are sized M, not by the slot count: arrays that grew by a
-few entries every step fragmented the heap and raised the unraveling
-grid's peak RSS from 64 to as much as 72 MB.
+Buffers: a step writes into the block's own buffers, as StateBlock's
+spare rule says (spreading a block to one slot per row too), so the stepper
+holds none.  A buffer holds the distinct states with room to spare and is
+replaced (operators.room_for) only when a step needs more slots than it
+holds; the slot counts have room for M slots from the start.  Per step
+only the candidate and jumped states are gathered, and the per-row work is
+index arithmetic over M.  The step's temporaries indexed by slot are sized
+M, not by the slot count: arrays that grew by a few entries every step
+fragmented the heap and raised the unraveling grid's peak RSS from 64 to
+as much as 72 MB.
 """
 
 from __future__ import annotations
@@ -223,8 +222,9 @@ class BatchStepper:
     rows' states get their total jump probability <psi|Gamma|psi>.
     Otherwise every row is a candidate and every total is gated.  Only the
     states of rows that jump get per-channel probabilities and jump images.
-    A step takes ownership of the block it is given, and the stepper writes
-    its next step's result into it.
+    The stepper holds only the interval's constants: the buffers a step
+    writes into belong to the block (StateBlock's spare rule), so one
+    stepper steps any number of blocks in any order.
     """
 
     def __init__(self, ch: JumpChannelSet, delta_t: float):
@@ -236,12 +236,6 @@ class BatchStepper:
         self.weights = _channel_weights(ch, delta_t)
         self.jump_ops = ch.jump_ops
         self.prop = np.eye(ch.dim, dtype=complex) - 1j * delta_t * ch.H_eff
-        self._spare = None  # the block consumed by the last step
-
-    def _spare_for(self, block):
-        """The buffer the last step consumed, unless it holds block's states."""
-        spare = self._spare
-        return None if spare is None or np.may_share_memory(spare, block.buffer) else spare
 
     def step(self, block, u: np.ndarray):
         """Advance the block, a StateBlock or an (M, dim) array, one interval.
@@ -250,22 +244,20 @@ class BatchStepper:
         jumped a boolean row mask and channel the flat channel index of each
         jumped row (unspecified elsewhere).  Each distinct state is stepped
         once, and the jumped rows regroup by (state, channel) as
-        StateBlock.move says.  The step takes the block over and writes
-        block_next into the buffer the previous step consumed, so a
-        trajectory block lives in two buffers; a caller that still needs the
-        block passes a copy.
+        StateBlock.move says.  The step takes the block over and follows
+        StateBlock's spare rule, with the block's buffer as the norms'
+        scratch.
         """
         block = StateBlock.of(block)
         m, dim = block.shape
         if block.size < m and (m - block.size) * dim < m:
             # The shared states would save less than their bookkeeping costs:
-            # the block is spread to one slot per row, in the spare buffer.
-            spread = room_for(self._spare_for(block), m, m, dim)
+            # the block is spread to one slot per row, in its spare.
+            spread = room_for(block.spare, m, m, dim)
             block.rows(out=spread[:m])
-            self._spare = block.buffer
             block.index[...] = np.arange(m)
             block.counts[...] = 1
-            block = StateBlock(spread, block.index, block.counts, m)
+            block = StateBlock(spread, block.index, block.counts, m, block.buffer)
         psi, k = block.states, block.size
         # A row with u >= bound cannot jump.  Above the gate every row is a
         # candidate, so that the gate sees every total.
@@ -296,7 +288,7 @@ class BatchStepper:
             channel[rows] = pick
             # The jumped rows regroup by (state, channel): StateBlock.move.
             size, pairs, cells, targets = block.move(rows, sources, pos, pick, p.shape[1])
-        out = room_for(self._spare_for(block), size, m, dim)
+        out = room_for(block.spare, size, m, dim)
         phi = out[:size]
         matmul_rows(psi, self.prop.T, m, out=phi[:k])
         if rows.size:
@@ -307,8 +299,7 @@ class BatchStepper:
         if not norms.min(initial=1.0) > 1e-12:
             raise SimulationError("trajectory state norm collapsed or is not finite during a step")
         divide_rows(phi, norms)
-        self._spare = spare
-        return StateBlock(out, block.index, block.counts, size), jumped, channel
+        return StateBlock(out, block.index, block.counts, size, spare), jumped, channel
 
 
 def _seed_words(base_seed: int) -> list:

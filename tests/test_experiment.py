@@ -1162,6 +1162,16 @@ def test_cli_cycle_writes_csv(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, caplog):
+    # The OSError of the write is logged as a configuration error, not a traceback.
+    cfg = _write(tmp_path, "cycle.yaml", CHEAP_DENSITY_YAML)
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["cycle", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"configuration error: cannot write {out}" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_scaling_no_correction(tmp_path):
     cfg = _write(
         tmp_path,

@@ -187,6 +187,27 @@ def test_infinite_correlation_length_is_the_uniform_profile():
             exponential_kernel(3, correlation_length=bad)
 
 
+@pytest.mark.parametrize(
+    "build, key, value",
+    [
+        (independent_kernel, "amplitude", True),
+        (independent_kernel, "amplitude", "1"),
+        (independent_kernel, "amplitude", math.nan),
+        (collective_axis_kernel, "amplitude", np.False_),
+        (collective_axis_kernel, "amplitude", -math.inf),
+        (exponential_kernel, "amplitude", math.inf),
+        (exponential_kernel, "amplitude", None),
+        (exponential_kernel, "correlation_length", True),
+        (exponential_kernel, "correlation_length", "2"),
+    ],
+)
+def test_kernel_numbers_follow_the_number_rule(build, key, value):
+    # A bool is no number, a string is refused before numpy sees it, and an
+    # infinite amplitude is refused before it makes inf * 0 (warnings are errors).
+    with pytest.raises(DomainError, match=f"{key} must be"):
+        build(3, **{key: value})
+
+
 # Every entry point of the matrix gate, each given a 3x3 matrix (one qubit).
 MATRIX_GATES = {
     # the Hermitian eigensolver behind psd_eigensystem; the id keeps its former public name

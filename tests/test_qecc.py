@@ -389,6 +389,28 @@ def test_shared_block_recover_matches_reference_bit_for_bit(seed, kinds, num_row
     assert np.array_equal(fixed.rows(), recovered)
 
 
+def test_recover_keeps_a_warm_block_in_its_two_buffers():
+    # A shared block whose buffer and spare each have room for every row:
+    # the four generators alternate between the two, the final
+    # normalization uses the spare as scratch, and nothing new is taken.
+    # The bytes are the row-wise reference's.
+    code = five_qubit_code()
+    rng = np.random.default_rng(31)
+    m, distinct = 48, 6
+    states = [_code_state(rng, code, kind) for kind in ("pair", "random") * 3]
+    index = rng.permutation(np.concatenate([np.arange(distinct), rng.integers(distinct, size=m - distinct)]))
+    uniforms = rng.random((m, len(code.generators)))
+    block = _shared_block(states, index)
+    buffer, spare = np.zeros((m, code.dim), dtype=complex), np.zeros((m, code.dim), dtype=complex)
+    buffer[:distinct] = block.states
+    block = StateBlock(buffer, block.index, block.counts, distinct, spare)
+    recovered = _batch_syndrome_recover(block, uniforms, code)
+    assert distinct < recovered.size < m
+    assert np.shares_memory(recovered.buffer, buffer) and np.shares_memory(recovered.spare, spare)
+    expected = _reference_syndrome_recover(np.array(states)[index], uniforms, code)[0]
+    assert np.array_equal(recovered.rows(), expected)
+
+
 def test_branch_probability_gate():
     # an unnormalized row, or a NaN one, fails the whole block loudly
     code = five_qubit_code()

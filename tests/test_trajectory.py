@@ -589,6 +589,55 @@ def test_shared_block_steps_allocate_less_than_half_a_block():
     assert peak - baseline + sum(mapped) < 0.5 * m * ch.dim * 16
 
 
+def _jumpy_stepper(ch):
+    # An interval whose largest total jump probability is 0.9 of the gate.
+    rate = np.linalg.eigvalsh(jump_rate_operator(ch, 1.0))[-1]
+    return BatchStepper(ch, 0.9 * SUM_P_GATE / rate)
+
+
+def test_step_leaves_the_stepper_as_it_was():
+    # A block's buffers are its own: stepping rebinds and writes none of the
+    # stepper's attributes.
+    ch = _grid_channels("exponential", 2)
+    rng = np.random.default_rng(22)
+    stepper = _jumpy_stepper(ch)
+    before = dict(vars(stepper))
+    frozen = {key: value.copy() for key, value in before.items() if isinstance(value, np.ndarray)}
+    block = StateBlock.shared(_random_state(rng, ch.dim), 32)
+    for u in rng.random((6, 32)):
+        block, _, _ = stepper.step(block, u)
+    assert block.size > 1
+    after = vars(stepper)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    assert all(np.array_equal(after[key], value) for key, value in frozen.items())
+
+
+def test_one_stepper_steps_blocks_in_any_order():
+    # One stepper alternating between two blocks gives each the bytes, jump
+    # masks and channels that a stepper of its own gives it, through growth
+    # and the spread to one slot per row.
+    ch = _grid_channels("exponential", 2)
+    rng = np.random.default_rng(23)
+    m, steps = 16, 30
+    psi = [_random_state(rng, ch.dim) for _ in range(2)]
+    uniforms = rng.random((2, steps, m))
+    one = _jumpy_stepper(ch)
+    own = [_jumpy_stepper(ch) for _ in psi]
+    blocks = [StateBlock.shared(p, m) for p in psi]
+    alone = [StateBlock.shared(p, m) for p in psi]
+    spread = [False, False]
+    for step in range(steps):
+        for i in range(2):
+            blocks[i], jumped, channel = one.step(blocks[i], uniforms[i, step])
+            alone[i], want_jumped, want_channel = own[i].step(alone[i], uniforms[i, step])
+            assert np.array_equal(jumped, want_jumped)
+            assert np.array_equal(channel, want_channel)
+            assert blocks[i].rows().tobytes() == alone[i].rows().tobytes()
+            spread[i] |= blocks[i].size == m
+    assert all(spread)
+
+
 def test_samplers_leave_caller_arrays_untouched():
     ch = _grid_channels("exponential", 2)
     psi0 = _random_state(np.random.default_rng(12), ch.dim)

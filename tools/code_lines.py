@@ -1,12 +1,12 @@
-"""Count the code lines of src/, per module and in total.
+"""Count the code lines of src/, per module and in total, and of tests/ in total.
 
 Usage: python3 tools/code_lines.py [REV]     (the working tree without REV)
 
 A code line is a line that holds a token of the program: docstrings,
 comments and blank lines are left out.  A docstring is the string that
 opens a module, class or function body (ast.get_docstring's rule); every
-other string counts on each line it spans.  With REV, the committed src/ of
-that revision is counted instead (tools/revtree.py), so a change's before
+other string counts on each line it spans.  With REV, the committed files of
+that revision are counted instead (tools/revtree.py), so a change's before
 and after come from one rule:
 
     python3 tools/code_lines.py 60027b5; python3 tools/code_lines.py
@@ -67,6 +67,8 @@ def main(argv) -> int:
             total += n
             print(f"{n:6d}  {path.relative_to(tree).as_posix()}")
         print(f"{total:6d}  total")
+        tests = sum(code_lines(path) for path in (tree / "tests").rglob("*.py"))
+        print(f"{tests:6d}  tests/ total")
 
     if argv:
         with rev_tree(root, argv[0], "code-lines-") as tree:
