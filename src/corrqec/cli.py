@@ -15,9 +15,12 @@ invariant such as norm collapse or a branch probability outside [0, 1]),
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
+import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError, ResourceError, SimulationError
@@ -75,6 +78,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out_path) -> None:
+    """Refuse an --out path whose directory is missing or not a directory, before any run."""
+    if out_path is None:
+        return
+    parent = Path(out_path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise ConfigError(f"cannot write {out_path}: {os.strerror(code)}")
+
+
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -99,6 +112,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 
     try:
+        _check_out(args.out)
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, base_seed=args.seed)

@@ -54,9 +54,15 @@ uniform per interval, whatever the block size; the jump decision and the
 channel choice share that uniform.  Trajectory b therefore takes the same
 jump decisions in every ensemble of more than b trajectories.
 
-The uniform table is built without a generator per row: the SeedSequence
+The uniform table is built without a generator per row.  The SeedSequence
 hash of every row's entropy runs at once in vectorized uint32 arithmetic,
-then one reused PCG64, set to each row's state, draws that row.
+and PCG64 (O'Neill, HMC-CS-2014-0905) runs at once over the rows in uint64
+words: each row's 128-bit state is a pair (hi, lo) of (count,) arrays,
+stepped by the LCG state * MULT + inc mod 2^128 and read out through
+XSL-RR, in a fixed set of in-place ufunc passes over the rows per draw.  A
+block's rows draw only tens to hundreds of values each, so resetting a
+generator per row cost more than the drawing: about 4 us a row, against
+about 10 ns a value for the vectorized recurrence over a few thousand rows.
 
 Buffers: a step writes into the block's own buffers, as StateBlock's
 spare rule says (spreading a block to one slot per row too), so the stepper
@@ -105,9 +111,16 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier 0x2360ED051FC65DA4_4385DF649FCCF645
+# (O'Neill, HMC-CS-2014-0905): its high and low uint64 words, and the two
+# 32-bit halves of the low word.  Every constant of the uint64 arithmetic is
+# an np.uint64, so that no promotion rule can turn it into float.
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LO_1, _PCG_MULT_LO_0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
+_DOUBLE_UNIT = np.float64(2.0**-53)  # numpy's next_double: (x >> 11) * 2^-53
 
 
 @dataclass(frozen=True)
@@ -365,23 +378,74 @@ def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.nd
     """Per-trajectory uniforms, row b = stream of trajectory index0 + b.
 
     Row b equals default_rng(SeedSequence((base_seed, index0 + b))).random(draws)
-    bit for bit.  PCG64 seeds itself from the four SeedSequence words
-    w0..w3 as inc = (w2 * 2^64 + w3) * 2 + 1 and
-    state = (w0 * 2^64 + w1 + inc) * _PCG_MULT + inc, both modulo 2^128.
+    bit for bit, computed for all rows at once in in-place uint64 ufuncs.
+    Each row's 128-bit PCG64 state is held as two (count,) words (hi, lo),
+    and one LCG step is state <- state * MULT + inc mod 2^128: the high word
+    of lo * MULT_LO + inc_lo, carry included, comes from 32-bit limbs.
+    From the four SeedSequence words w0..w3 PCG64 seeds
+    inc = (w2:w3 << 1) | 1 and state = (w0:w1 + inc) * MULT + inc, which is
+    one step from w0:w1 + inc.  A draw steps, takes XSL-RR's output
+    rotr(hi ^ lo, hi >> 58) and turns it into (x >> 11) * 2^-53, as numpy's
+    next_double does.
+
+    Draw k is written into row k of one (draws, count) buffer, and the
+    result is its transpose: shape (count, draws), with each draw's column
+    contiguous for the step that reads it.  The work is a fixed number of
+    ufunc passes over the rows per draw, so it costs about 10 ns per value
+    but nothing per row, where a generator reset per row cost about 4 us.
     """
-    words = _pcg64_seeds(base_seed, index0, count)
-    table = np.empty((count, draws))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    pcg = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for row, w0, w1, w2, w3 in zip(table, *(w.tolist() for w in words)):
-        inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-        pcg["inc"] = inc
-        pcg["state"] = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = full_state
-        gen.random(out=row)
-    return table
+    hi, lo, inc_hi, inc_lo = _pcg64_seeds(base_seed, index0, count)
+    # inc = (w2:w3 << 1) | 1, then the 128-bit sum w0:w1 + inc.
+    inc_hi <<= _U1
+    inc_hi |= inc_lo >> _U63
+    inc_lo <<= _U1
+    inc_lo |= _U1
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    inc_lo_0, inc_lo_1 = inc_lo & _LOW32, inc_lo >> _U32
+    a0, a1, x, y = (np.empty(count, dtype=np.uint64) for _ in range(4))
+
+    def step():
+        # (hi, lo) <- (hi, lo) * MULT + inc mod 2^128.  The high word of
+        # lo * MULT_LO + inc_lo, carry included, comes from 32-bit limbs;
+        # MULT_LO_0 + MULT_LO_1 < 2^32, so the middle sum stays below 2^64.
+        np.bitwise_and(lo, _LOW32, out=a0)
+        np.right_shift(lo, _U32, out=a1)
+        np.multiply(a0, _PCG_MULT_LO_0, out=x)
+        np.add(x, inc_lo_0, out=x)
+        np.right_shift(x, _U32, out=x)
+        np.multiply(a1, _PCG_MULT_LO_0, out=y)
+        np.add(x, y, out=x)
+        np.multiply(a0, _PCG_MULT_LO_1, out=y)
+        np.add(x, y, out=x)
+        np.add(x, inc_lo_1, out=x)
+        np.right_shift(x, _U32, out=x)
+        np.multiply(a1, _PCG_MULT_LO_1, out=a1)
+        np.add(a1, x, out=a1)
+        np.multiply(hi, _PCG_MULT_LO, out=hi)
+        np.add(hi, a1, out=hi)
+        np.multiply(lo, _PCG_MULT_HI, out=x)
+        np.add(hi, x, out=hi)
+        np.add(hi, inc_hi, out=hi)
+        np.multiply(lo, _PCG_MULT_LO, out=lo)
+        np.add(lo, inc_lo, out=lo)
+
+    step()
+    table = np.empty((draws, count))
+    for row in table:
+        step()
+        # XSL-RR: rotr(hi ^ lo, hi >> 58).  At a rotation of 0 the left
+        # shift is by 64, which gives 0 or x; either ORs to x.
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, _U58, out=a0)
+        np.right_shift(x, a0, out=y)
+        np.subtract(_U64, a0, out=a0)
+        np.left_shift(x, a0, out=x)
+        np.bitwise_or(x, y, out=x)
+        np.right_shift(x, _U11, out=x)
+        np.multiply(x, _DOUBLE_UNIT, out=row)
+    return table.T
 
 
 def uniform_blocks(base_seed: int, num_trajectories: int, draws: int):

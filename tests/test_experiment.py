@@ -826,13 +826,19 @@ def test_trajectory_sweep_draws_each_block_once(correction):
     )
     per_cycle = 2 + (4 if correction else 0)
     spy = mock.patch.object(trajectory, "_uniform_table", wraps=trajectory._uniform_table)
+    qec = mock.patch.object(experiment, "_qec_block", wraps=experiment._qec_block)
     for run, longest in ((run_cycle_fidelity, 1), (run_repetition_scaling, 3)):
-        with mock.patch.object(trajectory, "_BLOCK", 4), spy as table:
+        with mock.patch.object(trajectory, "_BLOCK", 4), spy as table, qec as block:
             run(cfg, correction)
         assert table.call_count == math.ceil(10 / 4)
         assert [c.args[1:] for c in table.call_args_list] == [
             (start, min(4, 10 - start), longest * per_cycle) for start in (0, 4, 8)
         ]
+        # Each point steps a view of the table, whose every column is contiguous.
+        for c in block.call_args_list:
+            cycles = c.args[3]
+            assert all(cycles[:, i, k].flags.c_contiguous
+                       for i in range(cycles.shape[1]) for k in range(per_cycle))
 
 
 def test_run_trajectory_logs_requires_commensurate_times():
@@ -1169,6 +1175,31 @@ def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, caplog):
     assert main(["cycle", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
     assert f"configuration error: cannot write {out}" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, runner", [("cycle", "run_cycle_fidelity"),
+                                             ("validate", "run_validation_suite")])
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_cli_unwritable_out_fails_before_the_run(tmp_path, caplog, command, runner, parent):
+    # An --out whose directory is missing, or is a file, is refused before
+    # the sweep or the suite runs.
+    cfg = _write(tmp_path, "cycle.yaml", CHEAP_DENSITY_YAML)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "x.csv"
+    with mock.patch(f"corrqec.cli.{runner}") as run:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    run.assert_not_called()
+    reason = "No such file or directory" if parent == "missing" else "Not a directory"
+    assert f"configuration error: cannot write {out}: {reason}" in caplog.text
+
+
+def test_cli_out_that_is_a_directory_fails_at_the_write(tmp_path, capsys, caplog):
+    # Its directory exists, so the run goes ahead; the write's OSError is
+    # still logged as a configuration error.
+    cfg = _write(tmp_path, "cycle.yaml", CHEAP_DENSITY_YAML)
+    assert main(["cycle", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"configuration error: cannot write {tmp_path}: Is a directory" in caplog.text
     assert capsys.readouterr().out == ""
 
 

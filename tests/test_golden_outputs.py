@@ -3,8 +3,11 @@
 `tests/golden_outputs.json` holds the exit code and the sha256 of stdout of
 the fast runs of `tools/same_outputs.py`: every `cycle`, `trajectories` and
 `validate` run, about a second or less each.  The `scaling` runs take
-seconds and are left to that tool.  The `trajectories` logs pin the jump
-decisions as well.  Every run goes through `cli.main` in this process.
+seconds and are left to that tool, except the trajectory engine's run of
+`configs/trajectory_cycle.yaml` (about 1.3 s): its rows draw 800 uniforms
+each, so it pins the long streams of the uniform table.  The `trajectories`
+logs pin the jump decisions as well.  Every run goes through `cli.main` in
+this process.
 
 The bytes depend on numpy's loops and on the BLAS kernel, so the file also
 holds a fingerprint of the numpy and BLAS build and of the CPU features
@@ -34,6 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 TOOLS = ROOT / "tools"
 FAST_COMMANDS = ("cycle", "trajectories", "validate")
+# Slower runs pinned as well, as (command, config, extra arguments).
+LONG_STREAM_RUNS = (("scaling", "configs/trajectory_cycle.yaml", ()),)
 
 
 def fingerprint() -> dict:
@@ -59,10 +64,10 @@ def _same_outputs():
 
 
 def record_outputs(workdir: Path) -> dict:
-    """{run name: {"exit", "sha256"}} for every fast run of same_outputs.py."""
+    """{run name: {"exit", "sha256"}} for every fast run of same_outputs.py and LONG_STREAM_RUNS."""
     outputs = {}
     for command, config, extra in _same_outputs()._jobs(ROOT / "configs", workdir):
-        if command not in FAST_COMMANDS:
+        if command not in FAST_COMMANDS and (command, config, extra) not in LONG_STREAM_RUNS:
             continue
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):

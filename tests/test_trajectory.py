@@ -674,19 +674,23 @@ def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectori
 
 @settings(max_examples=80, deadline=None)
 @given(
-    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63)),
+    seed=st.one_of(
+        st.integers(0, 2**32 - 1), st.integers(2**32, 2**63), st.integers(2**96, 2**256)
+    ),
     index0=st.one_of(
         st.integers(0, 64),
         st.integers(trajectory._BLOCK - 64, trajectory._BLOCK),
         st.integers(2**32 - 128, 2**32 - 64),
     ),
-    count=st.integers(1, 64),
     draws=st.integers(0, 300),
     data=st.data(),
 )
-def test_uniform_table_matches_numpy_streams(seed, index0, count, draws, data):
+def test_uniform_table_matches_numpy_streams(seed, index0, draws, data):
     # Row b is trajectory index0 + b's numpy stream, bit for bit.  Seeds of
-    # 2^32 and above enter SeedSequence as several words.
+    # 2^32 and above enter SeedSequence as several words; from 2^96 on the
+    # seed's words and the index make five or more, so the entropy past the
+    # pool's four words goes through SeedSequence's extra mixing loop.
+    count = data.draw(st.integers(1, min(300, 2**32 - index0)), label="count")
     table = trajectory._uniform_table(seed, index0, count, draws)
     assert table.shape == (count, draws) and table.dtype == np.float64
     expected = np.array([trajectory_rng(seed, index0 + b).random(draws) for b in range(count)])
@@ -695,6 +699,15 @@ def test_uniform_table_matches_numpy_streams(seed, index0, count, draws, data):
     # points read prefixes of one table.
     k = data.draw(st.integers(0, draws), label="k")
     assert np.array_equal(table[:, :k], trajectory._uniform_table(seed, index0, count, k))
+
+
+@pytest.mark.parametrize("num_trajectories, block, draws", [(1, 4, 1), (10, 4, 7), (9, 3, 0)])
+def test_uniform_blocks_columns_are_contiguous(num_trajectories, block, draws):
+    # The step reads one column per interval; each is contiguous in memory.
+    with mock.patch.object(trajectory, "_BLOCK", block):
+        for start, u in uniform_blocks(5, num_trajectories, draws):
+            assert u.shape == (min(block, num_trajectories - start), draws)
+            assert all(u[:, k].flags.c_contiguous for k in range(draws))
 
 
 @settings(max_examples=30, deadline=None)
