@@ -23,8 +23,8 @@ from __future__ import annotations
 import functools
 import logging
 import os
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,64 +293,34 @@ def _point_threads() -> int:
 def _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction) -> list:
     """Fidelity of every density sweep point's final state, points run concurrently.
 
-    The points are independent: each integrates from rho0.  The calling
-    thread and min(points, _point_threads()) - 1 helper threads take them in
-    sweep order from a shared index, and each result goes to its point's
-    index.  BLAS releases the GIL, so the points' matrix products overlap.
-    With one free core or one point no helper starts and the calling thread
-    runs every point.  The channel set's cached stacks, the skip for its shape
-    and the code's recovery products are built lazily and not under a lock,
-    so they are built here, before any helper starts; each evolve_exact call
-    then owns its block row.  A point's exception is kept, no point after the
-    earliest failed one is started, and once every thread is done the
-    lowest-index failure is raised, as the sequential loop would raise it.
+    The points are independent: each integrates from rho0.  They run on a
+    pool of min(points, _point_threads()) threads, and BLAS releases the GIL,
+    so the points' matrix products overlap.  With one thread no pool starts
+    and the calling thread runs every point in order.  The channel set's
+    cached stacks, the skip for its shape and the code's recovery products
+    are built lazily and not under a lock, so they are built here, before any
+    point runs; each evolve_exact call then owns its block row.  Results are
+    read in sweep order, so the lowest-index failure is raised, as the
+    sequential loop would raise it: the points not yet started are cancelled,
+    and the running ones finish first.
     """
     dt_int = default_dt_integrator(ch)
     rho0 = pure_state_projector(psi0)
-    # The lazily built state every point reads, built before any helper.
+    # The lazily built state every point reads, built before any point runs.
     _rhs(ch)
     if correction:
         code.recovery_products
     points = len(delta_ts)
-    fidelities, failures = [None] * points, [None] * points
-    lock = threading.Lock()
-    next_point, first_failure = 0, points
 
-    def take_points():
-        nonlocal next_point, first_failure
-        while True:
-            with lock:
-                i = next_point
-                if i >= first_failure:
-                    return
-                next_point += 1
-            try:
-                rho = _density_qec_run(rho0, ch, code, delta_ts[i], n_cycles[i], dt_int, correction)
-                fidelities[i] = pure_state_fidelity(psi0, rho)
-            except Exception as err:
-                failures[i] = err
-                with lock:
-                    first_failure = min(first_failure, i)
+    def point(i):
+        rho = _density_qec_run(rho0, ch, code, delta_ts[i], n_cycles[i], dt_int, correction)
+        return pure_state_fidelity(psi0, rho)
 
-    helpers = [
-        threading.Thread(target=take_points, daemon=True)
-        for _ in range(min(points, _point_threads()) - 1)
-    ]
-    for helper in helpers:
-        helper.start()
-    try:
-        take_points()
-    except BaseException:
-        with lock:  # an interrupt: let the helpers take no further point
-            first_failure = -1
-        raise
-    finally:
-        for helper in helpers:
-            helper.join()
-    for err in failures:
-        if err is not None:
-            raise err
-    return fidelities
+    threads = min(points, _point_threads())
+    if threads <= 1:
+        return list(map(point, range(points)))
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(point, range(points)))
 
 
 def _qec_block(psi0, ch, code, cycles, delta_t, substeps, correction):

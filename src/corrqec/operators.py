@@ -335,11 +335,6 @@ class StateBlock:
     def shape(self) -> tuple:
         return self.index.size, self.buffer.shape[1]
 
-    @property
-    def nbytes(self) -> int:
-        """The bytes of its rows as an (M, dim) array."""
-        return self.index.size * self.buffer.shape[1] * self.buffer.itemsize
-
     def sources(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The slots of the given rows, each once, and each row's position among them.
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -575,9 +576,25 @@ def test_point_threads_are_the_cores_the_blas_leaves_free(monkeypatch, settings,
     assert experiment._point_threads() == threads
 
 
+def test_point_threads_count_the_cpus_without_an_affinity_call(monkeypatch):
+    # Where os has no sched_getaffinity the usable cores are os.cpu_count(),
+    # and one when that cannot tell.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for name in experiment._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert experiment._point_threads() == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert experiment._point_threads() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiment._point_threads() == 1
+
+
 def test_threaded_density_sweep_takes_each_point_once_under_stress(monkeypatch):
-    # More threads than cores and a thread switch every microsecond: a lost
-    # update of the shared point index would run a point twice or skip one.
+    # More threads than cores and a thread switch every microsecond: the
+    # pool must still hand each point to one thread, so that none runs
+    # twice and none is skipped.
     monkeypatch.setattr(experiment, "_point_threads", lambda: 8)
     run = experiment._density_qec_run
     taken = []
@@ -602,8 +619,9 @@ def test_threaded_density_sweep_takes_each_point_once_under_stress(monkeypatch):
 
 def test_threaded_density_sweep_raises_the_earliest_failure(monkeypatch, tmp_path, caplog):
     # Points 1 and 3 fail, on three threads point 1 only after point 3 has.
-    # Point 1's error is raised once every thread is done, no thread
-    # outlives the sweep, and no point runs twice.  With one core the
+    # The sweep reads the results in sweep order, so point 1's error is
+    # raised, once the running points are done; no pool thread outlives the
+    # sweep, and no point runs twice.  With one core no pool starts: the
     # calling thread runs the points in order and stops at point 1, as the
     # sequential loop did.
     run = experiment._density_qec_run
@@ -629,7 +647,7 @@ def test_threaded_density_sweep_raises_the_earliest_failure(monkeypatch, tmp_pat
         with pytest.raises(IntegrationError, match="point 1 failed"):
             run_cycle_fidelity(SHORT_DENSITY)
         assert threading.active_count() == before
-        # Point 4 may start before point 3's failure is known, never twice.
+        # Point 4 may start before point 1's failure is read, never twice.
         assert sorted(set(started)) == sorted(started)
         assert [i for i in sorted(started) if i != 4] == expected
     # The CLI reports it as a numerical gate, exit 2.
@@ -644,6 +662,36 @@ def test_threaded_density_sweep_raises_the_earliest_failure(monkeypatch, tmp_pat
     assert main(["cycle", "--config", config]) == 2
     assert "point 1 failed" in caplog.text
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_density_sweep_raises_a_point_interrupt(monkeypatch, threads):
+    # A point that raises a BaseException that is not an Exception stops the
+    # sweep with it on any number of threads.  No pool thread outlives the
+    # sweep, no point runs twice, and the points that have not started when
+    # it is read never start: the other points take 0.1 s each, so all 16
+    # would start only if the sweep stalled for about half a second.
+    dts = tuple(0.0005 * k for k in range(1, 17))
+    started, lock = [], threading.Lock()
+
+    def interrupted(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction):
+        index = dts.index(delta_t)
+        with lock:
+            started.append(index)
+        if index == 1:
+            raise KeyboardInterrupt
+        time.sleep(0.1)
+        return rho0
+
+    monkeypatch.setattr(experiment, "_density_qec_run", interrupted)
+    monkeypatch.setattr(experiment, "_point_threads", lambda: threads)
+    cfg = ExperimentConfig(noise=ZKERNEL, delta_t_values=dts, engine="density")
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_cycle_fidelity(cfg)
+    assert threading.active_count() == before
+    assert sorted(set(started)) == sorted(started)
+    assert {0, 1} <= set(started) and len(started) < len(dts)
 
 
 def test_correction_beats_no_correction():

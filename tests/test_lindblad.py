@@ -199,7 +199,7 @@ def test_exact_skip_probed_once_per_channel_shape(monkeypatch):
     assert len(probes) == count
     assert first.tobytes() == second.tobytes() == _full_product_rhs(rho, ch).tobytes()
     # A density sweep on several threads probes its shape once too, on the
-    # calling thread, before any helper builds a right-hand side.
+    # calling thread, before any pool thread builds a right-hand side.
     monkeypatch.setattr(experiment, "_point_threads", lambda: 4)
     largest_exact_skip.cache_clear()
     probes.clear()

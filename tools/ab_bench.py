@@ -1,17 +1,18 @@
 """Alternating A/B runs of the benchmark against another revision.
 
-Usage: python3 tools/ab_bench.py REV [--workload W] [--pairs K] [--aa]     (K even)
+Usage: python3 tools/ab_bench.py REV [--workload W] [--pairs K] [--seed N] [--aa]   (K even)
 
 Checks out REV into a temporary directory (tools/revtree.py), and a snapshot
 of this working tree into another (`git stash create`, so tracked files with
 their uncommitted changes; untracked files are left out), then runs
 `bench/run.py --workload W --trace 0` K times (default 10) in each,
-alternating which side runs first.  K must be even, so each side runs first
-in exactly half of the pairs.  Both sides run from a fresh extract, so
-where a tree lives on disk does not enter the comparison.  Every workload in
-BENCHMARK.json runs unless --workload names one.  Each run lasts as long as
-the benchmark sets, the same on both sides, and runs are sequential, so the
-two sides never contend.
+alternating which side runs first.  --seed N passes `--seed N` on, so the
+workloads run their seed variant N instead of their packaged seeds.  K must
+be even, so each side runs first in exactly half of the pairs.  Both sides
+run from a fresh extract, so where a tree lives on disk does not enter the
+comparison.  Every workload in BENCHMARK.json runs unless --workload names
+one.  Each run lasts as long as the benchmark sets, the same on both sides,
+and runs are sequential, so the two sides never contend.
 
 For each end-to-end metric of BENCHMARK.json it prints and records each
 side's median and quartiles, the change's median relative to REV's, and the
@@ -30,10 +31,13 @@ Read an A/B `wins` against the A/A `wins` of the same workload: an A/A far
 from K/2 is a bias of the schedule or of the host, not of the code.
 
 The results go to BENCH_<short REV>.json at the repo root, with the host
-information from bench/run.py's record.  A workload's A/B figures already
-in that file are replaced, and so are its A/A figures under --aa; the rest
-is kept, so workloads can be measured with different pair counts or at
-different times.  Exits 1 if any run fails or is not correct.
+information from bench/run.py's record.  Each entry records its seed (null
+for the packaged seeds).  A workload's A/B figures already in that file are
+replaced; its A/A figures go under the key `aa`, a seed variant's figures
+under `seed<N>`, and both together under `aa-seed<N>`, each replacing only
+itself.  The rest is kept, so workloads can be measured with different pair
+counts, seeds or at different times.  Exits 1 if any run fails or is not
+correct.
 """
 
 from __future__ import annotations
@@ -49,14 +53,16 @@ from pathlib import Path
 from revtree import repo_root, rev_tree, short_rev
 
 
-def _bench_once(tree: Path, workload: str) -> dict:
+def _bench_once(tree: Path, workload: str, seed) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--trace", "0"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py in {tree} exited {proc.returncode}:\n{proc.stderr}")
     summary = json.loads(lines[-1])
-    record = json.loads((tree / "bench" / "out" / f"{workload}-seedNone-trace0.json").read_text())
+    record = json.loads((tree / "bench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
     return {
         "correct": summary["correct"],
         "failed": summary["failed"],
@@ -98,6 +104,7 @@ def main(argv=None) -> int:
     parser.add_argument("rev")
     parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, help="workload seed variant passed to bench/run.py")
     parser.add_argument("--aa", action="store_true",
                         help="run REV against a second extract of REV")
     args = parser.parse_args(argv)
@@ -128,7 +135,7 @@ def main(argv=None) -> int:
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 for side in order:
                     tree = there if side == "base" else changed
-                    runs[side].append(_bench_once(tree, workload))
+                    runs[side].append(_bench_once(tree, workload, args.seed))
                 print(f"{workload} pair {k + 1}/{args.pairs}: " + ", ".join(
                     f"{side} run_s {runs[side][-1]['metrics']['run_s']:.4g}"
                     for side in ("base", "change")), flush=True)
@@ -151,6 +158,7 @@ def main(argv=None) -> int:
                       f"{', gain' if c['gain'] else ''}{overlap})")
             entry = {
                 "pairs": args.pairs,
+                "seed": args.seed,
                 "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "failed": failed,
                 "metrics": metrics,
@@ -158,10 +166,13 @@ def main(argv=None) -> int:
                                 for r in runs[side]] for side in ("base", "change")},
             }
             figures = report["workloads"].setdefault(workload, {})
-            if args.aa:
-                figures["aa"] = entry
+            key = "-".join((["aa"] if args.aa else [])
+                           + ([f"seed{args.seed}"] if args.seed is not None else []))
+            if key:
+                figures[key] = entry
             else:
                 figures.update(entry)
+            if not args.aa:
                 report["change"] = change
             machine = dict(runs["change"][-1]["machine"])
             machine.pop("git_commit", None)
