@@ -54,15 +54,19 @@ uniform per interval, whatever the block size; the jump decision and the
 channel choice share that uniform.  Trajectory b therefore takes the same
 jump decisions in every ensemble of more than b trajectories.
 
-The uniform table is built without a generator per row.  The SeedSequence
+The uniforms are drawn without a generator per row.  The SeedSequence
 hash of every row's entropy runs at once in vectorized uint32 arithmetic,
 and PCG64 (O'Neill, HMC-CS-2014-0905) runs at once over the rows in uint64
 words: each row's 128-bit state is a pair (hi, lo) of (count,) arrays,
 stepped by the LCG state * MULT + inc mod 2^128 and read out through
-XSL-RR, in a fixed set of in-place ufunc passes over the rows per draw.  A
-block's rows draw only tens to hundreds of values each, so resetting a
-generator per row cost more than the drawing: about 4 us a row, against
-about 10 ns a value for the vectorized recurrence over a few thousand rows.
+XSL-RR, in a fixed set of in-place ufunc passes over the rows per draw
+(_pcg64_streams).  A block's rows draw only tens to hundreds of values
+each, so resetting a generator per row cost more than the drawing: about
+4 us a row, against about 10 ns a value for the vectorized recurrence over
+a few thousand rows.  sample_ensemble seeds a block's streams once and
+draws one uniform per row per interval into one reused (count,) buffer;
+the experiment sweeps, whose points read prefixes of one stream, take a
+block's whole (count, draws) uniform table (_uniform_table).
 
 Buffers: a step writes into the block's own buffers, as StateBlock's
 spare rule says (spreading a block to one slot per row too), so the stepper
@@ -73,7 +77,9 @@ only the candidate and jumped states are gathered, and the per-row work is
 index arithmetic over M.  The step's temporaries indexed by slot are sized
 M, not by the slot count: arrays that grew by a few entries every step
 fragmented the heap and raised the unraveling grid's peak RSS from 64 to
-as much as 72 MB.
+as much as 72 MB.  sample_ensemble holds, besides the block's states, only
+the streams' words and one interval's uniforms, a few (count,) arrays: its
+memory does not grow with the number of intervals.
 """
 
 from __future__ import annotations
@@ -374,25 +380,23 @@ def _pcg64_seeds(base_seed: int, index0: int, count: int) -> list:
     return [state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)]
 
 
-def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.ndarray:
-    """Per-trajectory uniforms, row b = stream of trajectory index0 + b.
+def _pcg64_streams(base_seed: int, index0: int, count: int):
+    """Seed the PCG64 streams of trajectories index0..index0 + count - 1.
 
-    Row b equals default_rng(SeedSequence((base_seed, index0 + b))).random(draws)
-    bit for bit, computed for all rows at once in in-place uint64 ufuncs.
-    Each row's 128-bit PCG64 state is held as two (count,) words (hi, lo),
-    and one LCG step is state <- state * MULT + inc mod 2^128: the high word
-    of lo * MULT_LO + inc_lo, carry included, comes from 32-bit limbs.
-    From the four SeedSequence words w0..w3 PCG64 seeds
-    inc = (w2:w3 << 1) | 1 and state = (w0:w1 + inc) * MULT + inc, which is
-    one step from w0:w1 + inc.  A draw steps, takes XSL-RR's output
-    rotr(hi ^ lo, hi >> 58) and turns it into (x >> 11) * 2^-53, as numpy's
-    next_double does.
-
-    Draw k is written into row k of one (draws, count) buffer, and the
-    result is its transpose: shape (count, draws), with each draw's column
-    contiguous for the step that reads it.  The work is a fixed number of
-    ufunc passes over the rows per draw, so it costs about 10 ns per value
-    but nothing per row, where a generator reset per row cost about 4 us.
+    Returns draw(out): each call writes the next uniform of every row's
+    stream into out, a (count,) float64 buffer, and returns out.  Call k
+    writes draw k of default_rng(SeedSequence((base_seed, index0 + b))),
+    bit for bit, into out[b].  Each row's 128-bit PCG64 state is held as
+    two (count,) uint64 words (hi, lo), and one LCG step is
+    state <- state * MULT + inc mod 2^128: the high word of
+    lo * MULT_LO + inc_lo, carry included, comes from 32-bit limbs.  From
+    the four SeedSequence words w0..w3 PCG64 seeds inc = (w2:w3 << 1) | 1
+    and state = (w0:w1 + inc) * MULT + inc, which is one step from
+    w0:w1 + inc.  A draw steps, takes XSL-RR's output rotr(hi ^ lo, hi >> 58)
+    and turns it into (x >> 11) * 2^-53, as numpy's next_double does.  The
+    work is a fixed number of ufunc passes over the rows per draw, so it
+    costs about 10 ns per value but nothing per row, where a generator
+    reset per row cost about 4 us.
     """
     hi, lo, inc_hi, inc_lo = _pcg64_seeds(base_seed, index0, count)
     # inc = (w2:w3 << 1) | 1, then the 128-bit sum w0:w1 + inc.
@@ -431,9 +435,7 @@ def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.nd
         np.multiply(lo, _PCG_MULT_LO, out=lo)
         np.add(lo, inc_lo, out=lo)
 
-    step()
-    table = np.empty((draws, count))
-    for row in table:
+    def draw(out: np.ndarray) -> np.ndarray:
         step()
         # XSL-RR: rotr(hi ^ lo, hi >> 58).  At a rotation of 0 the left
         # shift is by 64, which gives 0 or x; either ORs to x.
@@ -444,12 +446,36 @@ def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.nd
         np.left_shift(x, a0, out=x)
         np.bitwise_or(x, y, out=x)
         np.right_shift(x, _U11, out=x)
-        np.multiply(x, _DOUBLE_UNIT, out=row)
+        return np.multiply(x, _DOUBLE_UNIT, out=out)
+
+    step()
+    return draw
+
+
+def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.ndarray:
+    """Per-trajectory uniforms, row b = stream of trajectory index0 + b.
+
+    Row b equals default_rng(SeedSequence((base_seed, index0 + b))).random(draws)
+    bit for bit (_pcg64_streams).  Draw k is written into row k of one
+    (draws, count) buffer, and the result is its transpose: shape
+    (count, draws), with each draw's column contiguous for the step that
+    reads it.
+    """
+    draw = _pcg64_streams(base_seed, index0, count)
+    table = np.empty((draws, count))
+    for row in table:
+        draw(row)
     return table.T
 
 
+def _blocks(num_trajectories: int):
+    """(start, count) of each block of at most _BLOCK trajectories, in order."""
+    for start in range(0, num_trajectories, _BLOCK):
+        yield start, min(_BLOCK, num_trajectories - start)
+
+
 def uniform_blocks(base_seed: int, num_trajectories: int, draws: int):
-    """Yield (start, uniforms) over blocks of at most _BLOCK trajectories.
+    """Yield (start, uniforms) over the blocks of _blocks.
 
     Row b of uniforms holds the first `draws` uniforms of trajectory
     start + b's stream.  num_trajectories and draws are nonnegative integers
@@ -458,8 +484,7 @@ def uniform_blocks(base_seed: int, num_trajectories: int, draws: int):
     for name, value in (("num_trajectories", num_trajectories), ("draws", draws)):
         if not is_integer(value) or value < 0:
             raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
-    for start in range(0, num_trajectories, _BLOCK):
-        count = min(_BLOCK, num_trajectories - start)
+    for start, count in _blocks(num_trajectories):
         yield start, _uniform_table(base_seed, start, count, draws)
 
 
@@ -481,6 +506,10 @@ def sample_ensemble(
     must be a positive integer and base_seed a nonnegative one (checked
     where the streams are seeded, _seed_words); numpy integers are accepted.
     collect_logs passes the boolean rule (is_boolean).
+
+    Each block's streams are seeded once (_pcg64_streams), and each interval
+    draws the next uniform of every row into one (count,) buffer that the
+    step reads, so no block holds a table of its uniforms.
     """
     if not is_integer(num_trajectories) or num_trajectories < 1:
         raise DomainError(f"num_trajectories must be a positive integer, got {num_trajectories!r}")
@@ -494,17 +523,18 @@ def sample_ensemble(
     jump_counts = np.zeros(num_trajectories, dtype=np.int64)
     logs = []
 
-    for start, uniforms in uniform_blocks(base_seed, num_trajectories, n_steps):
-        rows = slice(start, start + uniforms.shape[0])
-        psi = StateBlock.shared(psi0, uniforms.shape[0])
+    for start, count in _blocks(num_trajectories):
+        rows = slice(start, start + count)
+        draw, u = _pcg64_streams(base_seed, start, count), np.empty(count)
+        psi = StateBlock.shared(psi0, count)
         for step in range(n_steps):
-            psi, jumped, channel = stepper.step(psi, uniforms[:, step])
+            psi, jumped, channel = stepper.step(psi, draw(u))
             jump_counts[rows] += jumped
             if collect_logs:
                 for b in np.flatnonzero(jumped):
                     logs.append((start + int(b), step * delta_t, int(channel[b])))
         psi.rows(out=states[rows])
-        del psi, uniforms  # freed before the next block's draws are made
+        del psi  # freed before the next block's states are made
 
     if collect_logs:
         logs.sort(key=lambda row: (row[0], row[1]))

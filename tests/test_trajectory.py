@@ -737,6 +737,84 @@ def test_uniform_table_domain():
     assert np.array_equal(last[0], trajectory_rng(7, 2**32 - 1).random(3))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**96, 2**256)),
+    index0=st.one_of(
+        st.integers(0, 64),
+        st.integers(trajectory._BLOCK - 64, trajectory._BLOCK + 64),
+        st.integers(2**32 - 128, 2**32 - 1),
+    ),
+    draws=st.integers(0, 120),
+    data=st.data(),
+)
+def test_streamed_draws_match_numpy_and_the_table(seed, index0, draws, data):
+    # Columns drawn one at a time into one reused buffer are every row's
+    # numpy stream bit for bit, and the columns of _uniform_table: draws
+    # taken one interval at a time, concatenated, equal one table.
+    count = data.draw(st.integers(1, min(64, 2**32 - index0)), label="count")
+    draw, out = trajectory._pcg64_streams(seed, index0, count), np.empty(count)
+    columns = np.empty((draws, count))
+    for column in columns:
+        assert draw(out) is out
+        column[...] = out
+    expected = np.array([trajectory_rng(seed, index0 + b).random(draws) for b in range(count)])
+    assert np.array_equal(columns.T, expected)
+    assert np.array_equal(columns.T, trajectory._uniform_table(seed, index0, count, draws))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_KERNELS))
+def test_sample_ensemble_steps_the_tables_columns(kind, num_qubits):
+    # Blocks of 3 rows, the last one short: the streamed draws give the
+    # states, jump counts and logs of stepping each block over the columns
+    # of its _uniform_table.
+    ch = _grid_channels(kind, num_qubits)
+    psi0 = _random_state(np.random.default_rng(40 + num_qubits), ch.dim)
+    m, dt, n_steps, seed = 10, 0.005, 200, 77
+    with mock.patch.object(trajectory, "_BLOCK", 3):
+        states, counts, logs = sample_ensemble(psi0, ch, n_steps * dt, dt, seed, m, collect_logs=True)
+    stepper = BatchStepper(ch, dt)
+    ref_states, ref_counts, ref_logs = [], np.zeros(m, dtype=np.int64), []
+    for start in range(0, m, 3):
+        table = trajectory._uniform_table(seed, start, min(3, m - start), n_steps)
+        psi = StateBlock.shared(psi0, table.shape[0])
+        for step in range(n_steps):
+            psi, jumped, channel = stepper.step(psi, table[:, step])
+            ref_counts[start : start + table.shape[0]] += jumped
+            ref_logs += [(start + int(b), step * dt, int(channel[b])) for b in np.flatnonzero(jumped)]
+        ref_states.append(psi.rows())
+    assert counts.sum() > 0
+    assert states.tobytes() == np.concatenate(ref_states).tobytes()
+    assert np.array_equal(counts, ref_counts)
+    assert logs == sorted(ref_logs, key=lambda row: (row[0], row[1]))
+
+
+def test_sample_ensemble_memory_does_not_grow_with_the_intervals():
+    # 4096 rows at L = 1 over 40 and over 400 intervals: the traced peaks
+    # differ by less than 1/8 of the (4096, 360) float64 table that 360 more
+    # intervals' uniforms would take, and no mapped buffer, which tracemalloc
+    # does not see, is larger than the block's (M, dim) states.
+    ch = _grid_channels("exponential", 1)
+    psi0 = _random_state(np.random.default_rng(43), ch.dim)
+    m, dt, peaks = 4096, 0.005, []
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for n_steps in (40, 400):
+            tracemalloc.reset_peak()
+            baseline = tracemalloc.get_traced_memory()[0]
+            with _mapped_buffers() as mapped:
+                sample_ensemble(psi0, ch, n_steps * dt, dt, 7, m)
+            peaks.append(tracemalloc.get_traced_memory()[1] - baseline)
+            assert max(mapped, default=0) <= m * ch.dim * 16
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < m * 360 * 8 / 8
+
+
 def test_gamma_total_matches_channel_sum():
     # <psi|Gamma|psi> equals the summed per-channel probabilities on random
     # PSD rate matrices (with a nonzero shift B), for states and for blocks.

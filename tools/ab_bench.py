@@ -20,7 +20,12 @@ pairs the working tree won (ties count for neither).  `gain` is true when
 the change won at least nine tenths of the pairs and the medians differ by
 more than the distance between REV's quartiles.  Every run's metrics are
 recorded too, with its `host_slice_ms`, the benchmark's host-speed
-calibration.
+calibration, and its `run_wall_s`, the sweeps' median wall time from the
+run's bench/out record.  `run_s` is wall time scaled by the host clock,
+whose calibration slice runs on the main thread and so slows when program
+threads compute beside it; `run_wall_s` is therefore compared the same way,
+as a supplementary entry (`"supplementary": true`) printed beside the
+end-to-end metrics, so that a verdict on `run_s` can be read against it.
 
 --aa is the harness's own control: the working tree's side is a second
 extract of REV, run on the same schedule, so every difference is the
@@ -68,8 +73,13 @@ def _bench_once(tree: Path, workload: str, seed) -> dict:
         "failed": summary["failed"],
         "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
         "host_slice_ms": record["metrics"]["host_slice_ms"],
+        "run_wall_s": record["metrics"]["run_wall_s"],
         "machine": record["machine"],
     }
+
+
+# Compared beside the end-to-end metrics; not one of BENCHMARK.json's.
+WALL = {"name": "run_wall_s", "unit": "s", "better": "lower"}
 
 
 def _spread(values) -> dict:
@@ -146,6 +156,10 @@ def main(argv=None) -> int:
                                          for side in ("base", "change")))
                 for m in definition["end_to_end"]
             }
+            metrics[WALL["name"]] = dict(
+                _compare(WALL, *([r["run_wall_s"] for r in runs[side]]
+                                 for side in ("base", "change"))),
+                supplementary=True)
             if args.aa:
                 for c in metrics.values():
                     c["iqr_overlap"] = _iqr_overlap(c["base"], c["change"])
@@ -155,14 +169,16 @@ def main(argv=None) -> int:
                       f"{c['base']['q3']:.4g}] -> {c['change']['median']:.4g} "
                       f"[{c['change']['q1']:.4g}, {c['change']['q3']:.4g}] {c['unit']} "
                       f"({c['change_vs_base']:+.1%}, wins {c['wins']}"
-                      f"{', gain' if c['gain'] else ''}{overlap})")
+                      f"{', gain' if c['gain'] else ''}{overlap}"
+                      f"{', supplementary' if c.get('supplementary') else ''})")
             entry = {
                 "pairs": args.pairs,
                 "seed": args.seed,
                 "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "failed": failed,
                 "metrics": metrics,
-                "runs": {side: [dict(r["metrics"], host_slice_ms=r["host_slice_ms"])
+                "runs": {side: [dict(r["metrics"], host_slice_ms=r["host_slice_ms"],
+                                     run_wall_s=r["run_wall_s"])
                                 for r in runs[side]] for side in ("base", "change")},
             }
             figures = report["workloads"].setdefault(workload, {})
