@@ -159,7 +159,7 @@ def _log_fit(result) -> None:
             result.wall_time_s,
         )
     else:
-        logger.info("%s sweep: too few positive infidelities for a fit", result.sweep)
+        logger.info("%s sweep: no fit: too few positive infidelities, or one sweep value", result.sweep)
 
 
 if __name__ == "__main__":

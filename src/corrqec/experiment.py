@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trajectory
 from .errors import ConfigError, DomainError, SimulationError, StepSizeError
 from .lindblad import (
     EvolutionConfig,
@@ -77,7 +78,6 @@ from .trajectory import (
     sample_ensemble,
     step_count,
     total_jump_probability,
-    uniform_blocks,
 )
 
 logger = logging.getLogger(__name__)
@@ -175,7 +175,8 @@ _MIN_FIT_POINTS = 5
 def fit_loglog(x, y):
     """OLS fit of log(y) against log(x), skipping nonpositive values.
 
-    Returns a FitResult, or None when fewer than _MIN_FIT_POINTS survive.
+    Returns a FitResult, or None when fewer than _MIN_FIT_POINTS survive
+    or when the surviving x are all one value, which leaves no slope to fit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -183,6 +184,8 @@ def fit_loglog(x, y):
     if mask.sum() < _MIN_FIT_POINTS:
         return None
     lx, ly = np.log(x[mask]), np.log(y[mask])
+    if (lx == lx[0]).all():
+        return None
     n = len(lx)
     dx = lx - lx.mean()
     sxx = float(dx @ dx)
@@ -290,7 +293,7 @@ def _point_threads() -> int:
     return 1
 
 
-def _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction) -> list:
+def _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction, where) -> list:
     """Fidelity of every density sweep point's final state, points run concurrently.
 
     The points are independent: each integrates from rho0.  They run on a
@@ -302,7 +305,8 @@ def _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction) -> list:
     point runs; each evolve_exact call then owns its block row.  Results are
     read in sweep order, so the lowest-index failure is raised, as the
     sequential loop would raise it: the points not yet started are cancelled,
-    and the running ones finish first.
+    and the running ones finish first.  A point's SimulationError is raised
+    again as the same type, prefixed by where(i).
     """
     dt_int = default_dt_integrator(ch)
     rho0 = pure_state_projector(psi0)
@@ -313,7 +317,10 @@ def _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction) -> list:
     points = len(delta_ts)
 
     def point(i):
-        rho = _density_qec_run(rho0, ch, code, delta_ts[i], n_cycles[i], dt_int, correction)
+        try:
+            rho = _density_qec_run(rho0, ch, code, delta_ts[i], n_cycles[i], dt_int, correction)
+        except SimulationError as err:
+            raise type(err)(f"{where(i)}: {err}") from err
         return pure_state_fidelity(psi0, rho)
 
     threads = min(points, _point_threads())
@@ -341,8 +348,8 @@ def _qec_block(psi0, ch, code, cycles, delta_t, substeps, correction):
     return psi
 
 
-def _trajectory_overlaps(cfg, ch, code, psi0, correction, delta_ts, n_cycles):
-    """Overlaps <psi0|psi_b> of every sweep point's final states, and the earliest failure.
+def _trajectory_fidelities(cfg, ch, code, psi0, correction, delta_ts, n_cycles, where) -> list:
+    """Ensemble fidelity of every trajectory sweep point's final states.
 
     Blocks of trajectories run outside and sweep points inside: a block's
     uniforms are drawn once, as many cycles as the longest point runs, and
@@ -350,34 +357,35 @@ def _trajectory_overlaps(cfg, ch, code, psi0, correction, delta_ts, n_cycles):
     draws do not depend on how many are drawn, so each point reads exactly
     the uniforms it would draw alone.
 
-    Returns (overlaps, failure): overlaps has shape (points, M), and failure
-    is None or (i, StepSizeError) for the lowest-index point that fails in
-    any block, in which case overlaps is incomplete.  A failed point and the
-    points after it are skipped in later blocks, as they cannot change which
-    failure is reported; once the first point fails no further block is drawn.
+    The lowest-index point that fails in any block raises its StepSizeError,
+    prefixed by where(i).  A failed point and the points after it are
+    skipped in later blocks, as they cannot change which failure is raised;
+    once the first point fails no further block is drawn.
     """
     substeps = cfg.trajectory_substeps
     # The uniforms a cycle reads: one per jump interval, then one per generator.
     per_cycle = substeps + (len(code.generators) if correction else 0)
     overlaps = np.empty((len(delta_ts), cfg.trajectories), dtype=complex)
     live, failure = len(delta_ts), None
-    blocks = uniform_blocks(cfg.base_seed, cfg.trajectories, max(n_cycles) * per_cycle)
-    for start, table in blocks:
-        rows = slice(start, start + table.shape[0])
+    for start, count in trajectory._blocks(cfg.trajectories):
+        # Through the module, so that a wrapper of it sees every block's draw.
+        table = trajectory._uniform_table(cfg.base_seed, start, count, max(n_cycles) * per_cycle)
         for i in range(live):
             dt, n = delta_ts[i], n_cycles[i]
             cycles = table[:, : n * per_cycle].reshape(-1, n, per_cycle)
             try:
                 psi = _qec_block(psi0, ch, code, cycles, dt, substeps, correction)
             except StepSizeError as err:
-                live, failure = i, (i, err)
+                live, failure = i, err
                 break
-            overlaps[i, rows] = psi.rows() @ psi0.conj()
+            overlaps[i, start : start + count] = psi.rows() @ psi0.conj()
             del psi  # not held while the next point steps its own block
         del table, cycles  # free this block's draws before the next block's are made
         if not live:
             break
-    return overlaps, failure
+    if failure is not None:
+        raise StepSizeError(f"{where(live)}: {failure}") from failure
+    return [float(np.mean(np.abs(o) ** 2)) for o in overlaps]
 
 
 def _run_sweep(
@@ -387,12 +395,13 @@ def _run_sweep(
 
     A density sweep runs its points concurrently on the cores its BLAS
     leaves free (_density_fidelities); each point's bytes are those of a
-    lone run, and a failure is the earliest failing point's.  A trajectory
-    sweep runs on the calling thread: it draws each block's uniforms once
-    for all points, and each point reads a prefix of every row's stream, so
-    the randomness contract is unchanged.  A StepSizeError names the
-    earliest failing point in sweep order.  correction passes the boolean
-    rule (is_boolean); anything else is a DomainError.
+    lone run.  A trajectory sweep runs on the calling thread: it draws each
+    block's uniforms once for all points, and each point reads a prefix of
+    every row's stream, so the randomness contract is unchanged
+    (_trajectory_fidelities).  Either engine raises the error of the
+    earliest failing point in sweep order, named by where(i): "delta_t=..."
+    in a cycle sweep, "N=... (delta_t=...)" in a scaling sweep.  correction
+    passes the boolean rule (is_boolean); anything else is a DomainError.
     """
     if not is_boolean(correction):
         raise DomainError(f"correction must be a boolean, got {correction!r}")
@@ -401,18 +410,16 @@ def _run_sweep(
     ch = build_channels(spec)
     code, psi0 = _code_and_state(cfg, spec)
 
+    def where(i):
+        dt = delta_ts[i]
+        return f"delta_t={dt!r}" if sweep == "delta_t" else f"N={n_cycles[i]} (delta_t={dt!r})"
+
     if cfg.engine == "density":
-        fidelities = _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction)
+        fidelities = _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction, where)
     else:
-        overlaps, failure = _trajectory_overlaps(
-            cfg, ch, code, psi0, correction, delta_ts, n_cycles
+        fidelities = _trajectory_fidelities(
+            cfg, ch, code, psi0, correction, delta_ts, n_cycles, where
         )
-        if failure is not None:
-            i, err = failure
-            dt = delta_ts[i]
-            where = f"delta_t={dt!r}" if sweep == "delta_t" else f"N={n_cycles[i]} (delta_t={dt!r})"
-            raise StepSizeError(f"{where}: {err}") from err
-        fidelities = [float(np.mean(np.abs(o) ** 2)) for o in overlaps]
 
     infidelities = [1.0 - f for f in fidelities]
     return FidelityResult(

@@ -202,26 +202,19 @@ def _frozen_array(m, dtype=complex) -> np.ndarray:
     return out
 
 
-def _eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def psd_eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix that meets the PSD floor.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real ascending
     and eigenvectors as the columns of a unitary matrix V, so that
     ``m = V @ diag(eigenvalues) @ V.conj().T``.  The input passes the matrix
     gate (check_hermitian, naming it `name`) and is symmetrized as
-    (m + m^dag)/2 before decomposition.
+    (m + m^dag)/2 before decomposition.  Below the floor the DomainError
+    carries the eigenvalues it measured as its `eigenvalues` attribute,
+    which the validation suite reports.
     """
     m = check_hermitian(m, name)
-    return tuple(np.linalg.eigh(0.5 * (m + m.conj().T)))
-
-
-def psd_eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The eigensystem of m (_eigensystem), which must also meet the PSD floor.
-
-    Below the floor the DomainError carries the eigenvalues it measured as
-    its `eigenvalues` attribute, which the validation suite reports.
-    """
-    w, v = _eigensystem(m, name)
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     if not meets_psd_floor(w):
         err = DomainError(
             f"{name} is not positive semidefinite: eigenvalue {w.min():.6e} < {_PSD_FLOOR:.1e}"

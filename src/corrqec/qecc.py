@@ -185,12 +185,13 @@ def _batch_measure(psi, uniforms: np.ndarray, code: StabilizerCode):
 
     psi is a StateBlock or an (M, dim) array, and is taken over.  uniforms
     has one column per generator; u < p_plus selects the +1 branch (bit 0).
-    Returns the collapsed StateBlock and the packed syndrome of each row.
-    Each distinct state is measured once, and after each generator the -1
-    rows regroup as one outcome (StateBlock.move), so the rows of a slot
-    always share their syndrome.  Each generator's block goes into the
-    spare of the one before (StateBlock's spare rule), sized for two slots
-    per slot, as a generator splits a slot into at most two.
+    Returns the collapsed StateBlock and the packed syndrome of each of its
+    slots, of length block.size: row b's is syndrome[block.index[b]].  Each
+    distinct state is measured once, and after each generator the -1 rows
+    regroup as one outcome (StateBlock.move), so the rows of a slot always
+    share their syndrome.  Each generator's block goes into the spare of
+    the one before (StateBlock's spare rule), sized for two slots per slot,
+    as a generator splits a slot into at most two.
     """
     block = StateBlock.of(psi)
     m, dim = block.shape
@@ -205,38 +206,37 @@ def _batch_measure(psi, uniforms: np.ndarray, code: StabilizerCode):
         lo, hi = float(q.min()), float(q.max())
         if not -1e-10 <= lo <= hi <= 1.0 + 1e-10:
             raise SimulationError(f"branch probabilities [{lo!r}, {hi!r}] outside [0, 1]")
-        minus = ~(uniforms[:, i] < q[block.index])
-        # With one outcome each source is one pair, whose target slot gets
-        # the -1 branch psi - v_plus; every other slot keeps v_plus.
-        rows = np.flatnonzero(minus)
+        # With one outcome each source is one pair, in order, whose target
+        # slot gets the -1 branch psi - v_plus and the source's syndrome with
+        # bit i set; every other slot keeps v_plus and its syndrome.
+        rows = np.flatnonzero(~(uniforms[:, i] < q[block.index]))
         sources, pos = block.sources(rows)
         size, _, _, targets = block.move(rows, sources, pos, 0, 1)
         out[targets] = states[sources] - v[sources]
+        syndrome[targets] = syndrome[sources] | (1 << i)
         scratch = room_for(scratch, size, m, dim)
         divide_rows(out[:size], row_norms(out[:size], scratch[:size]))
-        syndrome += minus.astype(np.int64) << i
         block = StateBlock(out, block.index, block.counts, size, block.buffer)
-    return block, syndrome
+    return block, syndrome[: block.size]
 
 
 def _batch_syndrome_recover(psi, uniforms: np.ndarray, code: StabilizerCode) -> StateBlock:
     """Measure-and-recover for a block of pure states; returns the recovered StateBlock.
 
-    psi is a StateBlock or an (M, dim) array, and is taken over.  Each row's
-    syndrome names the error to undo (Pauli recoveries are involutive); rows
-    whose error is R_0 = I are left as they are.  Each distinct state is
-    recovered once, in a product that stands for its syndrome's rows, and
-    the block's spare is the scratch of the final normalization.
+    psi is a StateBlock or an (M, dim) array, and is taken over.  Each
+    slot's syndrome (_batch_measure) names the error to undo (Pauli
+    recoveries are involutive); slots whose error is R_0 = I are left as
+    they are.  Each distinct state is recovered once, in a product that
+    stands for its syndrome's rows, and the block's spare is the scratch of
+    the final normalization.
     """
     block, syndrome = _batch_measure(psi, uniforms, code)
     states, counts, k = block.states, block.counts, block.size
-    slot_syndrome = np.empty(k, dtype=np.int64)
-    slot_syndrome[block.index] = syndrome
-    for s in np.flatnonzero(np.bincount(slot_syndrome)):
+    for s in np.flatnonzero(np.bincount(syndrome)):
         m = code.syndrome_table[int(s)]
         if m == 0:
             continue
-        slots = np.flatnonzero(slot_syndrome == s)
+        slots = np.flatnonzero(syndrome == s)
         states[slots] = matmul_rows(states[slots], code.error_basis[m].T, counts[slots].sum())
     block.spare = room_for(block.spare, k, *block.shape)
     divide_rows(states, row_norms(states, block.spare[:k]))

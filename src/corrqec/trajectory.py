@@ -474,20 +474,6 @@ def _blocks(num_trajectories: int):
         yield start, min(_BLOCK, num_trajectories - start)
 
 
-def uniform_blocks(base_seed: int, num_trajectories: int, draws: int):
-    """Yield (start, uniforms) over the blocks of _blocks.
-
-    Row b of uniforms holds the first `draws` uniforms of trajectory
-    start + b's stream.  num_trajectories and draws are nonnegative integers
-    (is_integer); anything else is a DomainError at the first block.
-    """
-    for name, value in (("num_trajectories", num_trajectories), ("draws", draws)):
-        if not is_integer(value) or value < 0:
-            raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
-    for start, count in _blocks(num_trajectories):
-        yield start, _uniform_table(base_seed, start, count, draws)
-
-
 def sample_ensemble(
     psi0: np.ndarray,
     ch: JumpChannelSet,

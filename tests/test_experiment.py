@@ -60,7 +60,7 @@ from corrqec.operators import (
     pure_state_projector,
 )
 from corrqec.qecc import _batch_syndrome_recover, correction_channel
-from corrqec.trajectory import sample_ensemble, uniform_blocks
+from corrqec.trajectory import sample_ensemble
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ZKERNEL = exponential_kernel(5, amplitude=1.0, correlation_length=2.0, tau_c=0.05, axis=3)
@@ -129,6 +129,12 @@ def test_fit_loglog_insufficient_points():
     y = 3.0 * x5**-0.9
     y[2] = 0.0
     assert fit_loglog(x5, y) is None
+
+
+def test_fit_loglog_one_repeated_x_is_no_fit():
+    # Every point at one x leaves no slope to fit; dividing by the zero
+    # spread of log x gave a NaN slope and a RuntimeWarning.
+    assert fit_loglog([0.01] * 5, [0.001, 0.002, 0.003, 0.004, 0.005]) is None
 
 
 def test_resolve_spec_normalization():
@@ -283,8 +289,6 @@ INTEGER_ENTRY_POINTS = {
     "noise_spec_direct": (lambda x: noise_spec_direct(np.eye(3), num_qubits=x), DomainError, True),
     "DirectNoise": (lambda x: DirectNoise(np.eye(3), num_qubits=x).resolve(), DomainError, True),
     "NoiseSpec": (lambda x: NoiseSpec(x, np.eye(3), np.zeros((3, 3))), DomainError, False),
-    "uniform_blocks.num_trajectories": (lambda x: list(uniform_blocks(0, x, 3)), DomainError, False),
-    "uniform_blocks.draws": (lambda x: list(uniform_blocks(0, 2, x)), DomainError, False),
     "sample_ensemble.base_seed": (lambda x: _sample(base_seed=x), DomainError, False),
     "sample_ensemble.num_trajectories": (lambda x: _sample(num_trajectories=x), DomainError, False),
     **{f"ExperimentConfig.{f}": (_config_field(f), ConfigError, False) for f in _CONFIG_FIELDS},
@@ -623,7 +627,8 @@ def test_threaded_density_sweep_raises_the_earliest_failure(monkeypatch, tmp_pat
     # raised, once the running points are done; no pool thread outlives the
     # sweep, and no point runs twice.  With one core no pool starts: the
     # calling thread runs the points in order and stops at point 1, as the
-    # sequential loop did.
+    # sequential loop did.  The error keeps its type and names its point,
+    # by delta_t in a cycle sweep and by N in a scaling sweep.
     run = experiment._density_qec_run
     started, point_3_failed, threaded = [], threading.Event(), [True]
 
@@ -644,12 +649,27 @@ def test_threaded_density_sweep_raises_the_earliest_failure(monkeypatch, tmp_pat
         monkeypatch.setattr(experiment, "_point_threads", lambda: threads)
         threaded[0] = threads > 1
         started.clear()
-        with pytest.raises(IntegrationError, match="point 1 failed"):
+        with pytest.raises(IntegrationError, match="point 1 failed") as cycle:
             run_cycle_fidelity(SHORT_DENSITY)
+        assert str(cycle.value) == "delta_t=0.004: point 1 failed"
         assert threading.active_count() == before
         # Point 4 may start before point 1's failure is read, never twice.
         assert sorted(set(started)) == sorted(started)
         assert [i for i in sorted(started) if i != 4] == expected
+
+    def failing_scaling(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction):
+        if n_cycles in (2, 4):
+            raise IntegrationError(f"point {n_cycles - 1} failed")
+        return run(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction)
+
+    monkeypatch.setattr(experiment, "_density_qec_run", failing_scaling)
+    for threads in (3, 1):
+        monkeypatch.setattr(experiment, "_point_threads", lambda: threads)
+        with pytest.raises(IntegrationError, match="point 1 failed") as scaling:
+            run_repetition_scaling(SHORT_DENSITY)
+        assert str(scaling.value) == "N=2 (delta_t=0.01): point 1 failed"
+        assert threading.active_count() == before
+    monkeypatch.setattr(experiment, "_density_qec_run", failing)
     # The CLI reports it as a numerical gate, exit 2.
     monkeypatch.setattr(experiment, "_point_threads", lambda: 3)
     config = _write(
@@ -765,9 +785,8 @@ def _trajectory_qec_run(psi0, ch, code, delta_t, n_cycles, num_trajectories, bas
     stepper = trajectory.BatchStepper(ch, delta_t / substeps)
     draws_per_cycle = substeps + (len(code.generators) if correction else 0)
     states = np.empty((num_trajectories, ch.dim), dtype=complex)
-    blocks = trajectory.uniform_blocks(base_seed, num_trajectories, n_cycles * draws_per_cycle)
-    for start, uniforms in blocks:
-        count = uniforms.shape[0]
+    for start, count in trajectory._blocks(num_trajectories):
+        uniforms = trajectory._uniform_table(base_seed, start, count, n_cycles * draws_per_cycle)
         uniforms = uniforms.reshape(count, n_cycles, draws_per_cycle)
         psi = np.tile(psi0, (count, 1))
         for c in range(n_cycles):

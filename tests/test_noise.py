@@ -36,9 +36,9 @@ from corrqec.operators import (
     AXIS_Z,
     HERM_TOL,
     MAX_QUBITS,
-    _eigensystem,
     axis_block,
     pauli_operator,
+    psd_eigensystem,
 )
 
 
@@ -210,8 +210,8 @@ def test_kernel_numbers_follow_the_number_rule(build, key, value):
 
 # Every entry point of the matrix gate, each given a 3x3 matrix (one qubit).
 MATRIX_GATES = {
-    # the Hermitian eigensolver behind psd_eigensystem; the id keeps its former public name
-    "hermitian_eigensystem": lambda m: _eigensystem(m, "matrix"),
+    # psd_eigensystem, the Hermitian eigensolver; the id keeps its former public name
+    "hermitian_eigensystem": lambda m: psd_eigensystem(m, "matrix"),
     "spatial": lambda m: CorrelationKernel(1, m, 0.5, 1.0),
     "direct_A": noise_spec_direct,
     "direct_B": lambda m: noise_spec_direct(np.eye(3), m),

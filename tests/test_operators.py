@@ -37,7 +37,6 @@ from corrqec.operators import (
     PAULI_Y,
     PAULI_Z,
     StateBlock,
-    _eigensystem,
     basis_state,
     channel_qubit_axis,
     check_finite_square,
@@ -53,6 +52,7 @@ from corrqec.operators import (
     pauli_operator,
     pauli_stack,
     pauli_string_matrix,
+    psd_eigensystem,
     pure_state_fidelity,
     pure_state_projector,
     row_norms,
@@ -158,7 +158,7 @@ def test_pauli_operator_and_stack_bytes_match_kron_chain(num_qubits):
 
 
 def test_eigensystem_diagonal_input():
-    w, v = _eigensystem(np.diag([3.0, 1.0]).astype(complex), "matrix")
+    w, v = psd_eigensystem(np.diag([3.0, 1.0]).astype(complex), "matrix")
     np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-14)
     # columns are permuted identity columns up to phase
     np.testing.assert_allclose(np.abs(v), [[0, 1], [1, 0]], atol=1e-14)
@@ -167,7 +167,7 @@ def test_eigensystem_diagonal_input():
 def test_eigensystem_two_level_closed_form():
     rho = 0.37
     m = np.array([[1.0, rho], [rho, 1.0]], dtype=complex)
-    w, _ = _eigensystem(m, "matrix")
+    w, _ = psd_eigensystem(m, "matrix")
     np.testing.assert_allclose(w, [1 - rho, 1 + rho], atol=1e-12)
 
 
@@ -175,8 +175,8 @@ def test_eigensystem_reconstruction_random():
     rng = np.random.default_rng(7)
     for _ in range(10):
         raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        m = raw + raw.conj().T
-        w, v = _eigensystem(m, "matrix")
+        m = raw @ raw.conj().T  # Hermitian and positive semidefinite
+        w, v = psd_eigensystem(m, "matrix")
         assert np.all(np.diff(w) >= -1e-12)
         resid = np.linalg.norm(v @ np.diag(w) @ v.conj().T - m)
         assert resid < 1e-9
@@ -187,16 +187,16 @@ def test_eigensystem_reconstruction_random():
 def test_eigensystem_invariant_under_conjugation():
     rng = np.random.default_rng(8)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = raw + raw.conj().T
+    m = raw @ raw.conj().T  # Hermitian and positive semidefinite
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    w1, _ = _eigensystem(m, "matrix")
-    w2, _ = _eigensystem(q @ m @ q.conj().T, "matrix")
+    w1, _ = psd_eigensystem(m, "matrix")
+    w2, _ = psd_eigensystem(q @ m @ q.conj().T, "matrix")
     np.testing.assert_allclose(w1, w2, atol=1e-9)
 
 
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(DomainError):
-        _eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "matrix")
+        psd_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "matrix")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, 0.0)])
@@ -205,7 +205,7 @@ def test_eigensystem_rejects_non_finite(bad, where):
     m = np.diag([1.0, 2.0, 0.0]).astype(complex)
     m[where] = m[where[::-1]] = bad
     with pytest.raises(DomainError, match="non-finite"):
-        _eigensystem(m, "matrix")
+        psd_eigensystem(m, "matrix")
 
 
 @pytest.mark.parametrize(

@@ -384,9 +384,26 @@ def test_shared_block_recover_matches_reference_bit_for_bit(seed, kinds, num_row
     block, got_syndromes = _batch_measure(_shared_block(states, index), uniforms, code)
     assert block.shape == rows.shape and np.all(block.counts[: block.size] >= 1)
     assert np.array_equal(block.rows(), collapsed)
-    assert np.array_equal(got_syndromes, syndromes)
+    assert np.array_equal(got_syndromes[block.index], syndromes)
     fixed = _batch_syndrome_recover(_shared_block(states, index), uniforms, code)
     assert np.array_equal(fixed.rows(), recovered)
+
+
+def test_batch_measure_returns_one_syndrome_per_slot():
+    # Six distinct states over 48 rows, whose rows split between branches:
+    # the syndromes come one per slot of the collapsed block, and each is
+    # the row-wise reference's syndrome of every row on that slot.
+    code = five_qubit_code()
+    rng = np.random.default_rng(32)
+    m, distinct = 48, 6
+    states = [_code_state(rng, code, kind) for kind in ("pair", "image") * 3]
+    index = rng.permutation(np.concatenate([np.arange(distinct), rng.integers(distinct, size=m - distinct)]))
+    uniforms = rng.random((m, len(code.generators)))
+    syndromes = _reference_syndrome_recover(np.array(states)[index], uniforms, code)[2]
+    block, got = _batch_measure(_shared_block(states, index), uniforms, code)
+    assert distinct < block.size < m and got.shape == (block.size,)
+    for slot in range(block.size):
+        assert np.all(syndromes[block.index == slot] == got[slot])
 
 
 def test_recover_keeps_a_warm_block_in_its_two_buffers():

@@ -37,7 +37,6 @@ from corrqec.trajectory import (
     sample_ensemble,
     step_count,
     total_jump_probability,
-    uniform_blocks,
 )
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -706,7 +705,8 @@ def test_uniform_table_matches_numpy_streams(seed, index0, draws, data):
 def test_uniform_blocks_columns_are_contiguous(num_trajectories, block, draws):
     # The step reads one column per interval; each is contiguous in memory.
     with mock.patch.object(trajectory, "_BLOCK", block):
-        for start, u in uniform_blocks(5, num_trajectories, draws):
+        for start, count in trajectory._blocks(num_trajectories):
+            u = trajectory._uniform_table(5, start, count, draws)
             assert u.shape == (min(block, num_trajectories - start), draws)
             assert all(u[:, k].flags.c_contiguous for k in range(draws))
 
@@ -721,7 +721,10 @@ def test_uniform_blocks_columns_are_contiguous(num_trajectories, block, draws):
 def test_uniform_blocks_rows_independent_of_block_size(seed, block, num_trajectories, draws):
     whole = trajectory._uniform_table(seed, 0, num_trajectories, draws)
     with mock.patch.object(trajectory, "_BLOCK", block):
-        blocks = list(uniform_blocks(seed, num_trajectories, draws))
+        blocks = [
+            (start, trajectory._uniform_table(seed, start, count, draws))
+            for start, count in trajectory._blocks(num_trajectories)
+        ]
     assert [start for start, _ in blocks] == list(range(0, num_trajectories, block))
     assert np.array_equal(np.concatenate([u for _, u in blocks]), whole)
 
