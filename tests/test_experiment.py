@@ -131,10 +131,20 @@ def test_fit_loglog_insufficient_points():
     assert fit_loglog(x5, y) is None
 
 
-def test_fit_loglog_one_repeated_x_is_no_fit():
-    # Every point at one x leaves no slope to fit; dividing by the zero
-    # spread of log x gave a NaN slope and a RuntimeWarning.
-    assert fit_loglog([0.01] * 5, [0.001, 0.002, 0.003, 0.004, 0.005]) is None
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([0.01] * 5, [0.001, 0.002, 0.003, 0.004, 0.005]),
+        ([1.0] * 5, [0.5, 0.4, 0.3, 0.2, 0.1]),  # log x is exactly 0
+        ([0.2] * 7, [0.001] * 7),
+        # two x values, but the points at 0.02 are skipped (y <= 0, x <= 0)
+        ([0.01] * 5 + [0.02, 0.02, -0.02], [0.001, 0.002, 0.003, 0.004, 0.005, 0.0, -0.1, 0.1]),
+    ],
+)
+def test_fit_loglog_one_repeated_x_is_no_fit(x, y):
+    # Every surviving point at one x leaves no slope to fit; dividing by the
+    # zero spread of log x gave a NaN slope and a RuntimeWarning.
+    assert fit_loglog(x, y) is None
 
 
 def test_resolve_spec_normalization():
@@ -289,6 +299,8 @@ INTEGER_ENTRY_POINTS = {
     "noise_spec_direct": (lambda x: noise_spec_direct(np.eye(3), num_qubits=x), DomainError, True),
     "DirectNoise": (lambda x: DirectNoise(np.eye(3), num_qubits=x).resolve(), DomainError, True),
     "NoiseSpec": (lambda x: NoiseSpec(x, np.eye(3), np.zeros((3, 3))), DomainError, False),
+    # the sweep's uniform draw, seeded from ExperimentConfig.base_seed
+    "_uniform_table.base_seed": (lambda x: trajectory._uniform_table(x, 0, 2, 3), DomainError, False),
     "sample_ensemble.base_seed": (lambda x: _sample(base_seed=x), DomainError, False),
     "sample_ensemble.num_trajectories": (lambda x: _sample(num_trajectories=x), DomainError, False),
     **{f"ExperimentConfig.{f}": (_config_field(f), ConfigError, False) for f in _CONFIG_FIELDS},
@@ -880,15 +892,15 @@ def test_trajectory_sweep_names_the_earliest_failing_point():
         )
 
 
-@pytest.mark.parametrize("correction", [True, False])
-def test_trajectory_sweep_draws_each_block_once(correction):
+def _assert_draws_each_block_once(correction, trajectories):
+    # One _uniform_table call per block of 4, a partial last block included.
     cfg = ExperimentConfig(
         noise=ZKERNEL,
         t_total=0.06,
         n_values=(1, 3, 2),
         delta_t_values=(0.02, 0.01, 0.03),
         engine="trajectory",
-        trajectories=10,
+        trajectories=trajectories,
         trajectory_substeps=2,
     )
     per_cycle = 2 + (4 if correction else 0)
@@ -897,15 +909,28 @@ def test_trajectory_sweep_draws_each_block_once(correction):
     for run, longest in ((run_cycle_fidelity, 1), (run_repetition_scaling, 3)):
         with mock.patch.object(trajectory, "_BLOCK", 4), spy as table, qec as block:
             run(cfg, correction)
-        assert table.call_count == math.ceil(10 / 4)
+        assert table.call_count == math.ceil(trajectories / 4)
         assert [c.args[1:] for c in table.call_args_list] == [
-            (start, min(4, 10 - start), longest * per_cycle) for start in (0, 4, 8)
+            (start, min(4, trajectories - start), longest * per_cycle)
+            for start in range(0, trajectories, 4)
         ]
         # Each point steps a view of the table, whose every column is contiguous.
         for c in block.call_args_list:
             cycles = c.args[3]
             assert all(cycles[:, i, k].flags.c_contiguous
                        for i in range(cycles.shape[1]) for k in range(per_cycle))
+
+
+@pytest.mark.parametrize("correction", [True, False])
+def test_trajectory_sweep_draws_each_block_once(correction):
+    _assert_draws_each_block_once(correction, 10)
+
+
+@pytest.mark.parametrize("trajectories", [8, 3, 1])
+@pytest.mark.parametrize("correction", [True, False])
+def test_trajectory_sweep_draws_each_block_once_for_any_count(correction, trajectories):
+    # A whole number of blocks, one partial block, one trajectory.
+    _assert_draws_each_block_once(correction, trajectories)
 
 
 def test_run_trajectory_logs_requires_commensurate_times():

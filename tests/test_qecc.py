@@ -389,14 +389,24 @@ def test_shared_block_recover_matches_reference_bit_for_bit(seed, kinds, num_row
     assert np.array_equal(fixed.rows(), recovered)
 
 
-def test_batch_measure_returns_one_syndrome_per_slot():
+@pytest.mark.parametrize(
+    "seed, kinds",
+    [
+        (32, ("pair", "image") * 3),
+        (33, ("pair",) * 6),
+        (34, ("random", "pair", "codeword") * 2),
+        (35, ("random",) * 6),
+        (36, ("image", "random", "pair", "codeword", "pair", "image")),
+    ],
+)
+def test_batch_measure_returns_one_syndrome_per_slot(seed, kinds):
     # Six distinct states over 48 rows, whose rows split between branches:
     # the syndromes come one per slot of the collapsed block, and each is
     # the row-wise reference's syndrome of every row on that slot.
     code = five_qubit_code()
-    rng = np.random.default_rng(32)
+    rng = np.random.default_rng(seed)
     m, distinct = 48, 6
-    states = [_code_state(rng, code, kind) for kind in ("pair", "image") * 3]
+    states = [_code_state(rng, code, kind) for kind in kinds]
     index = rng.permutation(np.concatenate([np.arange(distinct), rng.integers(distinct, size=m - distinct)]))
     uniforms = rng.random((m, len(code.generators)))
     syndromes = _reference_syndrome_recover(np.array(states)[index], uniforms, code)[2]

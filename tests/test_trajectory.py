@@ -701,7 +701,25 @@ def test_uniform_table_matches_numpy_streams(seed, index0, draws, data):
     assert np.array_equal(table[:, :k], trajectory._uniform_table(seed, index0, count, k))
 
 
-@pytest.mark.parametrize("num_trajectories, block, draws", [(1, 4, 1), (10, 4, 7), (9, 3, 0)])
+@pytest.mark.parametrize(
+    "num_trajectories, block",
+    [(1, 4), (4, 4), (5, 4), (12, 4), (13, 4), (7, 1), (3, 8), (2 * trajectory._BLOCK + 1, None)],
+)
+def test_blocks_partition_the_trajectories_in_order(num_trajectories, block):
+    # Consecutive (start, count) pairs: every block full but the last, which
+    # is not empty, and together they cover 0..num_trajectories - 1 once.
+    block = block or trajectory._BLOCK
+    with mock.patch.object(trajectory, "_BLOCK", block):
+        blocks = list(trajectory._blocks(num_trajectories))
+    assert [start for start, _ in blocks] == list(range(0, num_trajectories, block))
+    assert all(count == block for _, count in blocks[:-1]) and 1 <= blocks[-1][1] <= block
+    assert sum(count for _, count in blocks) == num_trajectories
+
+
+@pytest.mark.parametrize(
+    "num_trajectories, block, draws",
+    [(1, 4, 1), (10, 4, 7), (9, 3, 0), (8, 4, 3), (5, 1, 2), (3, 8, 5)],
+)
 def test_uniform_blocks_columns_are_contiguous(num_trajectories, block, draws):
     # The step reads one column per interval; each is contiguous in memory.
     with mock.patch.object(trajectory, "_BLOCK", block):
