@@ -79,13 +79,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(out_path) -> None:
-    """Refuse an --out path whose directory is missing or not a directory, before any run."""
+    """Refuse an --out path that cannot be a file, before any run.
+
+    That is a directory (an empty path is the current one), or a path whose
+    directory is missing or not a directory.
+    """
     if out_path is None:
         return
-    parent = Path(out_path).parent
-    if not parent.is_dir():
-        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
-        raise ConfigError(f"cannot write {out_path}: {os.strerror(code)}")
+    path = Path(out_path)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write {out_path}: {os.strerror(code)}")
 
 
 def _emit(text: str, out_path) -> None:

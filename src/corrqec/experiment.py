@@ -240,6 +240,11 @@ def _product_state(alpha: complex, beta: complex, num_qubits: int) -> np.ndarray
 
 
 def _code_and_state(cfg: ExperimentConfig, spec: NoiseSpec):
+    """The code and the codeword of cfg.logical_state: the one codeword rule.
+
+    The register fits the code when the noise acts on as many qubits as the
+    code has; anything else is a ConfigError.
+    """
     code = five_qubit_code()
     if spec.num_qubits != code.n_physical:
         raise ConfigError(
@@ -300,20 +305,18 @@ def _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction, where) -
     pool of min(points, _point_threads()) threads, and BLAS releases the GIL,
     so the points' matrix products overlap.  With one thread no pool starts
     and the calling thread runs every point in order.  The channel set's
-    cached stacks, the skip for its shape and the code's recovery products
-    are built lazily and not under a lock, so they are built here, before any
-    point runs; each evolve_exact call then owns its block row.  Results are
-    read in sweep order, so the lowest-index failure is raised, as the
-    sequential loop would raise it: the points not yet started are cancelled,
-    and the running ones finish first.  A point's SimulationError is raised
-    again as the same type, prefixed by where(i).
+    cached stacks and the skip for its shape are built lazily and not under
+    a lock, so they are built here, before any point runs; each evolve_exact
+    call then owns its block row.  Results are read in sweep order, so the
+    lowest-index failure is raised, as the sequential loop would raise it:
+    the points not yet started are cancelled, and the running ones finish
+    first.  A point's SimulationError is raised again as the same type,
+    prefixed by where(i).
     """
     dt_int = default_dt_integrator(ch)
     rho0 = pure_state_projector(psi0)
     # The lazily built state every point reads, built before any point runs.
     _rhs(ch)
-    if correction:
-        code.recovery_products
     points = len(delta_ts)
 
     def point(i):
@@ -598,14 +601,11 @@ def run_validation_suite(cfg: ExperimentConfig) -> ValidationReport:
 
     @functools.cache
     def channels_and_state():
-        # The codeword when the register fits the code, else the product state.
         spec = resolved()
-        code = five_qubit_code()
-        alpha, beta = cfg.logical_state
-        if spec.num_qubits == code.n_physical:
-            psi = encode(alpha, beta, code)
-        else:
-            psi = _product_state(alpha, beta, spec.num_qubits)
+        try:
+            psi = _code_and_state(cfg, spec)[1]
+        except ConfigError:  # the register does not fit the code
+            psi = _product_state(*cfg.logical_state, spec.num_qubits)
         return build_channels(spec), psi
 
     def psd_gate():

@@ -290,7 +290,7 @@ class StateBlock:
     rows of `buffer`, whose further rows are room for slots to come, and
     counts has room for M slots, so that adding slots allocates nothing
     that grows with them.  The block reports the shape of its rows,
-    (M, dim), and np.asarray (or `rows`) expands them.
+    (M, dim), and only `rows` expands them.
 
     The spare rule: `spare` (None, or a buffer that shares no memory with
     `buffer`) is where the block's next states go.  Whatever produces the
@@ -398,11 +398,6 @@ class StateBlock:
         # Every index is in range; under "clip" np.take writes straight into
         # out, where the default mode would fill a temporary first.
         return np.take(self.states, self.index, axis=0, out=out, mode="clip")
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a StateBlock's rows are always a copy")
-        return self.rows() if dtype is None else self.rows().astype(dtype)
 
 
 def room_for(buffer, rows: int, num_rows: int, dim: int) -> np.ndarray:

@@ -15,7 +15,7 @@ force anticommutation rather than entered by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +45,9 @@ class StabilizerCode:
     Syndrome bits follow generator order (bit i = 0 for a +1 outcome of
     generator i) and pack into an integer as sum(bits[i] << i).
     `syndrome_table` maps that integer to the index of the error-basis
-    element to undo; `syndrome_projectors[s]` projects onto the syndrome-s
-    subspace.  `error_basis[0]` is the identity and
+    element to undo, and `recovery_products[s]` is R_{m(s)} P_s, that
+    element times the projector onto the syndrome-s subspace: the terms of
+    the correction channel.  `error_basis[0]` is the identity and
     `error_basis[1 + 3*(qubit-1) + (axis-1)]` the Pauli sigma_qubit^axis.
     """
 
@@ -58,7 +59,7 @@ class StabilizerCode:
     error_basis: np.ndarray
     syndrome_of_error: tuple
     syndrome_table: dict
-    syndrome_projectors: np.ndarray
+    recovery_products: np.ndarray
 
     def __post_init__(self):
         for name in (
@@ -67,25 +68,13 @@ class StabilizerCode:
             "logical_zero",
             "logical_one",
             "error_basis",
-            "syndrome_projectors",
+            "recovery_products",
         ):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
     def dim(self) -> int:
         return self.logical_zero.shape[0]
-
-    @cached_property
-    def recovery_products(self) -> tuple:
-        """The products R_{m(s)} P_s for every syndrome s, read-only.
-
-        The correction channel is a sum over them, so they are built once
-        per code.
-        """
-        return tuple(
-            _frozen_array(self.error_basis[self.syndrome_table[s]] @ p)
-            for s, p in enumerate(self.syndrome_projectors)
-        )
 
 
 def _commutation_bit(g: np.ndarray, r: np.ndarray) -> int:
@@ -136,14 +125,6 @@ def five_qubit_code() -> StabilizerCode:
     gens = np.stack([pauli_string_matrix(s) for s in FIVE_QUBIT_GENERATORS])
     eye = np.eye(dim, dtype=complex)
     plus_projectors = 0.5 * (eye + gens)
-
-    # Codeword from the stabilizer projector; XXXXX is the logical X.
-    proj = eye.copy()
-    for p in plus_projectors:
-        proj = p @ proj
-    logical_zero = normalized(proj @ basis_state(0, n))
-    logical_one = pauli_string_matrix("XXXXX") @ logical_zero
-
     error_basis = np.concatenate([eye[None], pauli_stack(n)])
     syndrome_of_error = tuple(
         sum(_commutation_bit(g, r) << i for i, g in enumerate(gens)) for r in error_basis
@@ -151,13 +132,20 @@ def five_qubit_code() -> StabilizerCode:
     table = {s: m for m, s in enumerate(syndrome_of_error)}
 
     # P_s is the ordered product of P+_i (bit i of s is 0) or I - P+_i (bit 1),
-    # the projectors _batch_measure measures with.
-    projectors = np.empty((2 ** len(gens), dim, dim), dtype=complex)
-    for s in range(len(projectors)):
+    # the projectors _batch_measure measures with; P_0 projects onto the code
+    # space.  Each product is R_{m(s)} P_s.
+    products = np.empty((2 ** len(gens), dim, dim), dtype=complex)
+    for s in range(len(products)):
         p = eye.copy()
         for i, plus in enumerate(plus_projectors):
             p = (eye - plus if (s >> i) & 1 else plus) @ p
-        projectors[s] = p
+        if s == 0:
+            code_space = p
+        products[s] = error_basis[table[s]] @ p
+
+    # Codeword from the code-space projector; XXXXX is the logical X.
+    logical_zero = normalized(code_space @ basis_state(0, n))
+    logical_one = pauli_string_matrix("XXXXX") @ logical_zero
 
     code = StabilizerCode(
         n_physical=n,
@@ -168,7 +156,7 @@ def five_qubit_code() -> StabilizerCode:
         error_basis=error_basis,
         syndrome_of_error=syndrome_of_error,
         syndrome_table=table,
-        syndrome_projectors=projectors,
+        recovery_products=products,
     )
     _self_check(code)
     return code

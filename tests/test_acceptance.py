@@ -92,7 +92,7 @@ def test_acceptance_2_exhaustive_recovery():
         _, syndromes = _batch_measure(images.copy(), uniforms, code)
         assert syndromes.tolist() == list(code.syndrome_of_error)
         fixed = _batch_syndrome_recover(images, uniforms, code)
-        worst = max(worst, float(np.max(1.0 - np.abs(fixed @ psi.conj()) ** 2)))
+        worst = max(worst, float(np.max(1.0 - np.abs(fixed.rows() @ psi.conj()) ** 2)))
     assert worst <= 1e-9, f"worst recovery infidelity {worst:.3e}"
     _report("exhaustive_recovery", f"{worst:.3e}", "<=1e-9", t0, 5.0)
 

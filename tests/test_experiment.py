@@ -59,7 +59,7 @@ from corrqec.operators import (
     pure_state_fidelity,
     pure_state_projector,
 )
-from corrqec.qecc import _batch_syndrome_recover, correction_channel
+from corrqec.qecc import _batch_syndrome_recover, correction_channel, five_qubit_code
 from corrqec.trajectory import sample_ensemble
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -567,6 +567,19 @@ def test_threaded_density_sweeps_equal_a_sequential_loop(monkeypatch, threads, c
     assert np.array(scaling.fidelities).tobytes() == np.array(expected).tobytes()
 
 
+def test_threaded_corrected_sweep_on_a_fresh_code(monkeypatch):
+    # The code's recovery products are built with the code, so a corrected
+    # sweep on two threads, the first to use a newly built code, reads no
+    # state built lazily by its points: it gives the sequential loop's bytes.
+    monkeypatch.setattr(experiment, "_point_threads", lambda: 2)
+    five_qubit_code.cache_clear()
+    cfg = SHORT_DENSITY
+    cycle = run_cycle_fidelity(cfg, correction=True)
+    dts = cfg.delta_t_values
+    expected = _sequential_fidelities(cfg, True, dts, (1,) * len(dts))
+    assert np.array(cycle.fidelities).tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize(
     "settings, threads",
     [
@@ -806,7 +819,7 @@ def _trajectory_qec_run(psi0, ch, code, delta_t, n_cycles, num_trajectories, bas
                 psi, _, _ = stepper.step(psi, uniforms[:, c, k])
             if correction:
                 psi = _batch_syndrome_recover(psi, uniforms[:, c, substeps:], code)
-        states[start : start + count] = psi
+        psi.rows(out=states[start : start + count])
     return states
 
 
@@ -1286,12 +1299,18 @@ def test_cli_unwritable_out_fails_before_the_run(tmp_path, caplog, command, runn
     assert f"configuration error: cannot write {out}: {reason}" in caplog.text
 
 
-def test_cli_out_that_is_a_directory_fails_at_the_write(tmp_path, capsys, caplog):
-    # Its directory exists, so the run goes ahead; the write's OSError is
-    # still logged as a configuration error.
+@pytest.mark.parametrize("kind", ["directory", "empty"])
+def test_cli_out_directory_fails_before_the_sweep(tmp_path, monkeypatch, capsys, caplog, kind):
+    # An existing directory, or "" (the current one), cannot be the output
+    # file: it is a configuration error, with the reason a write would give,
+    # before the scaling sweep runs.
     cfg = _write(tmp_path, "cycle.yaml", CHEAP_DENSITY_YAML)
-    assert main(["cycle", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert f"configuration error: cannot write {tmp_path}: Is a directory" in caplog.text
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path) if kind == "directory" else ""
+    with mock.patch("corrqec.cli.run_repetition_scaling") as run:
+        assert main(["scaling", "--config", cfg, "--out", out]) == 1
+    run.assert_not_called()
+    assert f"configuration error: cannot write {out}: Is a directory" in caplog.text
     assert capsys.readouterr().out == ""
 
 

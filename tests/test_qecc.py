@@ -160,25 +160,35 @@ def test_syndrome_index_packing():
         assert _batch_measure(image, uniforms, code)[1].tolist() == [packed]
 
 
+def _syndrome_projector(code, s):
+    # P_s is the ordered product, generator 0 first, of the projectors that
+    # _batch_measure applies: P+_i for bit i of s equal to 0, I - P+_i for 1.
+    eye = np.eye(code.dim, dtype=complex)
+    p = eye
+    for i, plus in enumerate(code.plus_projectors):
+        p = (eye - plus if (s >> i) & 1 else plus) @ p
+    return p
+
+
 def test_syndrome_projectors_resolve_identity():
     code = five_qubit_code()
-    total = code.syndrome_projectors.sum(axis=0)
+    projectors = np.array([_syndrome_projector(code, s) for s in range(16)])
+    total = projectors.sum(axis=0)
     np.testing.assert_allclose(total, np.eye(32), atol=1e-10)
-    for s, p in enumerate(code.syndrome_projectors):
+    for s, p in enumerate(projectors):
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
         np.testing.assert_allclose(p, p.conj().T, atol=1e-10)
 
 
 def test_syndrome_projectors_are_the_measured_projectors():
-    # P_s is the ordered product, generator 0 first, of the projectors that
-    # _batch_measure applies: P+_i for bit i of s equal to 0, I - P+_i for 1.
+    # The recovery products are R_m(s) times the measured P_s, bit for bit,
+    # and P_s is the product of the signed generator projectors.
     code = five_qubit_code()
     eye = np.eye(code.dim, dtype=complex)
-    for s, p in enumerate(code.syndrome_projectors):
-        expected = eye
-        for i, plus in enumerate(code.plus_projectors):
-            expected = (eye - plus if (s >> i) & 1 else plus) @ expected
-        assert p.tobytes() == expected.tobytes()
+    for s in range(16):
+        p = _syndrome_projector(code, s)
+        expected = code.error_basis[code.syndrome_table[s]] @ p
+        assert code.recovery_products[s].tobytes() == expected.tobytes()
         signed = eye
         for i, g in enumerate(code.generators):
             signed = 0.5 * (eye + (-1) ** ((s >> i) & 1) * g) @ signed
@@ -210,7 +220,7 @@ def test_exhaustive_single_error_recovery():
         _, syndromes = _batch_measure(images.copy(), uniforms, code)
         assert syndromes.tolist() == list(code.syndrome_of_error)
         fixed = _batch_syndrome_recover(images, uniforms, code)
-        np.testing.assert_allclose(np.abs(fixed @ psi.conj()), 1.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.abs(fixed.rows() @ psi.conj()), 1.0, rtol=0, atol=1e-9)
 
 
 def test_batch_measure_branch_statistics():
@@ -228,7 +238,7 @@ def test_batch_measure_branch_statistics():
     assert set(syndromes.tolist()) <= {0, s_x3}
     hit = syndromes == s_x3
     target = np.where(hit[:, None], x3 @ code.logical_zero, code.logical_zero)
-    overlaps = np.einsum("bi,bi->b", target.conj(), collapsed)
+    overlaps = np.einsum("bi,bi->b", target.conj(), collapsed.rows())
     np.testing.assert_allclose(np.abs(overlaps), 1.0, rtol=0, atol=1e-10)
     p = np.sin(theta) ** 2
     assert abs(hit.sum() / m - p) < 3 * np.sqrt(p * (1 - p) / m)
@@ -326,9 +336,9 @@ def test_batch_syndrome_recover_matches_reference_bit_for_bit(seed, kinds):
     uniforms[rng.random(uniforms.shape) < 0.25] = 0.0
     recovered, collapsed, syndromes = _reference_syndrome_recover(psi, uniforms, code)
     got = _batch_measure(psi.copy(), uniforms, code)
-    assert np.array_equal(got[0], collapsed)
+    assert np.array_equal(got[0].rows(), collapsed)
     assert np.array_equal(got[1], syndromes)
-    assert np.array_equal(_batch_syndrome_recover(psi.copy(), uniforms, code), recovered)
+    assert np.array_equal(_batch_syndrome_recover(psi.copy(), uniforms, code).rows(), recovered)
 
 
 def _code_state(rng, code, kind):
@@ -484,13 +494,13 @@ def test_correction_channel_trace_and_positivity():
 
 
 def test_recovery_products_built_once_with_unchanged_bits():
-    # The cached products equal R_m(s) P_s bit for bit, and the channel over
-    # them gives the bits of products formed per call.
+    # The products, built with the code, equal R_m(s) P_s bit for bit, and
+    # the channel over them gives the bits of products formed per call.
     code = five_qubit_code()
     products = code.recovery_products
-    assert code.recovery_products is products and len(products) == 16
+    assert five_qubit_code().recovery_products is products and len(products) == 16
     for s, rp in enumerate(products):
-        fresh = code.error_basis[code.syndrome_table[s]] @ code.syndrome_projectors[s]
+        fresh = code.error_basis[code.syndrome_table[s]] @ _syndrome_projector(code, s)
         assert rp.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
             rp[0, 0] = 1.0
@@ -500,8 +510,8 @@ def test_recovery_products_built_once_with_unchanged_bits():
         rho = m @ m.conj().T
         rho = rho / rho.trace()
         expected = np.zeros_like(rho)
-        for s, p in enumerate(code.syndrome_projectors):
-            rp = code.error_basis[code.syndrome_table[s]] @ p
+        for s in range(16):
+            rp = code.error_basis[code.syndrome_table[s]] @ _syndrome_projector(code, s)
             expected += rp @ rho @ rp.conj().T
         assert np.array_equal(correction_channel(rho, code), expected)
 
