@@ -183,9 +183,13 @@ def parse_config(data) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and validate a YAML config file."""
+    """Read and validate a YAML config file.
+
+    The file is read as bytes, which PyYAML decodes, so bytes that do not
+    decode are invalid YAML (a ConfigError) whatever the locale's encoding.
+    """
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             data = yaml.safe_load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err

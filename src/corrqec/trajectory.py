@@ -32,15 +32,20 @@ move keep no bookkeeping for it.
 
 Every row gets the bytes it would get in a product over the (M, dim) rows.
 The rows of a GEMM do not depend on the other rows once it has two or more
-rows (checked with OpenBLAS at dim 2..32 for 2..8192 rows), and norms and
-divisions work element by element.  numpy runs a one-row product through
+rows (checked with OpenBLAS at dim 2..32 for 2..8192 rows, and at dim 2,
+4, ..., 32 for 10,000 and 100,000 rows), and norms and divisions work
+element by element.  numpy runs a one-row product through
 gemv, which can differ from a GEMM row in the last bit.  So a product that
 stands for two or more rows gets at least two: a lone distinct state is
 repeated (operators.gemm_operand).  A product that stands for exactly one
 row keeps one row: M == 1, exactly one jumped row, a one-row syndrome
-group.  One more element-wise fact: numpy's in-place multiply of a lone
-complex element rounds differently from a fresh product, so
-operators.row_norms squares a one-element block into a fresh array.
+group.  A row's bytes therefore depend on which rows share its block: a
+row that jumps alone in a block gets a one-row jump image, which it would
+not get among other jumpers.  sample_ensemble steps its whole ensemble as
+one block, so there the rule is the (M, dim) product.  One more
+element-wise fact: numpy's in-place multiply of a lone complex element
+rounds differently from a fresh product, so operators.row_norms squares a
+one-element block into a fresh array.
 
 The same interval, frozen against a reference state, defines the first-order
 error channel {Q_n, p_n}: one BatchStepper supplies the propagator K, the
@@ -63,10 +68,12 @@ XSL-RR, in a fixed set of in-place ufunc passes over the rows per draw
 (_pcg64_streams).  A block's rows draw only tens to hundreds of values
 each, so resetting a generator per row cost more than the drawing: about
 4 us a row, against about 10 ns a value for the vectorized recurrence over
-a few thousand rows.  sample_ensemble seeds a block's streams once and
-draws one uniform per row per interval into one reused (count,) buffer;
-the experiment sweeps, whose points read prefixes of one stream, take a
-block's whole (count, draws) uniform table (_uniform_table).
+a few thousand rows.  sample_ensemble seeds the streams of all M
+trajectories once and draws one uniform per row per interval into one
+reused (M,) buffer, so that one step call advances the whole ensemble.  The
+experiment sweeps, whose points read prefixes of one stream, take each
+block's whole (count, draws) uniform table (_uniform_table), in blocks of
+at most _BLOCK rows that bound the table's memory.
 
 Buffers: a step writes into the block's own buffers, as StateBlock's
 spare rule says (spreading a block to one slot per row too), so the stepper
@@ -77,9 +84,10 @@ only the candidate and jumped states are gathered, and the per-row work is
 index arithmetic over M.  The step's temporaries indexed by slot are sized
 M, not by the slot count: arrays that grew by a few entries every step
 fragmented the heap and raised the unraveling grid's peak RSS from 64 to
-as much as 72 MB.  sample_ensemble holds, besides the block's states, only
-the streams' words and one interval's uniforms, a few (count,) arrays: its
-memory does not grow with the number of intervals.
+as much as 72 MB.  sample_ensemble holds, besides the ensemble's states,
+only the streams' words and one interval's uniforms, a few (M,) arrays: its
+memory does not grow with the number of intervals, but its working set, the
+(M, dim) states, their spare and the step's (M,) temporaries, grows with M.
 """
 
 from __future__ import annotations
@@ -108,7 +116,8 @@ from .operators import (
 # First-order validity gate on the total jump probability per interval.
 SUM_P_GATE = 0.1
 
-_BLOCK = 8192  # trajectories per vectorized block; bounds memory, not results
+# Rows per block of the sweeps' (rows, draws) uniform tables; bounds their memory.
+_BLOCK = 8192
 
 # numpy's SeedSequence (NumPy NEP 19): pool size and hash constants.
 _POOL_SIZE = 4
@@ -469,7 +478,13 @@ def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.nd
 
 
 def _blocks(num_trajectories: int):
-    """(start, count) of each block of at most _BLOCK trajectories, in order."""
+    """(start, count) of each block of at most _BLOCK trajectories, in order.
+
+    The correction-cycle sweeps draw and step one block at a time, so that
+    no uniform table holds more than _BLOCK rows.  Above _BLOCK trajectories
+    the partition can move a row's last bit: a row that jumps alone in its
+    block gets a one-row jump image (see the module docstring).
+    """
     for start in range(0, num_trajectories, _BLOCK):
         yield start, min(_BLOCK, num_trajectories - start)
 
@@ -483,7 +498,7 @@ def sample_ensemble(
     num_trajectories: int,
     collect_logs: bool = False,
 ):
-    """Propagate num_trajectories trajectories; vectorized over blocks.
+    """Propagate num_trajectories trajectories as one vectorized block.
 
     Returns (states, jump_counts) with states of shape (M, 2^L), or
     (states, jump_counts, logs) when collect_logs is set, logs being
@@ -493,9 +508,11 @@ def sample_ensemble(
     where the streams are seeded, _seed_words); numpy integers are accepted.
     collect_logs passes the boolean rule (is_boolean).
 
-    Each block's streams are seeded once (_pcg64_streams), and each interval
-    draws the next uniform of every row into one (count,) buffer that the
-    step reads, so no block holds a table of its uniforms.
+    All M trajectories are one StateBlock: their streams are seeded once
+    (_pcg64_streams), and each interval draws the next uniform of every row
+    into one (M,) buffer and takes one step call, so no table of uniforms is
+    held and the step's fixed cost is paid once per interval.  Every row
+    gets the bytes of the (M, dim) product, whatever _BLOCK is.
     """
     if not is_integer(num_trajectories) or num_trajectories < 1:
         raise DomainError(f"num_trajectories must be a positive integer, got {num_trajectories!r}")
@@ -505,22 +522,17 @@ def sample_ensemble(
     psi0 = check_state_vector(psi0, ch.dim)
     stepper = BatchStepper(ch, delta_t)
 
-    states = np.empty((num_trajectories, ch.dim), dtype=complex)
+    draw, u = _pcg64_streams(base_seed, 0, num_trajectories), np.empty(num_trajectories)
+    psi = StateBlock.shared(psi0, num_trajectories)
     jump_counts = np.zeros(num_trajectories, dtype=np.int64)
     logs = []
-
-    for start, count in _blocks(num_trajectories):
-        rows = slice(start, start + count)
-        draw, u = _pcg64_streams(base_seed, start, count), np.empty(count)
-        psi = StateBlock.shared(psi0, count)
-        for step in range(n_steps):
-            psi, jumped, channel = stepper.step(psi, draw(u))
-            jump_counts[rows] += jumped
-            if collect_logs:
-                for b in np.flatnonzero(jumped):
-                    logs.append((start + int(b), step * delta_t, int(channel[b])))
-        psi.rows(out=states[rows])
-        del psi  # freed before the next block's states are made
+    for step in range(n_steps):
+        psi, jumped, channel = stepper.step(psi, draw(u))
+        jump_counts += jumped
+        if collect_logs:
+            for b in np.flatnonzero(jumped):
+                logs.append((int(b), step * delta_t, int(channel[b])))
+    states = psi.rows()
 
     if collect_logs:
         logs.sort(key=lambda row: (row[0], row[1]))

@@ -1194,6 +1194,19 @@ def test_cli_missing_and_invalid_config(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "cycle"])
+def test_cli_undecodable_config_bytes_are_invalid_yaml(tmp_path, capsys, caplog, command):
+    # Bytes that are not UTF-8, in a comment: PyYAML reads the file as bytes
+    # and reports them as invalid YAML, whatever the locale's encoding.
+    path = tmp_path / "bad_bytes.yaml"
+    text = CHEAP_DENSITY_YAML.encode().replace(b"engine: density", b"engine: density  # \xff\xfe")
+    assert b"\xff" in text
+    path.write_bytes(text)
+    assert main([command, "--config", str(path)]) == 1
+    assert f"configuration error: invalid YAML in {path}" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_over_cap_direct_register_exits_one(tmp_path):
     # a 39x39 A is a 13-qubit register; the direct kind checks it only when
     # the experiment resolves the spec

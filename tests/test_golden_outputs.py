@@ -2,7 +2,10 @@
 
 `tests/golden_outputs.json` holds the exit code and the sha256 of stdout of
 the fast runs of `tools/same_outputs.py`: every `cycle`, `trajectories` and
-`validate` run, about a second or less each.  The `scaling` runs take
+`validate` run, about a second or less each, but the `trajectories` run of
+lowering_logs at 10,000 trajectories: the file was recorded without it and
+is re-recorded only when outputs change on purpose, so that run is compared
+between trees by the tool alone.  The `scaling` runs take
 seconds and are left to that tool, except the trajectory engine's run of
 `configs/trajectory_cycle.yaml` (about 1.3 s): its rows draw 800 uniforms
 each, so it pins the long streams of the uniform table.  The `trajectories`
@@ -39,6 +42,8 @@ TOOLS = ROOT / "tools"
 FAST_COMMANDS = ("cycle", "trajectories", "validate")
 # Slower runs pinned as well, as (command, config, extra arguments).
 LONG_STREAM_RUNS = (("scaling", "configs/trajectory_cycle.yaml", ()),)
+# Generated configs of same_outputs.py whose runs the file does not hold yet.
+UNRECORDED_CONFIGS = ("lowering_logs_above_block.yaml",)
 
 
 def fingerprint() -> dict:
@@ -68,6 +73,8 @@ def record_outputs(workdir: Path) -> dict:
     outputs = {}
     for command, config, extra in _same_outputs()._jobs(ROOT / "configs", workdir):
         if command not in FAST_COMMANDS and (command, config, extra) not in LONG_STREAM_RUNS:
+            continue
+        if Path(config).name in UNRECORDED_CONFIGS:
             continue
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):

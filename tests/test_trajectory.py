@@ -657,8 +657,9 @@ def test_samplers_leave_caller_arrays_untouched():
     block=st.integers(1, 4),
 )
 def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectories, block):
-    # Same jump log and state for every trajectory whether it is stepped in a
-    # block (split into blocks of `block` rows) or by the loop sampler.
+    # Same jump log and state for every trajectory whether the ensemble is
+    # stepped as one block or by the loop sampler.  The patched _BLOCK bounds
+    # only the sweeps' uniform tables; it does not reach sample_ensemble.
     ch = _grid_channels(kind, num_qubits)
     psi0 = _random_state(np.random.default_rng(seed), ch.dim)
     dt, n_steps = 0.005, 60
@@ -788,28 +789,39 @@ def test_streamed_draws_match_numpy_and_the_table(seed, index0, draws, data):
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 @pytest.mark.parametrize("kind", sorted(_KERNELS))
 def test_sample_ensemble_steps_the_tables_columns(kind, num_qubits):
-    # Blocks of 3 rows, the last one short: the streamed draws give the
-    # states, jump counts and logs of stepping each block over the columns
-    # of its _uniform_table.
+    # The streamed draws give the states, jump counts and logs of stepping
+    # the whole ensemble as one block over the columns of its _uniform_table,
+    # with _BLOCK as it is and at 3: it bounds only the sweeps' tables, so a
+    # row that jumps alone among 3 rows still gets its image among 10.
     ch = _grid_channels(kind, num_qubits)
     psi0 = _random_state(np.random.default_rng(40 + num_qubits), ch.dim)
     m, dt, n_steps, seed = 10, 0.005, 200, 77
-    with mock.patch.object(trajectory, "_BLOCK", 3):
-        states, counts, logs = sample_ensemble(psi0, ch, n_steps * dt, dt, seed, m, collect_logs=True)
     stepper = BatchStepper(ch, dt)
-    ref_states, ref_counts, ref_logs = [], np.zeros(m, dtype=np.int64), []
-    for start in range(0, m, 3):
-        table = trajectory._uniform_table(seed, start, min(3, m - start), n_steps)
-        psi = StateBlock.shared(psi0, table.shape[0])
-        for step in range(n_steps):
-            psi, jumped, channel = stepper.step(psi, table[:, step])
-            ref_counts[start : start + table.shape[0]] += jumped
-            ref_logs += [(start + int(b), step * dt, int(channel[b])) for b in np.flatnonzero(jumped)]
-        ref_states.append(psi.rows())
-    assert counts.sum() > 0
-    assert states.tobytes() == np.concatenate(ref_states).tobytes()
-    assert np.array_equal(counts, ref_counts)
-    assert logs == sorted(ref_logs, key=lambda row: (row[0], row[1]))
+    table = trajectory._uniform_table(seed, 0, m, n_steps)
+    psi, ref_counts, ref_logs = StateBlock.shared(psi0, m), np.zeros(m, dtype=np.int64), []
+    for step in range(n_steps):
+        psi, jumped, channel = stepper.step(psi, table[:, step])
+        ref_counts += jumped
+        ref_logs += [(int(b), step * dt, int(channel[b])) for b in np.flatnonzero(jumped)]
+    assert ref_counts.sum() > 0
+    for block in (trajectory._BLOCK, 3):
+        with mock.patch.object(trajectory, "_BLOCK", block):
+            states, counts, logs = sample_ensemble(psi0, ch, n_steps * dt, dt, seed, m, collect_logs=True)
+        assert states.tobytes() == psi.rows().tobytes(), block
+        assert np.array_equal(counts, ref_counts), block
+        assert logs == sorted(ref_logs, key=lambda row: (row[0], row[1])), block
+
+
+def test_sample_ensemble_steps_once_per_interval_above_the_block():
+    # 2 * _BLOCK + 1 trajectories take one step call per interval, not one
+    # per block of _BLOCK rows.
+    ch = _grid_channels("exponential", 1)
+    m, dt, n_steps = 2 * trajectory._BLOCK + 1, 0.005, 3
+    with mock.patch.object(BatchStepper, "step", autospec=True, side_effect=BatchStepper.step) as step:
+        states, counts = sample_ensemble(PLUS, ch, n_steps * dt, dt, 5, m)
+    assert step.call_count == n_steps
+    assert all(call.args[2].shape == (m,) for call in step.call_args_list)
+    assert states.shape == (m, ch.dim) and counts.shape == (m,)
 
 
 def test_sample_ensemble_memory_does_not_grow_with_the_intervals():

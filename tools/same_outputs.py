@@ -17,8 +17,10 @@ density engine's skipped zero prefix, runs `validate` and `cycle` the same
 way on both engines, and the same noise from logical state |0>, which it
 leaves alone (validate's stationary case), runs `validate`.  An L=5 config
 whose logical_state has squared norm 1 + 1.5e-10, outside the unit-norm
-rule, runs `validate` and `cycle` (both exit 1).  With the packaged configs
-that is 41 runs per tree.
+rule, runs `validate` and `cycle` (both exit 1).  The packaged
+lowering_logs config at 10,000 trajectories, more than one uniform-table
+block (trajectory._BLOCK), runs `trajectories`.  With the packaged configs
+that is 42 runs per tree.
 Stdout bytes and exit codes are compared; each mismatch prints its first
 differing line.  Exits 1 on any mismatch, 0 when every output is identical.
 The checkout is removed afterwards.
@@ -92,6 +94,9 @@ GENERATED_NON_UNIT = {
     "noise": GENERATED_NOISE["independent"],
     "logical_state": [[(1.0 + 1.5e-10) ** 0.5, 0.0], [0.0, 0.0]],
 }
+# The packaged lowering_logs config at more trajectories than one block of
+# the sweeps' uniform tables (trajectory._BLOCK, 8192), run with `trajectories`.
+ABOVE_BLOCK_TRAJECTORIES = 10_000
 
 
 def _jobs(configs: Path, generated: Path) -> list:
@@ -121,6 +126,10 @@ def _jobs(configs: Path, generated: Path) -> list:
     path = generated / "non_unit_state.yaml"
     path.write_text(yaml.safe_dump({**GENERATED_BASE, **GENERATED_NON_UNIT}))
     jobs += [(command, str(path), ()) for command in GENERATED_COMMANDS]
+    data = yaml.safe_load((configs / "lowering_logs.yaml").read_text())
+    path = generated / "lowering_logs_above_block.yaml"
+    path.write_text(yaml.safe_dump({**data, "trajectories": ABOVE_BLOCK_TRAJECTORIES}))
+    jobs.append(("trajectories", str(path), ()))
     return jobs
 
 
