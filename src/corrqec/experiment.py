@@ -13,9 +13,9 @@ The density engine (exact integration + deterministic correction channel) is
 the default and produces noise-free slopes; the trajectory engine samples the
 same experiment stochastically and is validated against it.  All runs are
 reproducible from (config, base_seed): identical inputs give bit-identical
-CSV output.  A trajectory sweep draws each block's uniforms once, and each
-point reads a prefix of every row's stream, so the randomness contract is
-unchanged.
+CSV output.  A trajectory sweep steps its points in lockstep on each block
+of trajectories, one cycle's uniforms at a time, and each point reads a
+prefix of every row's stream, so the randomness contract is unchanged.
 """
 
 from __future__ import annotations
@@ -333,57 +333,54 @@ def _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction, where) -
         return list(pool.map(point, range(points)))
 
 
-def _qec_block(psi0, ch, code, cycles, delta_t, substeps, correction):
-    """Final states of a block of trajectories after one correction cycle per cycles[:, c].
-
-    cycles[b, c] holds the uniforms trajectory b reads in cycle c.  Each
-    cycle of length delta_t is unraveled with `substeps` jump intervals, one
-    uniform each, followed by one uniform per stabilizer generator when
-    correcting.
-    """
-    stepper = BatchStepper(ch, delta_t / substeps)
-    psi = StateBlock.shared(psi0, cycles.shape[0])
-    for c in range(cycles.shape[1]):
-        for k in range(substeps):
-            psi, _, _ = stepper.step(psi, cycles[:, c, k])
-        if correction:
-            psi = _batch_syndrome_recover(psi, cycles[:, c, substeps:], code)
-    return psi
-
-
 def _trajectory_fidelities(cfg, ch, code, psi0, correction, delta_ts, n_cycles, where) -> list:
     """Ensemble fidelity of every trajectory sweep point's final states.
 
-    Blocks of trajectories run outside and sweep points inside: a block's
-    uniforms are drawn once, as many cycles as the longest point runs, and
-    point i steps the view of each row's first n_i cycles.  A row's first k
-    draws do not depend on how many are drawn, so each point reads exactly
-    the uniforms it would draw alone.
+    Blocks of trajectories run outside and the points step in lockstep
+    inside: each block's streams are seeded once, each cycle draws every
+    row's next per_cycle uniforms into one buffer, and every live point
+    with cycles left steps that cycle, its substeps then its recovery,
+    before the next point does.  A row's k-th draw does not depend on how
+    many are drawn, so point i reads the uniforms of its first n_i cycles,
+    exactly those it would draw alone.  A point's StateBlock lives from its
+    first cycle to its last, when the point writes its overlaps.
 
     The lowest-index point that fails in any block raises its StepSizeError,
     prefixed by where(i).  A failed point and the points after it are
-    skipped in later blocks, as they cannot change which failure is raised;
-    once the first point fails no further block is drawn.
+    dropped, in this block and later ones, as they cannot change which
+    failure is raised; once the first point fails no further block is seeded.
     """
     substeps = cfg.trajectory_substeps
     # The uniforms a cycle reads: one per jump interval, then one per generator.
     per_cycle = substeps + (len(code.generators) if correction else 0)
+    steppers = [BatchStepper(ch, dt / substeps) for dt in delta_ts]
     overlaps = np.empty((len(delta_ts), cfg.trajectories), dtype=complex)
     live, failure = len(delta_ts), None
     for start, count in trajectory._blocks(cfg.trajectories):
-        # Through the module, so that a wrapper of it sees every block's draw.
-        table = trajectory._uniform_table(cfg.base_seed, start, count, max(n_cycles) * per_cycle)
-        for i in range(live):
-            dt, n = delta_ts[i], n_cycles[i]
-            cycles = table[:, : n * per_cycle].reshape(-1, n, per_cycle)
-            try:
-                psi = _qec_block(psi0, ch, code, cycles, dt, substeps, correction)
-            except StepSizeError as err:
-                live, failure = i, err
-                break
-            overlaps[i, start : start + count] = psi.rows() @ psi0.conj()
-            del psi  # not held while the next point steps its own block
-        del table, cycles  # free this block's draws before the next block's are made
+        # Through the module, so that a wrapper of it sees every block's seeding.
+        draw = trajectory._pcg64_streams(cfg.base_seed, start, count)
+        u = np.empty((per_cycle, count))
+        # The points with cycles left, in sweep order, and their blocks.  A
+        # point's block is made at its first step, so that in a cycle sweep
+        # one point's block is alive at a time.
+        psi = dict.fromkeys(range(live))
+        c = 0
+        while psi:
+            for row in u:
+                draw(row)
+            for i in list(psi):
+                try:
+                    for k in range(substeps):
+                        psi[i], _, _ = steppers[i].step(psi[i] or StateBlock.shared(psi0, count), u[k])
+                    if correction:
+                        psi[i] = _batch_syndrome_recover(psi[i], u[substeps:].T, code)
+                except StepSizeError as err:
+                    live, failure = i, err
+                    psi = {j: block for j, block in psi.items() if j < i}
+                    break
+                if c + 1 == n_cycles[i]:
+                    overlaps[i, start : start + count] = psi.pop(i).rows() @ psi0.conj()
+            c += 1
         if not live:
             break
     if failure is not None:
@@ -398,13 +395,14 @@ def _run_sweep(
 
     A density sweep runs its points concurrently on the cores its BLAS
     leaves free (_density_fidelities); each point's bytes are those of a
-    lone run.  A trajectory sweep runs on the calling thread: it draws each
-    block's uniforms once for all points, and each point reads a prefix of
-    every row's stream, so the randomness contract is unchanged
-    (_trajectory_fidelities).  Either engine raises the error of the
-    earliest failing point in sweep order, named by where(i): "delta_t=..."
-    in a cycle sweep, "N=... (delta_t=...)" in a scaling sweep.  correction
-    passes the boolean rule (is_boolean); anything else is a DomainError.
+    lone run.  A trajectory sweep runs on the calling thread: it seeds each
+    block's streams once and steps its points in lockstep, cycle by cycle,
+    so each point reads a prefix of every row's stream and the randomness
+    contract is unchanged (_trajectory_fidelities).  Either engine raises
+    the error of the earliest failing point in sweep order, named by
+    where(i): "delta_t=..." in a cycle sweep, "N=... (delta_t=...)" in a
+    scaling sweep.  correction passes the boolean rule (is_boolean);
+    anything else is a DomainError.
     """
     if not is_boolean(correction):
         raise DomainError(f"correction must be a boolean, got {correction!r}")

@@ -68,12 +68,13 @@ XSL-RR, in a fixed set of in-place ufunc passes over the rows per draw
 (_pcg64_streams).  A block's rows draw only tens to hundreds of values
 each, so resetting a generator per row cost more than the drawing: about
 4 us a row, against about 10 ns a value for the vectorized recurrence over
-a few thousand rows.  sample_ensemble seeds the streams of all M
-trajectories once and draws one uniform per row per interval into one
-reused (M,) buffer, so that one step call advances the whole ensemble.  The
-experiment sweeps, whose points read prefixes of one stream, take each
-block's whole (count, draws) uniform table (_uniform_table), in blocks of
-at most _BLOCK rows that bound the table's memory.
+a few thousand rows.  Every library reader seeds the streams once and
+draws them interval by interval into reused buffers, so no table of
+uniforms is held: sample_ensemble draws one uniform per row per interval
+into one (M,) buffer, so that one step call advances the whole ensemble,
+and the experiment's correction-cycle sweeps draw one cycle's uniforms per
+row of a block of at most _BLOCK rows, which every point of the sweep with
+cycles left then steps (experiment._trajectory_fidelities).
 
 Buffers: a step writes into the block's own buffers, as StateBlock's
 spare rule says (spreading a block to one slot per row too), so the stepper
@@ -116,7 +117,8 @@ from .operators import (
 # First-order validity gate on the total jump probability per interval.
 SUM_P_GATE = 0.1
 
-# Rows per block of the sweeps' (rows, draws) uniform tables; bounds their memory.
+# Rows per block of the correction-cycle sweeps: fixes the partition that sets
+# the bytes of rows above _BLOCK, and bounds the rows of the live blocks.
 _BLOCK = 8192
 
 # numpy's SeedSequence (NumPy NEP 19): pool size and hash constants.
@@ -468,7 +470,9 @@ def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.nd
     bit for bit (_pcg64_streams).  Draw k is written into row k of one
     (draws, count) buffer, and the result is its transpose: shape
     (count, draws), with each draw's column contiguous for the step that
-    reads it.
+    reads it.  No library code calls it: the library reads the streams
+    interval by interval.  It stays as the tests' reference table of the
+    streams and as a named target of the benchmark's tracer.
     """
     draw = _pcg64_streams(base_seed, index0, count)
     table = np.empty((draws, count))
@@ -480,10 +484,11 @@ def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.nd
 def _blocks(num_trajectories: int):
     """(start, count) of each block of at most _BLOCK trajectories, in order.
 
-    The correction-cycle sweeps draw and step one block at a time, so that
-    no uniform table holds more than _BLOCK rows.  Above _BLOCK trajectories
-    the partition can move a row's last bit: a row that jumps alone in its
-    block gets a one-row jump image (see the module docstring).
+    The correction-cycle sweeps seed, draw and step one block at a time, so
+    that no state block or uniform buffer holds more than _BLOCK rows.
+    Above _BLOCK trajectories the partition can move a row's last bit: a row
+    that jumps alone in its block gets a one-row jump image (see the module
+    docstring).
     """
     for start in range(0, num_trajectories, _BLOCK):
         yield start, min(_BLOCK, num_trajectories - start)

@@ -1,5 +1,6 @@
 """Experiment driver, config parsing, CSV output, CLI exit codes."""
 
+import contextlib
 import math
 import os
 import subprocess
@@ -11,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corrqec import experiment, trajectory
 from corrqec.cli import main
@@ -801,8 +804,9 @@ def test_engines_agree_on_corrected_fidelity():
 
 
 # ---------------------------------------------------------------------------
-# trajectory sweeps: blocks outside, sweep points inside.  The reference runs
-# the sweep point by point, each point drawing its own uniform tables.
+# trajectory sweeps: blocks outside, sweep points in lockstep inside.  The
+# reference runs the sweep point by point, each point drawing its own
+# uniform tables.
 
 
 def _trajectory_qec_run(psi0, ch, code, delta_t, n_cycles, num_trajectories, base_seed,
@@ -824,7 +828,12 @@ def _trajectory_qec_run(psi0, ch, code, delta_t, n_cycles, num_trajectories, bas
 
 
 def _ensemble_fidelity(psi0, states):
-    overlaps = states @ psi0.conj()
+    # Overlaps block by block, as the sweep takes them: a one-row block's
+    # product can differ in the last bit from that row's among others.
+    overlaps = np.concatenate([
+        states[start : start + count] @ psi0.conj()
+        for start, count in trajectory._blocks(len(states))
+    ])
     return float(np.mean(np.abs(overlaps) ** 2))
 
 
@@ -840,19 +849,31 @@ def _reference_point(cfg, correction, delta_t, n_cycles, trajectories=None):
 
 
 @pytest.mark.parametrize("correction", [True, False])
-def test_trajectory_sweeps_match_point_by_point_reference(correction):
-    # 37 trajectories in blocks of 8: four full blocks and a short one.
+@settings(max_examples=6, deadline=None)
+@given(
+    n_values=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    block=st.sampled_from([1, 2, 3, 8]),
+    trajectories=st.integers(1, 20),
+)
+# 37 trajectories in blocks of 8: four full blocks and a short one.
+@example(n_values=[2, 5, 4, 8], block=8, trajectories=37)
+def test_trajectory_sweeps_match_point_by_point_reference(
+    correction, n_values, block, trajectories
+):
+    # Points in any order, repeats included; each cycle sweep point is one
+    # cycle of a scaling point's length.  Steps of at most 0.025 keep every
+    # state within the first-order gate.
     cfg = ExperimentConfig(
         noise=ZKERNEL,
-        t_total=0.2,
-        n_values=(2, 5, 4, 8),
-        delta_t_values=(0.05, 0.12, 0.1, 0.08),
+        t_total=0.1,
+        n_values=tuple(n_values),
+        delta_t_values=tuple(0.1 / n for n in n_values),
         engine="trajectory",
-        trajectories=37,
+        trajectories=trajectories,
         trajectory_substeps=4,
         base_seed=1234,
     )
-    with mock.patch.object(trajectory, "_BLOCK", 8):
+    with mock.patch.object(trajectory, "_BLOCK", block):
         cycle = run_cycle_fidelity(cfg, correction)
         scaling = run_repetition_scaling(cfg, correction)
         expected_cycle = [_reference_point(cfg, correction, dt, 1) for dt in cfg.delta_t_values]
@@ -862,6 +883,56 @@ def test_trajectory_sweeps_match_point_by_point_reference(correction):
         ]
     assert list(cycle.fidelities) == expected_cycle
     assert list(scaling.fidelities) == expected_scaling
+
+
+@contextlib.contextmanager
+def _recorded_sweep_calls():
+    """Record a sweep's stream seedings, draws, steps and recoveries in call order.
+
+    ("seed", args) per _pcg64_streams call, ("draw", out.shape) per draw,
+    ("step", delta_t, u.shape, u is C-contiguous, returned block) per
+    BatchStepper.step call and ("recover", block) per recovery.
+    """
+    calls = []
+    streams, step = trajectory._pcg64_streams, trajectory.BatchStepper.step
+    recover = experiment._batch_syndrome_recover
+
+    def seed(*args):
+        calls.append(("seed", args))
+        draw = streams(*args)
+
+        def counted(out):
+            calls.append(("draw", out.shape))
+            return draw(out)
+
+        return counted
+
+    def stepped(self, block, u):
+        out = step(self, block, u)
+        calls.append(("step", self.delta_t, u.shape, u.flags.c_contiguous, out[0]))
+        return out
+
+    def recovered(block, uniforms, code):
+        calls.append(("recover", block))
+        return recover(block, uniforms, code)
+
+    with (
+        mock.patch.object(trajectory, "_pcg64_streams", seed),
+        mock.patch.object(trajectory.BatchStepper, "step", stepped),
+        mock.patch.object(experiment, "_batch_syndrome_recover", recovered),
+    ):
+        yield calls
+
+
+def _by_block(calls):
+    """The calls after each seeding, one list per block."""
+    blocks = []
+    for call in calls:
+        if call[0] == "seed":
+            blocks.append([])
+        else:
+            blocks[-1].append(call)
+    return blocks
 
 
 def test_trajectory_sweep_names_the_earliest_failing_point():
@@ -891,11 +962,11 @@ def test_trajectory_sweep_names_the_earliest_failing_point():
             run_repetition_scaling(cfg)
         with pytest.raises(StepSizeError) as second:
             run_cycle_fidelity(ExperimentConfig(**{**vars(cfg), "delta_t_values": (0.01, 0.4)}))
-        # Once the first point has failed, no further block is drawn.
-        spy = mock.patch.object(trajectory, "_uniform_table", wraps=trajectory._uniform_table)
-        with spy as table, pytest.raises(StepSizeError) as first:
+        # Once the first point has failed, no further block is seeded.
+        spy = mock.patch.object(trajectory, "_pcg64_streams", wraps=trajectory._pcg64_streams)
+        with spy as streams, pytest.raises(StepSizeError) as first:
             run_cycle_fidelity(ExperimentConfig(**{**vars(cfg), "delta_t_values": (0.4, 0.01)}))
-        assert table.call_count == 1
+        assert [c.args for c in streams.call_args_list] == [(cfg.base_seed, 0, 4)]
     assert str(cycle.value) == f"delta_t=0.08: {late.value}"
     assert str(scaling.value) == f"N=2 (delta_t=0.08): {late.value}"
     for only in (second, first):
@@ -906,7 +977,9 @@ def test_trajectory_sweep_names_the_earliest_failing_point():
 
 
 def _assert_draws_each_block_once(correction, trajectories):
-    # One _uniform_table call per block of 4, a partial last block included.
+    # One seeding of the streams per block of 4, a partial last block
+    # included, and as many draws as the longest point reads: no point
+    # redraws a prefix.
     cfg = ExperimentConfig(
         noise=ZKERNEL,
         t_total=0.06,
@@ -917,21 +990,21 @@ def _assert_draws_each_block_once(correction, trajectories):
         trajectory_substeps=2,
     )
     per_cycle = 2 + (4 if correction else 0)
-    spy = mock.patch.object(trajectory, "_uniform_table", wraps=trajectory._uniform_table)
-    qec = mock.patch.object(experiment, "_qec_block", wraps=experiment._qec_block)
     for run, longest in ((run_cycle_fidelity, 1), (run_repetition_scaling, 3)):
-        with mock.patch.object(trajectory, "_BLOCK", 4), spy as table, qec as block:
+        with mock.patch.object(trajectory, "_BLOCK", 4), _recorded_sweep_calls() as calls:
             run(cfg, correction)
-        assert table.call_count == math.ceil(trajectories / 4)
-        assert [c.args[1:] for c in table.call_args_list] == [
-            (start, min(4, trajectories - start), longest * per_cycle)
+        seeds = [c[1] for c in calls if c[0] == "seed"]
+        assert len(seeds) == math.ceil(trajectories / 4)
+        assert seeds == [
+            (cfg.base_seed, start, min(4, trajectories - start))
             for start in range(0, trajectories, 4)
         ]
-        # Each point steps a view of the table, whose every column is contiguous.
-        for c in block.call_args_list:
-            cycles = c.args[3]
-            assert all(cycles[:, i, k].flags.c_contiguous
-                       for i in range(cycles.shape[1]) for k in range(per_cycle))
+        for (_, _, count), block in zip(seeds, _by_block(calls), strict=True):
+            draws = [c for c in block if c[0] == "draw"]
+            assert draws == [("draw", (count,))] * (longest * per_cycle)
+            # Each step reads one draw's uniforms of the block's rows, contiguous.
+            steps = [c for c in block if c[0] == "step"]
+            assert steps and all(c[2] == (count,) and c[3] for c in steps)
 
 
 @pytest.mark.parametrize("correction", [True, False])
@@ -944,6 +1017,49 @@ def test_trajectory_sweep_draws_each_block_once(correction):
 def test_trajectory_sweep_draws_each_block_once_for_any_count(correction, trajectories):
     # A whole number of blocks, one partial block, one trajectory.
     _assert_draws_each_block_once(correction, trajectories)
+
+
+@pytest.mark.parametrize("correction", [True, False])
+def test_trajectory_sweep_steps_each_points_cycle_whole_in_sweep_order(correction):
+    # In each block and each cycle the points with cycles left step in sweep
+    # order, and a point's substeps, then its recovery, are contiguous: the
+    # order of the step calls whose jump decisions the trajectory_qec
+    # benchmark's reference records.  Distinct intervals name the points.
+    substeps = 3
+    cfg = ExperimentConfig(
+        noise=ZKERNEL,
+        t_total=0.06,
+        n_values=(2, 3, 1),
+        delta_t_values=(0.02, 0.01, 0.03),
+        engine="trajectory",
+        trajectories=6,
+        trajectory_substeps=substeps,
+    )
+    for run, cycles in ((run_cycle_fidelity, (1, 1, 1)), (run_repetition_scaling, cfg.n_values)):
+        with mock.patch.object(trajectory, "_BLOCK", 4), _recorded_sweep_calls() as calls:
+            result = run(cfg, correction)
+        point = {dt / substeps: i for i, dt in enumerate(result.delta_ts)}
+        assert len(point) == 3
+        expected = [
+            (kind, i)
+            for c in range(max(cycles))
+            for i in range(3)
+            if c < cycles[i]
+            for kind in ["step"] * substeps + (["recover"] if correction else [])
+        ]
+        blocks = _by_block(calls)
+        assert len(blocks) == 2
+        for block in blocks:
+            block = [c for c in block if c[0] != "draw"]
+            order = []
+            for prev, call in zip([None, *block], block):
+                if call[0] == "step":
+                    order.append(("step", point[call[1]]))
+                else:
+                    # A recovery takes the block its point's last step returned.
+                    assert prev[0] == "step" and call[1] is prev[4]
+                    order.append(("recover", point[prev[1]]))
+            assert order == expected
 
 
 def test_run_trajectory_logs_requires_commensurate_times():

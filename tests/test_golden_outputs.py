@@ -8,9 +8,9 @@ is re-recorded only when outputs change on purpose, so that run is compared
 between trees by the tool alone.  The `scaling` runs take
 seconds and are left to that tool, except the trajectory engine's run of
 `configs/trajectory_cycle.yaml` (about 1.3 s): its rows draw 800 uniforms
-each, so it pins the long streams of the uniform table.  The `trajectories`
-logs pin the jump decisions as well.  Every run goes through `cli.main` in
-this process.
+each, which the sweep's points read cycle by cycle in lockstep, so it pins
+the long streams.  The `trajectories` logs pin the jump decisions as well.
+Every run goes through `cli.main` in this process.
 
 The bytes depend on numpy's loops and on the BLAS kernel, so the file also
 holds a fingerprint of the numpy and BLAS build and of the CPU features

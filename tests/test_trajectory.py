@@ -659,7 +659,8 @@ def test_samplers_leave_caller_arrays_untouched():
 def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectories, block):
     # Same jump log and state for every trajectory whether the ensemble is
     # stepped as one block or by the loop sampler.  The patched _BLOCK bounds
-    # only the sweeps' uniform tables; it does not reach sample_ensemble.
+    # only the correction-cycle sweeps' blocks; it does not reach
+    # sample_ensemble.
     ch = _grid_channels(kind, num_qubits)
     psi0 = _random_state(np.random.default_rng(seed), ch.dim)
     dt, n_steps = 0.005, 60

@@ -18,9 +18,9 @@ way on both engines, and the same noise from logical state |0>, which it
 leaves alone (validate's stationary case), runs `validate`.  An L=5 config
 whose logical_state has squared norm 1 + 1.5e-10, outside the unit-norm
 rule, runs `validate` and `cycle` (both exit 1).  The packaged
-lowering_logs config at 10,000 trajectories, more than one uniform-table
-block (trajectory._BLOCK), runs `trajectories`.  With the packaged configs
-that is 42 runs per tree.
+lowering_logs config at 10,000 trajectories, one sample_ensemble block of
+more than trajectory._BLOCK rows, runs `trajectories`.  With the packaged
+configs that is 42 runs per tree.
 Stdout bytes and exit codes are compared; each mismatch prints its first
 differing line.  Exits 1 on any mismatch, 0 when every output is identical.
 The checkout is removed afterwards.
@@ -95,7 +95,8 @@ GENERATED_NON_UNIT = {
     "logical_state": [[(1.0 + 1.5e-10) ** 0.5, 0.0], [0.0, 0.0]],
 }
 # The packaged lowering_logs config at more trajectories than one block of
-# the sweeps' uniform tables (trajectory._BLOCK, 8192), run with `trajectories`.
+# the correction-cycle sweeps (trajectory._BLOCK, 8192), run with
+# `trajectories`: sample_ensemble steps them as one block.
 ABOVE_BLOCK_TRAJECTORIES = 10_000
 
 
