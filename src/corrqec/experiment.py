@@ -13,9 +13,10 @@ The density engine (exact integration + deterministic correction channel) is
 the default and produces noise-free slopes; the trajectory engine samples the
 same experiment stochastically and is validated against it.  All runs are
 reproducible from (config, base_seed): identical inputs give bit-identical
-CSV output.  A trajectory sweep steps its points in lockstep on each block
-of trajectories, one cycle's uniforms at a time, and each point reads a
-prefix of every row's stream, so the randomness contract is unchanged.
+CSV output.  A trajectory sweep steps its points in lockstep on one block
+of all its trajectories, one cycle's uniforms at a time, and each point
+reads a prefix of every row's stream, so the randomness contract is
+unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trajectory
-from .errors import ConfigError, DomainError, SimulationError, StepSizeError
+from .errors import ConfigError, DomainError, SimulationError
 from .lindblad import (
     EvolutionConfig,
     _rhs,
@@ -336,56 +337,53 @@ def _density_fidelities(psi0, ch, code, delta_ts, n_cycles, correction, where) -
 def _trajectory_fidelities(cfg, ch, code, psi0, correction, delta_ts, n_cycles, where) -> list:
     """Ensemble fidelity of every trajectory sweep point's final states.
 
-    Blocks of trajectories run outside and the points step in lockstep
-    inside: each block's streams are seeded once, each cycle draws every
-    row's next per_cycle uniforms into one buffer, and every live point
-    with cycles left steps that cycle, its substeps then its recovery,
-    before the next point does.  A row's k-th draw does not depend on how
-    many are drawn, so point i reads the uniforms of its first n_i cycles,
-    exactly those it would draw alone.  A point's StateBlock lives from its
-    first cycle to its last, when the point writes its overlaps.
+    All M trajectories are one block, and the points step in lockstep on
+    it: the M streams are seeded once, each cycle draws every row's next
+    per_cycle uniforms into one buffer, and every live point with cycles
+    left steps that cycle, its substeps then its recovery, before the next
+    point does.  A row's k-th draw does not depend on how many are drawn,
+    so point i reads the uniforms of its first n_i cycles, exactly those it
+    would draw alone.  A point's StateBlock lives from its first cycle to
+    its last, when the point's fidelity is taken from it.
 
-    The lowest-index point that fails in any block raises its StepSizeError,
-    prefixed by where(i).  A failed point and the points after it are
-    dropped, in this block and later ones, as they cannot change which
-    failure is raised; once the first point fails no further block is seeded.
+    The lowest-index point that fails raises its SimulationError again as
+    the same type, prefixed by where(i).  A failed point and the points
+    after it are dropped, as they cannot change which failure is raised.
     """
     substeps = cfg.trajectory_substeps
     # The uniforms a cycle reads: one per jump interval, then one per generator.
     per_cycle = substeps + (len(code.generators) if correction else 0)
     steppers = [BatchStepper(ch, dt / substeps) for dt in delta_ts]
-    overlaps = np.empty((len(delta_ts), cfg.trajectories), dtype=complex)
-    live, failure = len(delta_ts), None
-    for start, count in trajectory._blocks(cfg.trajectories):
-        # Through the module, so that a wrapper of it sees every block's seeding.
-        draw = trajectory._pcg64_streams(cfg.base_seed, start, count)
-        u = np.empty((per_cycle, count))
-        # The points with cycles left, in sweep order, and their blocks.  A
-        # point's block is made at its first step, so that in a cycle sweep
-        # one point's block is alive at a time.
-        psi = dict.fromkeys(range(live))
-        c = 0
-        while psi:
-            for row in u:
-                draw(row)
-            for i in list(psi):
-                try:
-                    for k in range(substeps):
-                        psi[i], _, _ = steppers[i].step(psi[i] or StateBlock.shared(psi0, count), u[k])
-                    if correction:
-                        psi[i] = _batch_syndrome_recover(psi[i], u[substeps:].T, code)
-                except StepSizeError as err:
-                    live, failure = i, err
-                    psi = {j: block for j, block in psi.items() if j < i}
-                    break
-                if c + 1 == n_cycles[i]:
-                    overlaps[i, start : start + count] = psi.pop(i).rows() @ psi0.conj()
-            c += 1
-        if not live:
-            break
+    m = cfg.trajectories
+    # Through the module, so that a wrapper of it sees the seeding.
+    draw = trajectory._pcg64_streams(cfg.base_seed, 0, m)
+    u = np.empty((per_cycle, m))
+    # The points with cycles left, in sweep order, and their blocks.  A
+    # point's block is made at its first step, so that in a cycle sweep one
+    # point's block is alive at a time.
+    psi = dict.fromkeys(range(len(delta_ts)))
+    fidelities, failed, failure = [None] * len(delta_ts), None, None
+    c = 0
+    while psi:
+        for row in u:
+            draw(row)
+        for i in list(psi):
+            try:
+                for k in range(substeps):
+                    psi[i], _, _ = steppers[i].step(psi[i] or StateBlock.shared(psi0, m), u[k])
+                if correction:
+                    psi[i] = _batch_syndrome_recover(psi[i], u[substeps:].T, code)
+            except SimulationError as err:
+                failed, failure = i, err
+                psi = {j: block for j, block in psi.items() if j < i}
+                break
+            if c + 1 == n_cycles[i]:
+                overlaps = psi.pop(i).rows() @ psi0.conj()
+                fidelities[i] = float(np.mean(np.abs(overlaps) ** 2))
+        c += 1
     if failure is not None:
-        raise StepSizeError(f"{where(live)}: {failure}") from failure
-    return [float(np.mean(np.abs(o) ** 2)) for o in overlaps]
+        raise type(failure)(f"{where(failed)}: {failure}") from failure
+    return fidelities
 
 
 def _run_sweep(
@@ -395,11 +393,12 @@ def _run_sweep(
 
     A density sweep runs its points concurrently on the cores its BLAS
     leaves free (_density_fidelities); each point's bytes are those of a
-    lone run.  A trajectory sweep runs on the calling thread: it seeds each
-    block's streams once and steps its points in lockstep, cycle by cycle,
-    so each point reads a prefix of every row's stream and the randomness
-    contract is unchanged (_trajectory_fidelities).  Either engine raises
-    the error of the earliest failing point in sweep order, named by
+    lone run.  A trajectory sweep runs on the calling thread: it seeds the
+    streams of all its trajectories once and steps its points in lockstep
+    on one block, cycle by cycle, so each point reads a prefix of every
+    row's stream and the randomness contract is unchanged
+    (_trajectory_fidelities).  Either engine raises the SimulationError of
+    the earliest failing point in sweep order as the same type, named by
     where(i): "delta_t=..." in a cycle sweep, "N=... (delta_t=...)" in a
     scaling sweep.  correction passes the boolean rule (is_boolean);
     anything else is a DomainError.

@@ -411,9 +411,8 @@ def room_for(buffer, rows: int, num_rows: int, dim: int) -> np.ndarray:
     buffer only now and then.  From _MAPPED_BUFFER_BYTES on it is mapped
     pages, returned to the system when it is dropped: buffers that grow
     with a block's distinct states mid-run, taken from the heap, split the
-    holes that later large arrays need (then each block's uniform table),
-    and an unraveling_grid benchmark run peaked 8 MB higher in one to five
-    runs out of ten.
+    holes that later large arrays need, and an unraveling_grid benchmark
+    run peaked 8 MB higher in one to five runs out of ten.
     """
     if buffer is not None and buffer.shape[0] >= rows:
         return buffer

@@ -34,18 +34,17 @@ Every row gets the bytes it would get in a product over the (M, dim) rows.
 The rows of a GEMM do not depend on the other rows once it has two or more
 rows (checked with OpenBLAS at dim 2..32 for 2..8192 rows, and at dim 2,
 4, ..., 32 for 10,000 and 100,000 rows), and norms and divisions work
-element by element.  numpy runs a one-row product through
-gemv, which can differ from a GEMM row in the last bit.  So a product that
-stands for two or more rows gets at least two: a lone distinct state is
-repeated (operators.gemm_operand).  A product that stands for exactly one
-row keeps one row: M == 1, exactly one jumped row, a one-row syndrome
-group.  A row's bytes therefore depend on which rows share its block: a
-row that jumps alone in a block gets a one-row jump image, which it would
-not get among other jumpers.  sample_ensemble steps its whole ensemble as
-one block, so there the rule is the (M, dim) product.  One more
-element-wise fact: numpy's in-place multiply of a lone complex element
-rounds differently from a fresh product, so operators.row_norms squares a
-one-element block into a fresh array.
+element by element.  numpy runs a one-row product through gemv, which can
+differ from a GEMM row in the last bit.  So a product that stands for two
+or more rows gets at least two: a lone distinct state is repeated
+(operators.gemm_operand).  A product that stands for exactly one row keeps
+one row: M == 1, exactly one jumped row, a one-row syndrome group.  Both
+readers of the streams, sample_ensemble and the experiment's
+correction-cycle sweeps, step all M rows as one block, so these are the
+products over the (M, dim) rows.  One more element-wise fact: numpy's
+in-place multiply of a lone complex element rounds differently from a
+fresh product, so operators.row_norms squares a one-element block into a
+fresh array.
 
 The same interval, frozen against a reference state, defines the first-order
 error channel {Q_n, p_n}: one BatchStepper supplies the propagator K, the
@@ -55,9 +54,9 @@ errors, complete to O(delta_t) with probabilities summing to one.
 
 Randomness contract: row b of sample_ensemble(..., base_seed, M) draws from
 numpy's default generator seeded with SeedSequence((base_seed, b)), one
-uniform per interval, whatever the block size; the jump decision and the
-channel choice share that uniform.  Trajectory b therefore takes the same
-jump decisions in every ensemble of more than b trajectories.
+uniform per interval; the jump decision and the channel choice share that
+uniform.  Trajectory b therefore takes the same jump decisions in every
+ensemble of more than b trajectories.
 
 The uniforms are drawn without a generator per row.  The SeedSequence
 hash of every row's entropy runs at once in vectorized uint32 arithmetic,
@@ -72,9 +71,9 @@ a few thousand rows.  Every library reader seeds the streams once and
 draws them interval by interval into reused buffers, so no table of
 uniforms is held: sample_ensemble draws one uniform per row per interval
 into one (M,) buffer, so that one step call advances the whole ensemble,
-and the experiment's correction-cycle sweeps draw one cycle's uniforms per
-row of a block of at most _BLOCK rows, which every point of the sweep with
-cycles left then steps (experiment._trajectory_fidelities).
+and the experiment's correction-cycle sweeps draw one cycle's uniforms for
+each of the M rows, which every point of the sweep with cycles left then
+steps (experiment._trajectory_fidelities).
 
 Buffers: a step writes into the block's own buffers, as StateBlock's
 spare rule says (spreading a block to one slot per row too), so the stepper
@@ -89,6 +88,9 @@ as much as 72 MB.  sample_ensemble holds, besides the ensemble's states,
 only the streams' words and one interval's uniforms, a few (M,) arrays: its
 memory does not grow with the number of intervals, but its working set, the
 (M, dim) states, their spare and the step's (M,) temporaries, grows with M.
+So does a correction-cycle sweep's, which holds one cycle's uniforms of
+every row and the state block of each point between its first cycle and
+its last.
 """
 
 from __future__ import annotations
@@ -116,10 +118,6 @@ from .operators import (
 
 # First-order validity gate on the total jump probability per interval.
 SUM_P_GATE = 0.1
-
-# Rows per block of the correction-cycle sweeps: fixes the partition that sets
-# the bytes of rows above _BLOCK, and bounds the rows of the live blocks.
-_BLOCK = 8192
 
 # numpy's SeedSequence (NumPy NEP 19): pool size and hash constants.
 _POOL_SIZE = 4
@@ -481,19 +479,6 @@ def _uniform_table(base_seed: int, index0: int, count: int, draws: int) -> np.nd
     return table.T
 
 
-def _blocks(num_trajectories: int):
-    """(start, count) of each block of at most _BLOCK trajectories, in order.
-
-    The correction-cycle sweeps seed, draw and step one block at a time, so
-    that no state block or uniform buffer holds more than _BLOCK rows.
-    Above _BLOCK trajectories the partition can move a row's last bit: a row
-    that jumps alone in its block gets a one-row jump image (see the module
-    docstring).
-    """
-    for start in range(0, num_trajectories, _BLOCK):
-        yield start, min(_BLOCK, num_trajectories - start)
-
-
 def sample_ensemble(
     psi0: np.ndarray,
     ch: JumpChannelSet,
@@ -517,7 +502,7 @@ def sample_ensemble(
     (_pcg64_streams), and each interval draws the next uniform of every row
     into one (M,) buffer and takes one step call, so no table of uniforms is
     held and the step's fixed cost is paid once per interval.  Every row
-    gets the bytes of the (M, dim) product, whatever _BLOCK is.
+    gets the bytes of the (M, dim) product.
     """
     if not is_integer(num_trajectories) or num_trajectories < 1:
         raise DomainError(f"num_trajectories must be a positive integer, got {num_trajectories!r}")

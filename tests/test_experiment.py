@@ -804,37 +804,24 @@ def test_engines_agree_on_corrected_fidelity():
 
 
 # ---------------------------------------------------------------------------
-# trajectory sweeps: blocks outside, sweep points in lockstep inside.  The
-# reference runs the sweep point by point, each point drawing its own
-# uniform tables.
+# trajectory sweeps: the sweep points in lockstep on one block of all the
+# trajectories.  The reference runs the sweep point by point, each point
+# drawing its own uniform table.
 
 
 def _trajectory_qec_run(psi0, ch, code, delta_t, n_cycles, num_trajectories, base_seed,
                         correction, substeps):
     stepper = trajectory.BatchStepper(ch, delta_t / substeps)
     draws_per_cycle = substeps + (len(code.generators) if correction else 0)
-    states = np.empty((num_trajectories, ch.dim), dtype=complex)
-    for start, count in trajectory._blocks(num_trajectories):
-        uniforms = trajectory._uniform_table(base_seed, start, count, n_cycles * draws_per_cycle)
-        uniforms = uniforms.reshape(count, n_cycles, draws_per_cycle)
-        psi = np.tile(psi0, (count, 1))
-        for c in range(n_cycles):
-            for k in range(substeps):
-                psi, _, _ = stepper.step(psi, uniforms[:, c, k])
-            if correction:
-                psi = _batch_syndrome_recover(psi, uniforms[:, c, substeps:], code)
-        psi.rows(out=states[start : start + count])
-    return states
-
-
-def _ensemble_fidelity(psi0, states):
-    # Overlaps block by block, as the sweep takes them: a one-row block's
-    # product can differ in the last bit from that row's among others.
-    overlaps = np.concatenate([
-        states[start : start + count] @ psi0.conj()
-        for start, count in trajectory._blocks(len(states))
-    ])
-    return float(np.mean(np.abs(overlaps) ** 2))
+    uniforms = trajectory._uniform_table(base_seed, 0, num_trajectories, n_cycles * draws_per_cycle)
+    uniforms = uniforms.reshape(num_trajectories, n_cycles, draws_per_cycle)
+    psi = np.tile(psi0, (num_trajectories, 1))
+    for c in range(n_cycles):
+        for k in range(substeps):
+            psi, _, _ = stepper.step(psi, uniforms[:, c, k])
+        if correction:
+            psi = _batch_syndrome_recover(psi, uniforms[:, c, substeps:], code)
+    return psi.rows()
 
 
 def _reference_point(cfg, correction, delta_t, n_cycles, trajectories=None):
@@ -845,21 +832,18 @@ def _reference_point(cfg, correction, delta_t, n_cycles, trajectories=None):
         psi0, ch, code, delta_t, n_cycles, trajectories or cfg.trajectories, cfg.base_seed,
         correction, cfg.trajectory_substeps,
     )
-    return _ensemble_fidelity(psi0, states)
+    return float(np.mean(np.abs(states @ psi0.conj()) ** 2))
 
 
 @pytest.mark.parametrize("correction", [True, False])
 @settings(max_examples=6, deadline=None)
 @given(
     n_values=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-    block=st.sampled_from([1, 2, 3, 8]),
-    trajectories=st.integers(1, 20),
+    trajectories=st.integers(1, 40),
 )
-# 37 trajectories in blocks of 8: four full blocks and a short one.
-@example(n_values=[2, 5, 4, 8], block=8, trajectories=37)
-def test_trajectory_sweeps_match_point_by_point_reference(
-    correction, n_values, block, trajectories
-):
+# Four points of different lengths over 37 trajectories.
+@example(n_values=[2, 5, 4, 8], trajectories=37)
+def test_trajectory_sweeps_match_point_by_point_reference(correction, n_values, trajectories):
     # Points in any order, repeats included; each cycle sweep point is one
     # cycle of a scaling point's length.  Steps of at most 0.025 keep every
     # state within the first-order gate.
@@ -873,14 +857,12 @@ def test_trajectory_sweeps_match_point_by_point_reference(
         trajectory_substeps=4,
         base_seed=1234,
     )
-    with mock.patch.object(trajectory, "_BLOCK", block):
-        cycle = run_cycle_fidelity(cfg, correction)
-        scaling = run_repetition_scaling(cfg, correction)
-        expected_cycle = [_reference_point(cfg, correction, dt, 1) for dt in cfg.delta_t_values]
-        expected_scaling = [
-            _reference_point(cfg, correction, dt, n)
-            for dt, n in zip(scaling.delta_ts, cfg.n_values)
-        ]
+    cycle = run_cycle_fidelity(cfg, correction)
+    scaling = run_repetition_scaling(cfg, correction)
+    expected_cycle = [_reference_point(cfg, correction, dt, 1) for dt in cfg.delta_t_values]
+    expected_scaling = [
+        _reference_point(cfg, correction, dt, n) for dt, n in zip(scaling.delta_ts, cfg.n_values)
+    ]
     assert list(cycle.fidelities) == expected_cycle
     assert list(scaling.fidelities) == expected_scaling
 
@@ -924,22 +906,17 @@ def _recorded_sweep_calls():
         yield calls
 
 
-def _by_block(calls):
-    """The calls after each seeding, one list per block."""
-    blocks = []
-    for call in calls:
-        if call[0] == "seed":
-            blocks.append([])
-        else:
-            blocks[-1].append(call)
-    return blocks
+def _after_one_seeding(calls, cfg):
+    """The calls after the sweep's one seeding, of all cfg.trajectories streams."""
+    assert calls[0] == ("seed", (cfg.base_seed, 0, cfg.trajectories))
+    assert all(call[0] != "seed" for call in calls[1:])
+    return calls[1:]
 
 
 def test_trajectory_sweep_names_the_earliest_failing_point():
     # Steps of 0.04 pass the gate at the codeword (total 0.075) but not after
-    # the dominant jump (0.125): with seed 1 the first such failure is in the
-    # third block of 4.  Steps of 0.08 or more fail at once, in block 0, so
-    # with blocks outside the later point fails first; the earlier one is named.
+    # the dominant jump (0.125): with seed 1 the first 8 trajectories never
+    # fail, but among 24 one does.  Steps of 0.08 or more fail at once.
     cfg = ExperimentConfig(
         noise=ZKERNEL,
         t_total=0.16,
@@ -950,23 +927,22 @@ def test_trajectory_sweep_names_the_earliest_failing_point():
         trajectory_substeps=2,
         base_seed=1,
     )
-    with mock.patch.object(trajectory, "_BLOCK", 4):
-        for n in (1, 2):
-            assert 0.0 < _reference_point(cfg, True, 0.08, n, trajectories=8) <= 1.0
-            with pytest.raises(StepSizeError) as late:
-                _reference_point(cfg, True, 0.08, n)
-            assert str(late.value).startswith("total jump probability 0.1248 exceeds")
-        with pytest.raises(StepSizeError) as cycle:
-            run_cycle_fidelity(cfg)
-        with pytest.raises(StepSizeError) as scaling:
-            run_repetition_scaling(cfg)
-        with pytest.raises(StepSizeError) as second:
-            run_cycle_fidelity(ExperimentConfig(**{**vars(cfg), "delta_t_values": (0.01, 0.4)}))
-        # Once the first point has failed, no further block is seeded.
-        spy = mock.patch.object(trajectory, "_pcg64_streams", wraps=trajectory._pcg64_streams)
-        with spy as streams, pytest.raises(StepSizeError) as first:
-            run_cycle_fidelity(ExperimentConfig(**{**vars(cfg), "delta_t_values": (0.4, 0.01)}))
-        assert [c.args for c in streams.call_args_list] == [(cfg.base_seed, 0, 4)]
+    for n in (1, 2):
+        assert 0.0 < _reference_point(cfg, True, 0.08, n, trajectories=8) <= 1.0
+        with pytest.raises(StepSizeError) as late:
+            _reference_point(cfg, True, 0.08, n)
+        assert str(late.value).startswith("total jump probability 0.1248 exceeds")
+    with pytest.raises(StepSizeError) as cycle:
+        run_cycle_fidelity(cfg)
+    with pytest.raises(StepSizeError) as scaling:
+        run_repetition_scaling(cfg)
+    with pytest.raises(StepSizeError) as second:
+        run_cycle_fidelity(ExperimentConfig(**{**vars(cfg), "delta_t_values": (0.01, 0.4)}))
+    # The streams of all 24 trajectories are seeded once.
+    spy = mock.patch.object(trajectory, "_pcg64_streams", wraps=trajectory._pcg64_streams)
+    with spy as streams, pytest.raises(StepSizeError) as first:
+        run_cycle_fidelity(ExperimentConfig(**{**vars(cfg), "delta_t_values": (0.4, 0.01)}))
+    assert [c.args for c in streams.call_args_list] == [(cfg.base_seed, 0, 24)]
     assert str(cycle.value) == f"delta_t=0.08: {late.value}"
     assert str(scaling.value) == f"N=2 (delta_t=0.08): {late.value}"
     for only in (second, first):
@@ -976,10 +952,41 @@ def test_trajectory_sweep_names_the_earliest_failing_point():
         )
 
 
+def test_trajectory_sweep_names_the_point_of_any_simulation_error(monkeypatch):
+    # A recovery's SimulationError is raised again as the same type, prefixed
+    # by its point.  In a scaling sweep over N = 3, 1 the recoveries run
+    # point 0, point 1 (cycle 0), then point 0 twice: when point 1 fails in
+    # cycle 0 and point 0 in cycle 2, the earlier point is named.
+    cfg = ExperimentConfig(
+        noise=ZKERNEL,
+        t_total=0.06,
+        n_values=(3, 1),
+        engine="trajectory",
+        trajectories=6,
+        trajectory_substeps=2,
+    )
+    recover = experiment._batch_syndrome_recover
+    for failing, named in (({1}, "N=1 (delta_t=0.06)"), ({1, 3}, "N=3 (delta_t=0.02)")):
+        calls = []
+
+        def recovered(block, uniforms, code):
+            calls.append(len(calls))
+            if calls[-1] in failing:
+                raise SimulationError(f"recovery {calls[-1]} collapsed")
+            return recover(block, uniforms, code)
+
+        monkeypatch.setattr(experiment, "_batch_syndrome_recover", recovered)
+        with pytest.raises(SimulationError) as err:
+            run_repetition_scaling(cfg)
+        assert type(err.value) is SimulationError
+        assert str(err.value) == f"{named}: recovery {max(failing)} collapsed"
+        assert str(err.value.__cause__) == f"recovery {max(failing)} collapsed"
+        assert calls == [0, 1, 2, 3]
+
+
 def _assert_draws_each_block_once(correction, trajectories):
-    # One seeding of the streams per block of 4, a partial last block
-    # included, and as many draws as the longest point reads: no point
-    # redraws a prefix.
+    # One seeding of all the trajectories' streams, and as many draws as the
+    # longest point reads: no point redraws a prefix.
     cfg = ExperimentConfig(
         noise=ZKERNEL,
         t_total=0.06,
@@ -991,20 +998,14 @@ def _assert_draws_each_block_once(correction, trajectories):
     )
     per_cycle = 2 + (4 if correction else 0)
     for run, longest in ((run_cycle_fidelity, 1), (run_repetition_scaling, 3)):
-        with mock.patch.object(trajectory, "_BLOCK", 4), _recorded_sweep_calls() as calls:
+        with _recorded_sweep_calls() as calls:
             run(cfg, correction)
-        seeds = [c[1] for c in calls if c[0] == "seed"]
-        assert len(seeds) == math.ceil(trajectories / 4)
-        assert seeds == [
-            (cfg.base_seed, start, min(4, trajectories - start))
-            for start in range(0, trajectories, 4)
-        ]
-        for (_, _, count), block in zip(seeds, _by_block(calls), strict=True):
-            draws = [c for c in block if c[0] == "draw"]
-            assert draws == [("draw", (count,))] * (longest * per_cycle)
-            # Each step reads one draw's uniforms of the block's rows, contiguous.
-            steps = [c for c in block if c[0] == "step"]
-            assert steps and all(c[2] == (count,) and c[3] for c in steps)
+        calls = _after_one_seeding(calls, cfg)
+        draws = [c for c in calls if c[0] == "draw"]
+        assert draws == [("draw", (trajectories,))] * (longest * per_cycle)
+        # Each step reads one draw's uniforms of every row, contiguous.
+        steps = [c for c in calls if c[0] == "step"]
+        assert steps and all(c[2] == (trajectories,) and c[3] for c in steps)
 
 
 @pytest.mark.parametrize("correction", [True, False])
@@ -1015,16 +1016,32 @@ def test_trajectory_sweep_draws_each_block_once(correction):
 @pytest.mark.parametrize("trajectories", [8, 3, 1])
 @pytest.mark.parametrize("correction", [True, False])
 def test_trajectory_sweep_draws_each_block_once_for_any_count(correction, trajectories):
-    # A whole number of blocks, one partial block, one trajectory.
+    # A few trajectories, and one.
     _assert_draws_each_block_once(correction, trajectories)
+
+
+def test_trajectory_sweep_steps_one_block_above_8192_rows():
+    # 8193 trajectories are one block: one seeding, and every step reads a
+    # contiguous (8193,) row of uniforms.
+    cfg = ExperimentConfig(
+        noise=ZKERNEL,
+        delta_t_values=(0.01, 0.02),
+        engine="trajectory",
+        trajectories=8193,
+        trajectory_substeps=2,
+    )
+    with _recorded_sweep_calls() as calls:
+        run_cycle_fidelity(cfg)
+    steps = [c for c in _after_one_seeding(calls, cfg) if c[0] == "step"]
+    assert len(steps) == 4 and all(c[2] == (8193,) and c[3] for c in steps)
 
 
 @pytest.mark.parametrize("correction", [True, False])
 def test_trajectory_sweep_steps_each_points_cycle_whole_in_sweep_order(correction):
-    # In each block and each cycle the points with cycles left step in sweep
-    # order, and a point's substeps, then its recovery, are contiguous: the
-    # order of the step calls whose jump decisions the trajectory_qec
-    # benchmark's reference records.  Distinct intervals name the points.
+    # In each cycle the points with cycles left step in sweep order, and a
+    # point's substeps, then its recovery, are contiguous: the order of the
+    # step calls whose jump decisions the trajectory_qec benchmark's
+    # reference records.  Distinct intervals name the points.
     substeps = 3
     cfg = ExperimentConfig(
         noise=ZKERNEL,
@@ -1036,7 +1053,7 @@ def test_trajectory_sweep_steps_each_points_cycle_whole_in_sweep_order(correctio
         trajectory_substeps=substeps,
     )
     for run, cycles in ((run_cycle_fidelity, (1, 1, 1)), (run_repetition_scaling, cfg.n_values)):
-        with mock.patch.object(trajectory, "_BLOCK", 4), _recorded_sweep_calls() as calls:
+        with _recorded_sweep_calls() as calls:
             result = run(cfg, correction)
         point = {dt / substeps: i for i, dt in enumerate(result.delta_ts)}
         assert len(point) == 3
@@ -1047,19 +1064,16 @@ def test_trajectory_sweep_steps_each_points_cycle_whole_in_sweep_order(correctio
             if c < cycles[i]
             for kind in ["step"] * substeps + (["recover"] if correction else [])
         ]
-        blocks = _by_block(calls)
-        assert len(blocks) == 2
-        for block in blocks:
-            block = [c for c in block if c[0] != "draw"]
-            order = []
-            for prev, call in zip([None, *block], block):
-                if call[0] == "step":
-                    order.append(("step", point[call[1]]))
-                else:
-                    # A recovery takes the block its point's last step returned.
-                    assert prev[0] == "step" and call[1] is prev[4]
-                    order.append(("recover", point[prev[1]]))
-            assert order == expected
+        calls = [c for c in _after_one_seeding(calls, cfg) if c[0] != "draw"]
+        order = []
+        for prev, call in zip([None, *calls], calls):
+            if call[0] == "step":
+                order.append(("step", point[call[1]]))
+            else:
+                # A recovery takes the block its point's last step returned.
+                assert prev[0] == "step" and call[1] is prev[4]
+                order.append(("recover", point[prev[1]]))
+        assert order == expected
 
 
 def test_run_trajectory_logs_requires_commensurate_times():

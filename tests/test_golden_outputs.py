@@ -2,10 +2,7 @@
 
 `tests/golden_outputs.json` holds the exit code and the sha256 of stdout of
 the fast runs of `tools/same_outputs.py`: every `cycle`, `trajectories` and
-`validate` run, about a second or less each, but the `trajectories` run of
-lowering_logs at 10,000 trajectories: the file was recorded without it and
-is re-recorded only when outputs change on purpose, so that run is compared
-between trees by the tool alone.  The `scaling` runs take
+`validate` run, about a second or less each.  The `scaling` runs take
 seconds and are left to that tool, except the trajectory engine's run of
 `configs/trajectory_cycle.yaml` (about 1.3 s): its rows draw 800 uniforms
 each, which the sweep's points read cycle by cycle in lockstep, so it pins
@@ -42,8 +39,6 @@ TOOLS = ROOT / "tools"
 FAST_COMMANDS = ("cycle", "trajectories", "validate")
 # Slower runs pinned as well, as (command, config, extra arguments).
 LONG_STREAM_RUNS = (("scaling", "configs/trajectory_cycle.yaml", ()),)
-# Generated configs of same_outputs.py whose runs the file does not hold yet.
-UNRECORDED_CONFIGS = ("lowering_logs_above_block.yaml",)
 
 
 def fingerprint() -> dict:
@@ -73,8 +68,6 @@ def record_outputs(workdir: Path) -> dict:
     outputs = {}
     for command, config, extra in _same_outputs()._jobs(ROOT / "configs", workdir):
         if command not in FAST_COMMANDS and (command, config, extra) not in LONG_STREAM_RUNS:
-            continue
-        if Path(config).name in UNRECORDED_CONFIGS:
             continue
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):

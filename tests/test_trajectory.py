@@ -654,20 +654,16 @@ def test_samplers_leave_caller_arrays_untouched():
     kind=st.sampled_from(sorted(_KERNELS)),
     num_qubits=st.integers(1, 3),
     num_trajectories=st.integers(1, 6),
-    block=st.integers(1, 4),
 )
-def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectories, block):
+def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectories):
     # Same jump log and state for every trajectory whether the ensemble is
-    # stepped as one block or by the loop sampler.  The patched _BLOCK bounds
-    # only the correction-cycle sweeps' blocks; it does not reach
-    # sample_ensemble.
+    # stepped as one block or by the loop sampler.
     ch = _grid_channels(kind, num_qubits)
     psi0 = _random_state(np.random.default_rng(seed), ch.dim)
     dt, n_steps = 0.005, 60
-    with mock.patch.object(trajectory, "_BLOCK", block):
-        states, counts, logs = sample_ensemble(
-            psi0, ch, n_steps * dt, dt, seed, num_trajectories, collect_logs=True
-        )
+    states, counts, logs = sample_ensemble(
+        psi0, ch, n_steps * dt, dt, seed, num_trajectories, collect_logs=True
+    )
     for b in range(num_trajectories):
         ref_psi, ref_log = _sequential_reference(psi0, ch, n_steps, dt, seed, b)
         assert [(b, t, n) for t, n in ref_log] == _rows_of(logs, b)
@@ -682,7 +678,7 @@ def test_batch_equals_sequential_property(seed, kind, num_qubits, num_trajectori
     ),
     index0=st.one_of(
         st.integers(0, 64),
-        st.integers(trajectory._BLOCK - 64, trajectory._BLOCK),
+        st.integers(8192 - 64, 8192),
         st.integers(2**32 - 128, 2**32 - 64),
     ),
     draws=st.integers(0, 300),
@@ -696,40 +692,14 @@ def test_uniform_table_matches_numpy_streams(seed, index0, draws, data):
     count = data.draw(st.integers(1, min(300, 2**32 - index0)), label="count")
     table = trajectory._uniform_table(seed, index0, count, draws)
     assert table.shape == (count, draws) and table.dtype == np.float64
+    # A step reads one column per interval; each is contiguous in memory.
+    assert all(table[:, k].flags.c_contiguous for k in range(draws))
     expected = np.array([trajectory_rng(seed, index0 + b).random(draws) for b in range(count)])
     assert np.array_equal(table, expected)
     # A row's first k draws do not depend on how many are drawn: a sweep's
     # points read prefixes of one table.
     k = data.draw(st.integers(0, draws), label="k")
     assert np.array_equal(table[:, :k], trajectory._uniform_table(seed, index0, count, k))
-
-
-@pytest.mark.parametrize(
-    "num_trajectories, block",
-    [(1, 4), (4, 4), (5, 4), (12, 4), (13, 4), (7, 1), (3, 8), (2 * trajectory._BLOCK + 1, None)],
-)
-def test_blocks_partition_the_trajectories_in_order(num_trajectories, block):
-    # Consecutive (start, count) pairs: every block full but the last, which
-    # is not empty, and together they cover 0..num_trajectories - 1 once.
-    block = block or trajectory._BLOCK
-    with mock.patch.object(trajectory, "_BLOCK", block):
-        blocks = list(trajectory._blocks(num_trajectories))
-    assert [start for start, _ in blocks] == list(range(0, num_trajectories, block))
-    assert all(count == block for _, count in blocks[:-1]) and 1 <= blocks[-1][1] <= block
-    assert sum(count for _, count in blocks) == num_trajectories
-
-
-@pytest.mark.parametrize(
-    "num_trajectories, block, draws",
-    [(1, 4, 1), (10, 4, 7), (9, 3, 0), (8, 4, 3), (5, 1, 2), (3, 8, 5)],
-)
-def test_uniform_blocks_columns_are_contiguous(num_trajectories, block, draws):
-    # The step reads one column per interval; each is contiguous in memory.
-    with mock.patch.object(trajectory, "_BLOCK", block):
-        for start, count in trajectory._blocks(num_trajectories):
-            u = trajectory._uniform_table(5, start, count, draws)
-            assert u.shape == (min(block, num_trajectories - start), draws)
-            assert all(u[:, k].flags.c_contiguous for k in range(draws))
 
 
 @settings(max_examples=30, deadline=None)
@@ -740,14 +710,14 @@ def test_uniform_blocks_columns_are_contiguous(num_trajectories, block, draws):
     draws=st.integers(0, 20),
 )
 def test_uniform_blocks_rows_independent_of_block_size(seed, block, num_trajectories, draws):
+    # Tables of consecutive parts of the rows, block rows each but the last,
+    # stack to the table of all the rows.
     whole = trajectory._uniform_table(seed, 0, num_trajectories, draws)
-    with mock.patch.object(trajectory, "_BLOCK", block):
-        blocks = [
-            (start, trajectory._uniform_table(seed, start, count, draws))
-            for start, count in trajectory._blocks(num_trajectories)
-        ]
-    assert [start for start, _ in blocks] == list(range(0, num_trajectories, block))
-    assert np.array_equal(np.concatenate([u for _, u in blocks]), whole)
+    parts = [
+        trajectory._uniform_table(seed, start, min(block, num_trajectories - start), draws)
+        for start in range(0, num_trajectories, block)
+    ]
+    assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_uniform_table_domain():
@@ -766,7 +736,7 @@ def test_uniform_table_domain():
     seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**96, 2**256)),
     index0=st.one_of(
         st.integers(0, 64),
-        st.integers(trajectory._BLOCK - 64, trajectory._BLOCK + 64),
+        st.integers(8192 - 64, 8192 + 64),
         st.integers(2**32 - 128, 2**32 - 1),
     ),
     draws=st.integers(0, 120),
@@ -791,9 +761,7 @@ def test_streamed_draws_match_numpy_and_the_table(seed, index0, draws, data):
 @pytest.mark.parametrize("kind", sorted(_KERNELS))
 def test_sample_ensemble_steps_the_tables_columns(kind, num_qubits):
     # The streamed draws give the states, jump counts and logs of stepping
-    # the whole ensemble as one block over the columns of its _uniform_table,
-    # with _BLOCK as it is and at 3: it bounds only the sweeps' tables, so a
-    # row that jumps alone among 3 rows still gets its image among 10.
+    # the whole ensemble as one block over the columns of its _uniform_table.
     ch = _grid_channels(kind, num_qubits)
     psi0 = _random_state(np.random.default_rng(40 + num_qubits), ch.dim)
     m, dt, n_steps, seed = 10, 0.005, 200, 77
@@ -805,19 +773,17 @@ def test_sample_ensemble_steps_the_tables_columns(kind, num_qubits):
         ref_counts += jumped
         ref_logs += [(int(b), step * dt, int(channel[b])) for b in np.flatnonzero(jumped)]
     assert ref_counts.sum() > 0
-    for block in (trajectory._BLOCK, 3):
-        with mock.patch.object(trajectory, "_BLOCK", block):
-            states, counts, logs = sample_ensemble(psi0, ch, n_steps * dt, dt, seed, m, collect_logs=True)
-        assert states.tobytes() == psi.rows().tobytes(), block
-        assert np.array_equal(counts, ref_counts), block
-        assert logs == sorted(ref_logs, key=lambda row: (row[0], row[1])), block
+    states, counts, logs = sample_ensemble(psi0, ch, n_steps * dt, dt, seed, m, collect_logs=True)
+    assert states.tobytes() == psi.rows().tobytes()
+    assert np.array_equal(counts, ref_counts)
+    assert logs == sorted(ref_logs, key=lambda row: (row[0], row[1]))
 
 
 def test_sample_ensemble_steps_once_per_interval_above_the_block():
-    # 2 * _BLOCK + 1 trajectories take one step call per interval, not one
-    # per block of _BLOCK rows.
+    # 2 * 8192 + 1 trajectories take one step call per interval, not one
+    # per block of 8192 rows.
     ch = _grid_channels("exponential", 1)
-    m, dt, n_steps = 2 * trajectory._BLOCK + 1, 0.005, 3
+    m, dt, n_steps = 2 * 8192 + 1, 0.005, 3
     with mock.patch.object(BatchStepper, "step", autospec=True, side_effect=BatchStepper.step) as step:
         states, counts = sample_ensemble(PLUS, ch, n_steps * dt, dt, 5, m)
     assert step.call_count == n_steps

@@ -17,10 +17,12 @@ density engine's skipped zero prefix, runs `validate` and `cycle` the same
 way on both engines, and the same noise from logical state |0>, which it
 leaves alone (validate's stationary case), runs `validate`.  An L=5 config
 whose logical_state has squared norm 1 + 1.5e-10, outside the unit-norm
-rule, runs `validate` and `cycle` (both exit 1).  The packaged
-lowering_logs config at 10,000 trajectories, one sample_ensemble block of
-more than trajectory._BLOCK rows, runs `trajectories`.  With the packaged
-configs that is 42 runs per tree.
+rule, runs `validate` and `cycle` (both exit 1).  Two packaged configs run
+again at 10,000 trajectories, more rows than the 8192 per block that the
+correction-cycle sweeps once stepped: lowering_logs runs `trajectories`,
+and trajectory_cycle runs `cycle` and `cycle --no-correction`.
+Either engine steps all 10,000 rows as one block.  With the packaged
+configs that is 44 runs per tree.
 Stdout bytes and exit codes are compared; each mismatch prints its first
 differing line.  Exits 1 on any mismatch, 0 when every output is identical.
 The checkout is removed afterwards.
@@ -94,10 +96,15 @@ GENERATED_NON_UNIT = {
     "noise": GENERATED_NOISE["independent"],
     "logical_state": [[(1.0 + 1.5e-10) ** 0.5, 0.0], [0.0, 0.0]],
 }
-# The packaged lowering_logs config at more trajectories than one block of
-# the correction-cycle sweeps (trajectory._BLOCK, 8192), run with
-# `trajectories`: sample_ensemble steps them as one block.
-ABOVE_BLOCK_TRAJECTORIES = 10_000
+# Packaged configs run again, as (config, command, extra arguments), at more
+# trajectories than the 8192 rows into which the correction-cycle sweeps
+# once split their rows: both engines now step all of them as one block.
+LARGE_TRAJECTORIES = 10_000
+LARGE_RUNS = (
+    ("lowering_logs.yaml", "trajectories", ()),
+    ("trajectory_cycle.yaml", "cycle", ()),
+    ("trajectory_cycle.yaml", "cycle", ("--no-correction",)),
+)
 
 
 def _jobs(configs: Path, generated: Path) -> list:
@@ -127,10 +134,11 @@ def _jobs(configs: Path, generated: Path) -> list:
     path = generated / "non_unit_state.yaml"
     path.write_text(yaml.safe_dump({**GENERATED_BASE, **GENERATED_NON_UNIT}))
     jobs += [(command, str(path), ()) for command in GENERATED_COMMANDS]
-    data = yaml.safe_load((configs / "lowering_logs.yaml").read_text())
-    path = generated / "lowering_logs_above_block.yaml"
-    path.write_text(yaml.safe_dump({**data, "trajectories": ABOVE_BLOCK_TRAJECTORIES}))
-    jobs.append(("trajectories", str(path), ()))
+    for name, command, extra in LARGE_RUNS:
+        data = yaml.safe_load((configs / name).read_text())
+        path = generated / f"{Path(name).stem}_m{LARGE_TRAJECTORIES}.yaml"
+        path.write_text(yaml.safe_dump({**data, "trajectories": LARGE_TRAJECTORIES}))
+        jobs.append((command, str(path), extra))
     return jobs
 
 
