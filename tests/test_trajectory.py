@@ -702,6 +702,42 @@ def test_uniform_table_matches_numpy_streams(seed, index0, draws, data):
     assert np.array_equal(table[:, :k], trajectory._uniform_table(seed, index0, count, k))
 
 
+@pytest.mark.parametrize(
+    "num_trajectories, block",
+    [(1, 4), (4, 4), (5, 4), (12, 4), (13, 4), (7, 1), (3, 8), (2 * 8192 + 1, None)],
+)
+def test_blocks_partition_the_trajectories_in_order(num_trajectories, block):
+    # Streams seeded over consecutive parts of the rows, block rows each but
+    # the last (8192 by default, the partition the sweeps once used), draw
+    # what one seeding of all the rows draws: row b of part start is
+    # trajectory start + b, so any partition reads the trajectories in order.
+    block = block or 8192
+    draws = 3
+    whole = trajectory._pcg64_streams(11, 0, num_trajectories)
+    expected = np.array([whole(np.empty(num_trajectories)) for _ in range(draws)])
+    parts = []
+    for start in range(0, num_trajectories, block):
+        count = min(block, num_trajectories - start)
+        draw = trajectory._pcg64_streams(11, start, count)
+        parts.append(np.array([draw(np.empty(count)) for _ in range(draws)]))
+    assert sum(part.shape[1] for part in parts) == num_trajectories
+    assert np.array_equal(np.concatenate(parts, axis=1), expected)
+
+
+@pytest.mark.parametrize(
+    "num_trajectories, block, draws",
+    [(1, 4, 1), (10, 4, 7), (9, 3, 0), (8, 4, 3), (5, 1, 2), (3, 8, 5)],
+)
+def test_uniform_blocks_columns_are_contiguous(num_trajectories, block, draws):
+    # The step reads one column per interval; each is contiguous in memory,
+    # for a table of any consecutive part of the rows.
+    for start in range(0, num_trajectories, block):
+        count = min(block, num_trajectories - start)
+        u = trajectory._uniform_table(5, start, count, draws)
+        assert u.shape == (count, draws)
+        assert all(u[:, k].flags.c_contiguous for k in range(draws))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**63),
