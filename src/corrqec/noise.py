@@ -42,9 +42,10 @@ from .operators import (
     _frozen_array,
 )
 
-_RECON_TOL = 1e-9
+# Largest residual of the rate-matrix reconstruction and of H_eff's damping
+# part against the dissipator, in units of max(1, xi_max).
+_SELF_CHECK_TOL = 1e-9
 _ROW_NORM_TOL = 1e-10
-_DAMPING_TOL = 1e-9
 # Channels whose rate is this far below the largest one are kept but inert,
 # preserving the fixed 3L channel count and numbering.
 _INERT_RATIO = 1e-12
@@ -191,9 +192,10 @@ def noise_spec_direct(A, B=None, num_qubits: int | None = None) -> NoiseSpec:
     """Build a NoiseSpec from explicit matrices, bypassing any kernel.
 
     A and B pass the matrix gate (square, finite, Hermitian within HERM_TOL),
-    B with A's size, and A the PSD floor: eigenvalues in [-1e-10, 0) are
-    clamped to zero (A is reconstructed from the clamped spectrum), anything
-    lower is rejected.  B defaults to zero.
+    B with A's size, and A the PSD floor (operators.psd_floor: -1e-10, times
+    A's largest eigenvalue when that is above 1): eigenvalues from the floor
+    up to 0 are clamped to zero (A is reconstructed from the clamped
+    spectrum), anything lower is rejected.  B defaults to zero.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 3 != 0:
@@ -350,14 +352,15 @@ def assemble_channel_set(
     h_eff = shift - 0.5j * damping
 
     # Construction self-checks; failure means a numerics bug, not bad input.
+    tol = _SELF_CHECK_TOL * max(1.0, xi_max)
     recon = np.max(np.abs(U.conj().T @ (xi[:, None] * U) - spec.A))
-    if recon > _RECON_TOL:
+    if recon > tol:
         raise SimulationError(f"rate-matrix reconstruction residual {recon:.3e}")
     row_norms = np.abs(U) ** 2 @ np.ones(U.shape[1])
     if np.max(np.abs(row_norms - 1.0)) > _ROW_NORM_TOL:
         raise SimulationError("channel mixing matrix rows are not normalized")
     anti = 1j * (h_eff - h_eff.conj().T)
-    if np.max(np.abs(anti - damping)) > _DAMPING_TOL:
+    if np.max(np.abs(anti - damping)) > tol:
         raise SimulationError("H_eff damping part does not match the dissipator")
 
     return JumpChannelSet(

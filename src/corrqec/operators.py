@@ -13,13 +13,14 @@ a boolean (a Python or numpy bool), an integer (a Python or numpy integer,
 not a bool), a real number (not a bool) or a complex one, a positive or
 nonnegative finite scalar, the matrix gate (square, finite, Hermitian within
 HERM_TOL), the size rule (a matrix dim x dim, a state vector of shape
-(dim,), for the dimension the caller expects), the PSD floor and the
-state rule (finite, unit norm: | ||psi||^2 - 1 | <= _NORM_TOL).  Callers
-of the scalar rules raise their own error type with a message naming the
-value; the matrix gate, the size rule, the state rule and the PSD floor
-raise DomainError naming the matrix or the state; every entry point that
-takes a state vector or a density matrix applies them with the dimension it
-expects.  The counts, indices
+(dim,), for the dimension the caller expects), the PSD floor (no
+eigenvalue below -1e-10, in units of the largest eigenvalue when that is
+above 1: psd_floor) and the state rule (finite, unit norm:
+| ||psi||^2 - 1 | <= _NORM_TOL).  Callers of the scalar rules raise their
+own error type with a message naming the value; the matrix gate, the size
+rule, the state rule and the PSD floor raise DomainError naming the matrix
+or the state; every entry point that takes a state vector or a density
+matrix applies them with the dimension it expects.  The counts, indices
 and seeds the library takes (qubit count, qubit and basis index, trajectory
 count, base seed) pass the integer rule: numpy integers are accepted like
 Python ints, and a bool, a float or a string is a DomainError.  A flag
@@ -49,7 +50,8 @@ MAX_QUBITS = 12
 
 # Largest |m - m^dag| entry a Hermitian input may carry.
 HERM_TOL = 1e-10
-# Lowest eigenvalue a positive semidefinite input may carry (then clipped to 0).
+# Lowest eigenvalue a positive semidefinite input may carry (then clipped to
+# 0), in units of max(1, largest eigenvalue): roundoff grows with the scale.
 _PSD_FLOOR = -1e-10
 # Largest deviation of a state's squared norm from 1.
 _NORM_TOL = 1e-10
@@ -120,9 +122,14 @@ def check_hermitian(m, name: str, dim: int | None = None) -> np.ndarray:
     return m
 
 
+def psd_floor(eigenvalues: np.ndarray) -> float:
+    """The PSD floor of a spectrum: _PSD_FLOOR times max(1, its largest eigenvalue)."""
+    return _PSD_FLOOR * max(1.0, eigenvalues.max(initial=0.0))
+
+
 def meets_psd_floor(eigenvalues: np.ndarray) -> bool:
-    """The PSD floor: no eigenvalue below _PSD_FLOOR."""
-    return eigenvalues.min(initial=0.0) >= _PSD_FLOOR
+    """The PSD floor: no eigenvalue below psd_floor(eigenvalues)."""
+    return eigenvalues.min(initial=0.0) >= psd_floor(eigenvalues)
 
 
 def channel_qubit_axis(index: int) -> tuple[int, int]:
@@ -217,7 +224,7 @@ def psd_eigensystem(m, name: str) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     if not meets_psd_floor(w):
         err = DomainError(
-            f"{name} is not positive semidefinite: eigenvalue {w.min():.6e} < {_PSD_FLOOR:.1e}"
+            f"{name} is not positive semidefinite: eigenvalue {w.min():.6e} < {psd_floor(w):.1e}"
         )
         err.eigenvalues = w
         raise err

@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -54,7 +55,7 @@ from corrqec.noise import (
     max_rate,
     noise_spec_direct,
 )
-from corrqec.lindblad import _rhs, default_dt_integrator
+from corrqec.lindblad import _rhs
 from corrqec.operators import (
     basis_state,
     pauli_operator,
@@ -544,11 +545,8 @@ def _sequential_fidelities(cfg, correction, delta_ts, n_cycles):
     ch = build_channels(spec)
     code, psi0 = _code_and_state(cfg, spec)
     rho0 = pure_state_projector(psi0)
-    dt_int = default_dt_integrator(ch)
     return [
-        pure_state_fidelity(
-            psi0, experiment._density_qec_run(rho0, ch, code, dt, n, dt_int, correction)
-        )
+        pure_state_fidelity(psi0, experiment._density_qec_run(rho0, ch, code, dt, n, correction))
         for dt, n in zip(delta_ts, n_cycles)
     ]
 
@@ -594,12 +592,14 @@ def test_threaded_corrected_sweep_on_a_fresh_code(monkeypatch):
         ({"OPENBLAS_NUM_THREADS": "8"}, 1),
         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
         ({"OMP_NUM_THREADS": "4,2"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "²", "OMP_NUM_THREADS": "2"}, 2),
     ],
 )
 def test_point_threads_are_the_cores_the_blas_leaves_free(monkeypatch, settings, threads):
     # On four usable cores: a BLAS on every core (no count set) leaves one
     # thread for the points, a one-thread BLAS leaves four.  The first
-    # variable with a positive count wins, in OpenBLAS's order.
+    # variable with a positive count wins, in OpenBLAS's order.  A digit
+    # that int() does not read, such as a superscript, is no count.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for name in experiment._BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
@@ -631,9 +631,9 @@ def test_threaded_density_sweep_takes_each_point_once_under_stress(monkeypatch):
     run = experiment._density_qec_run
     taken = []
 
-    def counting(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction):
+    def counting(rho0, ch, code, delta_t, n_cycles, correction):
         taken.append(delta_t)
-        return run(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction)
+        return run(rho0, ch, code, delta_t, n_cycles, correction)
 
     monkeypatch.setattr(experiment, "_density_qec_run", counting)
     dts = tuple(0.0005 * k for k in range(1, 17))
@@ -660,7 +660,7 @@ def test_threaded_density_sweep_raises_the_earliest_failure(monkeypatch, tmp_pat
     run = experiment._density_qec_run
     started, point_3_failed, threaded = [], threading.Event(), [True]
 
-    def failing(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction):
+    def failing(rho0, ch, code, delta_t, n_cycles, correction):
         index = SHORT_DENSITY.delta_t_values.index(delta_t)
         started.append(index)
         if index == 1 and threaded[0]:
@@ -669,7 +669,7 @@ def test_threaded_density_sweep_raises_the_earliest_failure(monkeypatch, tmp_pat
             if index == 3:
                 point_3_failed.set()
             raise IntegrationError(f"point {index} failed")
-        return run(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction)
+        return run(rho0, ch, code, delta_t, n_cycles, correction)
 
     monkeypatch.setattr(experiment, "_density_qec_run", failing)
     before = threading.active_count()
@@ -685,10 +685,10 @@ def test_threaded_density_sweep_raises_the_earliest_failure(monkeypatch, tmp_pat
         assert sorted(set(started)) == sorted(started)
         assert [i for i in sorted(started) if i != 4] == expected
 
-    def failing_scaling(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction):
+    def failing_scaling(rho0, ch, code, delta_t, n_cycles, correction):
         if n_cycles in (2, 4):
             raise IntegrationError(f"point {n_cycles - 1} failed")
-        return run(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction)
+        return run(rho0, ch, code, delta_t, n_cycles, correction)
 
     monkeypatch.setattr(experiment, "_density_qec_run", failing_scaling)
     for threads in (3, 1):
@@ -722,7 +722,7 @@ def test_density_sweep_raises_a_point_interrupt(monkeypatch, threads):
     dts = tuple(0.0005 * k for k in range(1, 17))
     started, lock = [], threading.Lock()
 
-    def interrupted(rho0, ch, code, delta_t, n_cycles, dt_integrator, correction):
+    def interrupted(rho0, ch, code, delta_t, n_cycles, correction):
         index = dts.index(delta_t)
         with lock:
             started.append(index)
@@ -1218,6 +1218,95 @@ def test_validation_channel_order_passes_on_a_stationary_state():
     check = run_validation_suite(moving).checks[-1]
     assert check.passed and check.detail.startswith("errors ")
     assert 3.5 <= float(check.measured) <= 4.5
+
+
+class _RunawayIntegration(BaseException):
+    """Not an Exception, so that _check cannot report it as a FAIL line."""
+
+
+# Most RK4 steps validate asks of one evolve_exact call: the convergence
+# check takes 20 and the unraveling check 500, whatever the rates.
+_MAX_VALIDATE_STEPS = 1000
+
+
+@contextlib.contextmanager
+def _bounded_integration():
+    run = experiment.evolve_exact
+
+    def bounded(rho0, ch, cfg):
+        steps = cfg.t_final / cfg.dt_integrator
+        if steps > _MAX_VALIDATE_STEPS:
+            raise _RunawayIntegration(f"{steps:.3g} RK4 steps")
+        return run(rho0, ch, cfg)
+
+    with mock.patch.object(experiment, "evolve_exact", bounded):
+        yield
+
+
+def _noise_at_scale(kind, num_qubits, scale, normalize):
+    # Config data for a noise section whose rates are scale times those of
+    # its unit form: g1 = sqrt(scale) at tau_c = 0.5 for a kernel, scale * A
+    # for direct noise.
+    if kind == "direct":
+        section = {"A": (scale * np.kron(np.eye(num_qubits), np.diag([0.2, 0.2, 1.0]))).tolist()}
+    else:
+        section = dict(MINIMAL_NOISE[kind][0], num_qubits=num_qubits)
+        section.update(tau_c=0.5, g1=math.sqrt(scale))
+    return {"noise": {"kind": kind, "normalize": normalize, **section}}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(tuple(MINIMAL_NOISE)),
+    scale=st.sampled_from([0.0, 1e-14, 1.0, 1e3]),
+    normalize=st.booleans(),
+    num_qubits=st.sampled_from([1, 2, 3, 5]),
+)
+def test_validation_work_does_not_depend_on_the_rates(kind, scale, normalize, num_qubits):
+    # Every integration validate runs takes the integrator's step, so no
+    # rate scale, silent or large, normalized or not, asks for more steps.
+    cfg = parse_config(_noise_at_scale(kind, num_qubits, scale, normalize))
+    with _bounded_integration():
+        report = run_validation_suite(cfg)
+    assert len(report.checks) == 6
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("kind", tuple(MINIMAL_NOISE))
+def test_validate_passes_a_silent_spec_at_once(tmp_path, capsys, kind, normalize):
+    # Zero rates leave every state alone: each check passes, and the
+    # convergence check's two errors are roundoff.  Its interval is 20
+    # steps of the integrator's silent 1e-3, not 0.02 over a clamped rate,
+    # some 2e13 steps, which the spy stops at once.
+    text = yaml.safe_dump(_noise_at_scale(kind, 5, 0.0, normalize))
+    with _bounded_integration():
+        assert main(["validate", "--config", _write(tmp_path, "silent.yaml", text)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("6/6 checks passed\n"), out
+    line = out.splitlines()[-2]
+    assert line.startswith("PASS first_order_channel_convergence: "), out
+    assert "(stationary state, " in line, out
+
+
+def test_cycle_fidelities_do_not_depend_on_the_rate_units(tmp_path):
+    # The headline kernel with g1 in physical units: normalized, its rates
+    # are those of g1 = 1 up to roundoff, and so are its fidelities.  While
+    # the PSD floor was absolute, A's roundoff at g1 = 1e3 fell below it.
+    def fidelities(g1):
+        kernel = exponential_kernel(5, correlation_length=2.0, tau_c=0.5, g1=g1, axis=3)
+        cfg = ExperimentConfig(noise=kernel, delta_t_values=(0.002, 0.005, 0.01, 0.02))
+        return np.array(run_cycle_fidelity(cfg).fidelities)
+
+    unit = fidelities(1.0)
+    for g1 in (1e3, 1e5):
+        np.testing.assert_allclose(fidelities(g1), unit, rtol=1e-12, atol=0)
+    text = GOOD_YAML.replace("engine: trajectory", "engine: density").replace(
+        "tau_c: 0.05\n  g1: 1.0", "tau_c: 0.5\n  g1: 1000.0"
+    )
+    assert "g1: 1000.0" in text
+    path = _write(tmp_path, "physical.yaml", text)
+    for command in ("cycle", "validate"):
+        assert main([command, "--config", path]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ through basis-invariant observables.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -334,6 +335,30 @@ def test_direct_spec_accepts_and_clamps():
 def test_direct_spec_rejects_negative_eigenvalue():
     with pytest.raises(DomainError):
         noise_spec_direct(np.diag([1.0, 1.0, -0.01]).astype(complex))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_psd_floor_is_relative_above_scale_one(scale):
+    # The floor is -1e-10 in units of max(1, largest eigenvalue), and the
+    # message names the floor it applied: an eigenvalue of -1% of the
+    # largest is refused at every scale, roundoff of -5e-11 of it is clamped.
+    with pytest.raises(DomainError, match=re.escape(f"< {-1e-10 * scale:.1e}")):
+        noise_spec_direct(scale * np.diag([1.0] * 14 + [-0.01]))
+    spec = noise_spec_direct(scale * np.diag([1.0] * 14 + [-5e-11]))
+    assert np.linalg.eigvalsh(spec.A).min() >= 0.0
+
+
+@pytest.mark.parametrize("axis", [AXIS_Z, None])
+def test_build_channels_accepts_rates_in_physical_units(axis):
+    # The headline kernel at amplitude 1e6, unnormalized.  Its roundoff is
+    # about 1e-16 of the largest rate; measured on an absolute scale it
+    # failed the PSD floor (axis z) or the reconstruction self-check (every axis).
+    def rates(amplitude):
+        kernel = exponential_kernel(5, amplitude=amplitude, correlation_length=2.0, axis=axis)
+        return build_channels(integrate_kernel(kernel)).eigenvalues
+
+    big = rates(1e6)
+    np.testing.assert_allclose(big, 1e6 * rates(1.0), rtol=1e-12, atol=1e-9 * big.max())
 
 
 def test_direct_spec_rejects_non_hermitian():
